@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .automata import (
     Automaton,
-    ChannelState,
     GlobalState,
     ReceiverPhase,
     ReceiverState,
@@ -19,21 +18,16 @@ from .automata import (
     SenderPhase,
     SenderState,
     StepKind,
-    channel_state,
     initial_state,
     label,
-    observe_busy,
-    successor_distribution,
 )
 from .backoff import (
     DEFAULT_TABLE,
     BackoffTable,
     ContentionWindow,
-    TimingParams,
     compute_tcu,
     rbc_pmf,
     sample_rbc,
-    window_for,
 )
 from .dtmc import (
     DTMC,

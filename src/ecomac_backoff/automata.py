@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import NamedTuple
 
-from .backoff import DEFAULT_TABLE, BackoffTable
+from .backoff import DEFAULT_TABLE, BackoffTable, rbc_pmf
 from .errors import ConfigError
 
 
@@ -64,13 +64,6 @@ class ReceiverPhase(IntEnum):
     SWITCH_RT = 4
     SEND_CTS = 5
     W_END = 6
-
-
-class ChannelState(IntEnum):
-    IDLE = 0
-    BUSY_SENDER = 1
-    BUSY_RECEIVER = 2
-    COLLISION = 3
 
 
 class StepKind(IntEnum):
@@ -118,15 +111,18 @@ class TransitionDistribution(NamedTuple):
 class ScenarioConfig:
     """Model parameters for one contention scenario.
 
-    tcu_ticks must equal 2*d_switch + d_frame + d_rssi (the contention unit
-    covers two radio switches, one control frame, and one RSSI probe) unless
-    ``tcu_experiment`` marks a deliberate contention-unit variation study.
+    tcu_ticks defaults to 2*d_switch + d_frame + d_rssi: the contention unit
+    covers two radio switches, one control frame, and one RSSI probe.  An
+    explicit value is taken as given, so a contention-unit sizing study can
+    set a shorter unit and expose the deadlocks it opens.  The derived value
+    is stored in the field; ``dataclasses.replace`` of a timing keeps it
+    unless ``tcu_ticks=None`` is passed along.
     """
 
     n_senders: int = 2
     nmax_msg: int = 1
     table: BackoffTable = DEFAULT_TABLE
-    tcu_ticks: int = 8
+    tcu_ticks: int | None = None
     d_switch: int = 1
     d_frame: int = 5
     d_rssi: int = 1
@@ -134,29 +130,25 @@ class ScenarioConfig:
     seconds_per_tick: float = 0.001714
     idle_power_mw: float = 13.5
     robust_mode: bool = False
-    tcu_experiment: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n_senders, int) or self.n_senders < 1:
             raise ConfigError(f"n_senders must be an integer >= 1, got {self.n_senders!r}")
         if not isinstance(self.nmax_msg, int) or self.nmax_msg < 0:
             raise ConfigError(f"nmax_msg must be an integer >= 0, got {self.nmax_msg!r}")
-        for name in ("tcu_ticks", "d_switch", "d_frame", "d_rssi", "cts_timeout"):
+        for name in ("d_switch", "d_frame", "d_rssi", "cts_timeout"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
-        if self.tcu_ticks < 1:
-            raise ConfigError("tcu_ticks must be >= 1")
+        if self.tcu_ticks is None:
+            object.__setattr__(self, "tcu_ticks",
+                               2 * self.d_switch + self.d_frame + self.d_rssi)
+        if not isinstance(self.tcu_ticks, int) or self.tcu_ticks < 1:
+            raise ConfigError(f"tcu_ticks must be an integer >= 1, got {self.tcu_ticks!r}")
         if self.d_frame < 1:
             raise ConfigError("d_frame must be >= 1")
         if self.cts_timeout < max(1, self.d_rssi):
             raise ConfigError("cts_timeout must be >= max(1, d_rssi)")
-        identity = 2 * self.d_switch + self.d_frame + self.d_rssi
-        if self.tcu_ticks != identity and not self.tcu_experiment:
-            raise ConfigError(
-                f"tcu_ticks={self.tcu_ticks} != 2*d_switch + d_frame + d_rssi = {identity}; "
-                "set tcu_experiment=True for a contention-unit variation study"
-            )
         if not self.seconds_per_tick > 0:
             raise ConfigError("seconds_per_tick must be > 0")
         if self.idle_power_mw < 0:
@@ -171,8 +163,8 @@ class ScenarioConfig:
         return self.table.b_max
 
     def with_tcu(self, tcu_ticks: int) -> "ScenarioConfig":
-        """Same scenario with a different contention unit, flagged as a variation."""
-        return replace(self, tcu_ticks=tcu_ticks, tcu_experiment=True)
+        """Same scenario with a different contention unit."""
+        return replace(self, tcu_ticks=tcu_ticks)
 
 
 _DONE_SENDER = SenderState(SenderPhase.DONE, 0, -1, 0, 0)
@@ -199,27 +191,6 @@ def initial_state(cfg: ScenarioConfig) -> GlobalState:
     return GlobalState(senders, _IDLE_RECEIVER)
 
 
-def observe_busy(state: GlobalState, sender_id: int) -> bool:
-    """Carrier sense of one sender: only the receiver's CTS is audible.
-
-    Senders are hidden from each other, so a rival's RTS never reads busy.
-    """
-    return state.receiver.phase == ReceiverPhase.SEND_CTS
-
-
-def channel_state(state: GlobalState, sender_id: int) -> ChannelState:
-    """Derived status of the link between one sender and the receiver."""
-    transmitters = sum(1 for sd in state.senders if sd.phase == SenderPhase.SEND_RTS)
-    receiver_tx = state.receiver.phase == ReceiverPhase.SEND_CTS
-    if transmitters + (1 if receiver_tx else 0) >= 2:
-        return ChannelState.COLLISION
-    if state.senders[sender_id].phase == SenderPhase.SEND_RTS:
-        return ChannelState.BUSY_SENDER
-    if receiver_tx:
-        return ChannelState.BUSY_RECEIVER
-    return ChannelState.IDLE
-
-
 _SENDER_PHASE_NAMES = {p: p.name.lower() for p in SenderPhase}
 _RECEIVER_PHASE_NAMES = {p: p.name.lower() for p in ReceiverPhase}
 
@@ -227,7 +198,7 @@ _RECEIVER_PHASE_NAMES = {p: p.name.lower() for p in ReceiverPhase}
 def label(state: GlobalState) -> frozenset[str]:
     """Atomic propositions of a state (sender phases, counters, receiver phase)."""
     props = set()
-    for i, sd in enumerate(state.senders, start=1):
+    for i, sd in enumerate(state.senders):
         props.add(f"s{i}_{_SENDER_PHASE_NAMES[sd.phase]}")
         props.add(f"s{i}_e_{sd.e}")
         props.add(f"s{i}_rbc_{sd.rbc}")
@@ -247,8 +218,7 @@ class Automaton:
         self.cfg = cfg
         # draw branches per failure count: ((value, prob), ...) ascending
         self._draws = tuple(
-            tuple((v, 1.0 / cfg.table.window_for(e).width) for v in cfg.table.window_for(e).values())
-            for e in range(cfg.e_max + 1)
+            tuple(rbc_pmf(cfg.table, e).items()) for e in range(cfg.e_max + 1)
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
@@ -509,43 +479,3 @@ class Automaton:
 
         return TransitionDistribution(((1.0, GlobalState(next_senders, next_receiver)),))
 
-
-def successor_distribution(state: GlobalState, cfg: ScenarioConfig) -> TransitionDistribution:
-    """Module-level convenience wrapper over :class:`Automaton`."""
-    return _automaton_for(cfg).successor_distribution(state)
-
-
-_AUTOMATON_CACHE: dict[ScenarioConfig, Automaton] = {}
-
-
-def _automaton_for(cfg: ScenarioConfig) -> Automaton:
-    auto = _AUTOMATON_CACHE.get(cfg)
-    if auto is None:
-        if len(_AUTOMATON_CACHE) > 8:
-            _AUTOMATON_CACHE.clear()
-        auto = Automaton(cfg)
-        _AUTOMATON_CACHE[cfg] = auto
-    return auto
-
-
-# flat integer encoding of a state: (phase, e, rbc, msgs, ticks) per sender,
-# then (phase, winner, ticks) for the receiver
-N_SENDER_FIELDS = 5
-N_RECEIVER_FIELDS = 3
-
-
-def pack_state(state: GlobalState) -> tuple[int, ...]:
-    flat: list[int] = []
-    for sd in state.senders:
-        flat.extend(sd)
-    flat.extend(state.receiver)
-    return tuple(flat)
-
-
-def unpack_state(flat, n_senders: int) -> GlobalState:
-    senders = tuple(
-        SenderState(*flat[i * N_SENDER_FIELDS:(i + 1) * N_SENDER_FIELDS])
-        for i in range(n_senders)
-    )
-    base = n_senders * N_SENDER_FIELDS
-    return GlobalState(senders, ReceiverState(*flat[base:base + N_RECEIVER_FIELDS]))

@@ -94,10 +94,6 @@ DEFAULT_TABLE = BackoffTable(
 )
 
 
-def window_for(table: BackoffTable, e: int) -> ContentionWindow:
-    return table.window_for(e)
-
-
 def rbc_pmf(table: BackoffTable, e: int) -> dict[int, float]:
     """Uniform pmf of the backoff counter drawn at failure count e."""
     win = table.window_for(e)
@@ -111,30 +107,16 @@ def sample_rbc(table: BackoffTable, e: int, rng) -> int:
     return int(rng.integers(win.lo, win.hi + 1))
 
 
-@dataclass(frozen=True)
-class TimingParams:
-    """Radio timings in integer microseconds.
-
-    t_mxsrt_us: one RX/TX (or TX/RX) switch; t_frmctrl_us: one control frame
-    on the air; t_rssi_us: one RSSI channel probe.
-    """
-
-    t_mxsrt_us: int
-    t_frmctrl_us: int
-    t_rssi_us: int
-
-    def __post_init__(self):
-        for name in ("t_mxsrt_us", "t_frmctrl_us", "t_rssi_us"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
-
-
 def compute_tcu(t_mxsrt_us: int, t_frmctrl_us: int, t_rssi_us: int) -> int:
     """Contention unit in microseconds: two switches + one control frame + one probe.
 
     The unit is sized so that a winner's RTS and the receiver's CTS onset both
-    land inside a rival's current unit of idle listening.
+    land inside a rival's current unit of idle listening.  Arguments are
+    radio timings in integer microseconds: one RX/TX (or TX/RX) switch, one
+    control frame on the air, and one RSSI channel probe.
     """
-    params = TimingParams(t_mxsrt_us, t_frmctrl_us, t_rssi_us)
-    return 2 * params.t_mxsrt_us + params.t_frmctrl_us + params.t_rssi_us
+    timings = {"t_mxsrt_us": t_mxsrt_us, "t_frmctrl_us": t_frmctrl_us, "t_rssi_us": t_rssi_us}
+    for name, v in timings.items():
+        if not isinstance(v, int) or v < 0:
+            raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
+    return 2 * t_mxsrt_us + t_frmctrl_us + t_rssi_us

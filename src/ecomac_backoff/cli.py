@@ -140,14 +140,6 @@ def scenario_from_values(values: dict) -> tuple[ScenarioConfig, dict]:
 
     kwargs = {k: values[k] for k in _SCENARIO_KEYS if k in values}
     kwargs["table"] = table
-    # an explicit contention unit that breaks the timing identity is taken
-    # as a deliberate sizing experiment rather than rejected
-    if "tcu_ticks" in kwargs:
-        d_switch = kwargs.get("d_switch", 1)
-        d_frame = kwargs.get("d_frame", 5)
-        d_rssi = kwargs.get("d_rssi", 1)
-        if kwargs["tcu_ticks"] != 2 * d_switch + d_frame + d_rssi:
-            kwargs["tcu_experiment"] = True
     return ScenarioConfig(**kwargs), run
 
 

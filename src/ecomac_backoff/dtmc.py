@@ -10,10 +10,9 @@ feature matrix.
 Apart from the self-loops of all-done terminal states the chain is a DAG
 (packets only get consumed, failure counters only grow, and every tick makes
 progress inside a round), so reachability probabilities, expected rewards,
-and expected visit counts are each solved by one substitution sweep over
-topological levels.  The fixed-point residual is evaluated afterwards and,
-should a model ever contain proper cycles, polished by plain successive
-substitution until it drops below 1e-10.
+and expected visit counts are each solved exactly by one substitution sweep
+over topological levels (Kemeny & Snell, *Finite Markov Chains*).  A model
+with a proper cycle is refused with SolverError.
 """
 
 from __future__ import annotations
@@ -23,25 +22,29 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .automata import (
     Automaton,
     GlobalState,
-    N_RECEIVER_FIELDS,
-    N_SENDER_FIELDS,
     ReceiverState,
     ScenarioConfig,
     SenderPhase,
     SenderState,
     label,
 )
-from .errors import RewardUndefinedError, SolverError, StateSpaceLimitError
+from .errors import ConfigError, RewardUndefinedError, SolverError, StateSpaceLimitError
 
-SOLVE_TOL = 1e-10
 ROWSUM_TOL = 1e-12
 MAX_STATES_DEFAULT = 10_000_000
-_MAX_POLISH_ITERS = 20_000
+
+# one feature row per state: (phase, e, rbc, msgs, ticks) per sender, then
+# (phase, winner, ticks) for the receiver, stored as int16
+N_SENDER_FIELDS = 5
+N_RECEIVER_FIELDS = 3
+_FEATURE_MAX = int(np.iinfo(np.int16).max)
+# config values bounding some feature column
+_FEATURE_BOUNDS = ("n_senders", "nmax_msg", "tcu_ticks", "d_switch", "d_frame",
+                   "cts_timeout", "e_max", "b_max")
 
 
 @dataclass
@@ -89,7 +92,6 @@ class DTMC:
 
     _open: tuple | None = field(default=None, repr=False)
     _levels: tuple | None = field(default=None, repr=False)
-    _matrix: sparse.csr_matrix | None = field(default=None, repr=False)
     _rev: tuple | None = field(default=None, repr=False)
     _rho: np.ndarray | None = field(default=None, repr=False)
 
@@ -175,14 +177,6 @@ class DTMC:
             self._open = (indptr, self.cols[keep], self.probs[keep])
         return self._open
 
-    def matrix(self) -> sparse.csr_matrix:
-        if self._matrix is None:
-            self._matrix = sparse.csr_matrix(
-                (self.probs, self.cols, self.indptr),
-                shape=(self.n_states, self.n_states),
-            )
-        return self._matrix
-
     def reverse_csr(self):
         """Predecessor CSR over open edges, for backward closures."""
         if self._rev is None:
@@ -202,7 +196,7 @@ class DTMC:
         """Kahn frontier rounds over open edges; edges cross levels forward.
 
         Returns (levels, acyclic); with a cyclic model some states stay
-        unleveled and solves fall back to successive substitution.
+        unlevelled and the solvers refuse it.
         """
         if self._levels is None:
             indptr, cols, _ = self.open_csr()
@@ -224,6 +218,15 @@ class DTMC:
         return self._levels
 
 
+def _dag_levels(dtmc: DTMC) -> list[np.ndarray]:
+    """Topological levels of a model whose open edges form a DAG."""
+    levels, acyclic = dtmc.topo_levels()
+    if not acyclic:
+        raise SolverError("model has a cycle besides terminal self-loops; "
+                          "level solves require a DAG")
+    return levels
+
+
 def _row_gather(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Flat CSR positions of all edges leaving `nodes`, row blocks in order."""
     starts = indptr[nodes]
@@ -241,8 +244,14 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
     """Enumerate the reachable state space breadth first.
 
     Raises StateSpaceLimitError when more than `max_states` states are
-    discovered.  Every emitted row is audited to sum to 1 within 1e-12.
+    discovered, and ConfigError when a config value does not fit the int16
+    feature matrix.  Every emitted row is audited to sum to 1 within 1e-12.
     """
+    for name in _FEATURE_BOUNDS:
+        v = getattr(cfg, name)
+        if v > _FEATURE_MAX:
+            raise ConfigError(f"{name}={v} exceeds {_FEATURE_MAX}, the largest "
+                              "value the exact engine stores per state")
     auto = automaton if automaton is not None else Automaton(cfg)
     init = auto.initial_state()
     width = cfg.n_senders * N_SENDER_FIELDS + N_RECEIVER_FIELDS
@@ -318,16 +327,12 @@ def _solve_fixed_point(dtmc: DTMC, pinned: np.ndarray, pinned_values: np.ndarray
                        state_rewards: np.ndarray | None = None) -> np.ndarray:
     """Least solution of x = Px + r with x pinned on absorbing classes.
 
-    One backward substitution pass over topological levels, then residual
-    tracking with successive substitution as a safety net.
+    One backward substitution pass over topological levels; each unpinned
+    state's successors lie on later levels, so the pass is exact.
     """
-    n = dtmc.n_states
-    x = np.zeros(n, dtype=np.float64)
+    x = np.zeros(dtmc.n_states, dtype=np.float64)
     x[pinned] = pinned_values[pinned]
-    rew = state_rewards if state_rewards is not None else None
-
-    levels, acyclic = dtmc.topo_levels()
-    for nodes in reversed(levels):
+    for nodes in reversed(_dag_levels(dtmc)):
         nodes = nodes[~pinned[nodes]]
         if nodes.size == 0:
             continue
@@ -336,22 +341,8 @@ def _solve_fixed_point(dtmc: DTMC, pinned: np.ndarray, pinned_values: np.ndarray
         contrib = dtmc.probs[flat] * x[dtmc.cols[flat]]
         seg = np.repeat(np.arange(nodes.size), counts)
         acc = np.bincount(seg, weights=contrib, minlength=nodes.size)
-        x[nodes] = acc + (rew[nodes] if rew is not None else 0.0)
-
-    matrix = dtmc.matrix()
-    free = ~pinned
-    for _ in range(_MAX_POLISH_ITERS):
-        y = matrix.dot(x)
-        if rew is not None:
-            y += rew
-        residual = np.abs(y[free] - x[free]).max() if free.any() else 0.0
-        if residual <= SOLVE_TOL:
-            return x
-        x[free] = y[free]
-    raise SolverError(
-        f"fixed point not reached within {_MAX_POLISH_ITERS} substitutions "
-        f"(residual {residual:.3e})"
-    )
+        x[nodes] = acc + (state_rewards[nodes] if state_rewards is not None else 0.0)
+    return x
 
 
 def prob_reach(dtmc: DTMC, target_mask: np.ndarray) -> np.ndarray:
@@ -391,9 +382,7 @@ def _occupation(dtmc: DTMC) -> np.ndarray:
     most once and occupation equals visit probability.
     """
     if dtmc._rho is None:
-        levels, acyclic = dtmc.topo_levels()
-        if not acyclic:
-            raise SolverError("occupation requires an acyclic transient part")
+        levels = _dag_levels(dtmc)
         indptr, cols, probs = dtmc.open_csr()
         rho = np.zeros(dtmc.n_states)
         rho[0] = 1.0

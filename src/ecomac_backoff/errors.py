@@ -10,7 +10,7 @@ class StateSpaceLimitError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """A numeric solve failed to reach the required residual."""
+    """A model cannot be solved: a transition row off 1 or a cycle among open edges."""
 
 
 class RewardUndefinedError(ValueError):

@@ -210,6 +210,8 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int,
     """Run `n_runs` independent simulations and collect their statistics."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     sim = simulator if simulator is not None else Simulator(cfg, automaton)
     n = cfg.n_senders
     successes = np.zeros((n_runs, n, cfg.e_max + 1), dtype=np.int64)

@@ -9,11 +9,9 @@ from ecomac_backoff import (
     DEFAULT_TABLE,
     BackoffTable,
     ContentionWindow,
-    TimingParams,
     compute_tcu,
     rbc_pmf,
     sample_rbc,
-    window_for,
 )
 from ecomac_backoff.errors import ConfigError
 
@@ -32,7 +30,7 @@ def test_default_table_windows():
     assert DEFAULT_TABLE.e_max == 12
     assert DEFAULT_TABLE.b_max == 7
     for e, (lo, hi) in EXPECTED_WINDOWS.items():
-        win = window_for(DEFAULT_TABLE, e)
+        win = DEFAULT_TABLE.window_for(e)
         assert (win.lo, win.hi) == (lo, hi)
 
 
@@ -44,9 +42,9 @@ def test_window_width_and_values():
 
 def test_window_for_rejects_out_of_range():
     with pytest.raises(ConfigError):
-        window_for(DEFAULT_TABLE, 13)
+        DEFAULT_TABLE.window_for(13)
     with pytest.raises(ConfigError):
-        window_for(DEFAULT_TABLE, -1)
+        DEFAULT_TABLE.window_for(-1)
 
 
 def test_pmf_is_uniform_over_the_window():
@@ -81,7 +79,7 @@ def test_table_validation_rejects_malformed_rows(rows):
 def test_table_upper_bounds_may_repeat():
     rows = ((0, 6, ContentionWindow(1, 7)), (7, 12, ContentionWindow(0, 7)))
     table = BackoffTable(rows)
-    assert window_for(table, 7).hi == 7
+    assert table.window_for(7).hi == 7
 
 
 def test_contention_unit_composition():
@@ -93,18 +91,18 @@ def test_contention_unit_composition():
 
 
 def test_timing_params_validation():
-    with pytest.raises(ConfigError):
-        TimingParams(-1, 12000, 12)
-    with pytest.raises(ConfigError):
-        TimingParams(850, 12000, 12.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="t_mxsrt_us"):
+        compute_tcu(-1, 12000, 12)
+    with pytest.raises(ConfigError, match="t_rssi_us"):
+        compute_tcu(850, 12000, 12.5)
+    with pytest.raises(ConfigError, match="t_frmctrl_us"):
         compute_tcu(850, -1, 12)
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
 def test_samples_stay_inside_the_window(e, seed):
     rng = np.random.default_rng(seed)
-    win = window_for(DEFAULT_TABLE, e)
+    win = DEFAULT_TABLE.window_for(e)
     v = sample_rbc(DEFAULT_TABLE, e, rng)
     assert win.lo <= v <= win.hi
 
@@ -113,7 +111,7 @@ def test_samples_stay_inside_the_window(e, seed):
 def test_sampling_is_uniform(e, df, crit):
     # chi-square at the 0.001 level, fixed stream
     rng = np.random.default_rng(1234)
-    win = window_for(DEFAULT_TABLE, e)
+    win = DEFAULT_TABLE.window_for(e)
     n = 1000 * win.width
     draws = np.array([sample_rbc(DEFAULT_TABLE, e, rng) for _ in range(n)])
     counts = np.bincount(draws - win.lo, minlength=win.width)

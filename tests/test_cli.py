@@ -75,14 +75,14 @@ def test_scenario_from_values_splits_run_settings():
     assert cfg.n_senders == 2 and run["n_runs"] == 10_000
 
 
-def test_explicit_odd_contention_unit_marks_an_experiment():
+def test_contention_unit_is_derived_unless_given():
     cfg, _ = scenario_from_values({"tcu_ticks": 3})
-    assert cfg.tcu_ticks == 3 and cfg.tcu_experiment
-    cfg, _ = scenario_from_values({"tcu_ticks": 8})
-    assert not cfg.tcu_experiment
-    # identity is evaluated against the stage durations given alongside
-    cfg, _ = scenario_from_values({"tcu_ticks": 5, "d_frame": 2})
-    assert not cfg.tcu_experiment
+    assert cfg.tcu_ticks == 3
+    # the identity is evaluated against the stage durations given alongside
+    cfg, _ = scenario_from_values({"d_frame": 6})
+    assert cfg.tcu_ticks == 9
+    cfg, _ = scenario_from_values({"tcu_ticks": 5, "d_frame": 6})
+    assert cfg.tcu_ticks == 5
 
 
 def test_failure_cap_keys_must_match_the_default_table():
@@ -125,6 +125,28 @@ def test_check_passes_on_defaults(capsys, tmp_path):
     lines = data.decode("ascii").splitlines()
     assert lines[0] == "check,verdict,expected,agrees,detail"
     assert len(lines) == 6
+
+
+def test_check_passes_with_a_longer_frame(capsys, tmp_path):
+    conf = tmp_path / "frame6.conf"
+    conf.write_text("d_frame = 6\n")
+    assert main(["check", "--config", str(conf)]) == EXIT_OK
+    assert "battery: 5/5 checks as expected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["cts_timeout", "nmax_msg"])
+def test_values_beyond_the_state_encoding_exit_2(capsys, tmp_path, key):
+    conf = tmp_path / "huge.conf"
+    conf.write_text(f"{key} = 40000\n")
+    assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{key}=40000" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_seeds_outside_64_bits(capsys, seed):
+    assert main(["simulate", "--runs", "2", "--seed", seed]) == EXIT_CONFIG
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_dump_is_byte_stable(capsys, tmp_path):

@@ -1,11 +1,19 @@
 """Exact engine: state-space construction and verification queries."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ecomac_backoff
 from ecomac_backoff import (
+    DTMC,
+    Automaton,
     ReceiverPhase,
     ScenarioConfig,
     SenderPhase,
@@ -20,8 +28,10 @@ from ecomac_backoff import (
     idle_listening_rewards,
     prob_reach,
 )
+from ecomac_backoff.dtmc import _solve_fixed_point
 from ecomac_backoff.errors import (
     RewardUndefinedError,
+    SolverError,
     StateSpaceLimitError,
 )
 
@@ -80,9 +90,21 @@ def test_feature_columns_reconstruct_states(two_sender_model):
         assert d.sender_phase(0)[idx] == st.senders[0].phase
         assert d.sender_rbc(1)[idx] == st.senders[1].rbc
         assert d.receiver_phase()[idx] == st.receiver.phase
-    assert d.labels_of(0) == {"s1_choose", "s2_choose", "r_w_start",
-                              "s1_e_0", "s2_e_0", "s1_rbc_-1", "s2_rbc_-1",
-                              "s1_msgs_1", "s2_msgs_1"}
+    assert d.labels_of(0) == {"s0_choose", "s1_choose", "r_w_start",
+                              "s0_e_0", "s1_e_0", "s0_rbc_-1", "s1_rbc_-1",
+                              "s0_msgs_1", "s1_msgs_1"}
+
+
+def test_every_edge_leads_to_the_automaton_successor(two_sender_cfg, two_sender_model):
+    # the feature rows decode to the very states the automaton stepped
+    d = two_sender_model
+    auto = Automaton(two_sender_cfg)
+    assert d.state_at(0) == auto.initial_state()
+    for i in range(d.n_states):
+        lo, hi = d.indptr[i], d.indptr[i + 1]
+        branches = auto.successor_distribution(d.state_at(i)).branches
+        assert [d.state_at(j) for j in d.cols[lo:hi].tolist()] == [t for _, t in branches]
+        assert d.probs[lo:hi].tolist() == [p for p, _ in branches]
 
 
 def test_terminal_mask_is_exactly_the_all_done_states(two_sender_model):
@@ -133,6 +155,56 @@ def test_visits_and_entries_agree_with_reachability(two_sender_model):
 def test_visit_counts_reject_terminal_states(two_sender_model):
     with pytest.raises(ValueError):
         expected_visits(two_sender_model, two_sender_model.terminal_mask)
+
+
+def _residual(d, x, pinned, rewards=None):
+    """Largest |Px + r - x| over unpinned states, by a plain CSR matvec."""
+    rows = np.repeat(np.arange(d.n_states), np.diff(d.indptr))
+    y = np.bincount(rows, weights=d.probs * x[d.cols], minlength=d.n_states)
+    if rewards is not None:
+        y += rewards
+    free = ~pinned
+    return np.abs(y[free] - x[free]).max() if free.any() else 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_senders=st.integers(1, 2), robust=st.booleans(),
+       tcu=st.sampled_from([3, 8, 13]))
+def test_level_solves_satisfy_the_fixed_point(n_senders, robust, tcu):
+    d = build(ScenarioConfig(n_senders=n_senders, robust_mode=robust, tcu_ticks=tcu))
+    absorbing = d.terminal_mask | d.deadlock_mask()
+    phase, e = d.sender_phase(0), d.sender_e(0)
+    for target in (phase == SenderPhase.SUCCESS, (phase == SenderPhase.SUCCESS) & (e == 1),
+                   phase == SenderPhase.REJECT, phase == SenderPhase.SLEEP):
+        target = np.asarray(target)
+        x = prob_reach(d, target)
+        assert _residual(d, x, target | absorbing) <= 1e-12
+    # shortened units deadlock, so the reward runs until done or stuck
+    target = np.asarray(phase == SenderPhase.DONE) | d.deadlock_mask()
+    pinned = target | absorbing
+    rewards = idle_listening_rewards(d, 0)
+    x = _solve_fixed_point(d, pinned, np.zeros(d.n_states), rewards)
+    assert _residual(d, x, pinned, rewards) <= 1e-12
+    assert expected_reward(d, rewards, target) == x[0]
+
+
+def test_cyclic_model_is_refused():
+    # two states feeding each other: no level order exists
+    d = DTMC(
+        cfg=ScenarioConfig(n_senders=1), n_states=2,
+        features=np.zeros((2, 8), dtype=np.int16),
+        indptr=np.array([0, 1, 2], dtype=np.int64),
+        cols=np.array([1, 0], dtype=np.int32),
+        probs=np.array([1.0, 1.0]),
+        parent=np.array([-1, 0], dtype=np.int32),
+        deadlock_indices=np.empty(0, dtype=np.int64),
+        terminal_mask=np.zeros(2, dtype=bool),
+    )
+    assert d.topo_levels()[1] is False
+    with pytest.raises(SolverError):
+        prob_reach(d, np.array([False, False]))
+    with pytest.raises(SolverError):
+        expected_visits(d, np.array([True, False]))
 
 
 # -- rewards -----------------------------------------------------------------------
@@ -210,6 +282,15 @@ def test_deadlock_traces_in_the_short_unit():
         labels = d.labels_of(tr.indices[-1])
         assert any(l.endswith("_send_rts") for l in labels)
         assert labels & {"r_switch_rt", "r_send_cts", "r_w_end"}
+
+
+def test_exact_engine_imports_no_scipy():
+    src = str(Path(ecomac_backoff.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ecomac_backoff; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # -- dumps --------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_study_reports_all_three_variants(two_sender_cfg, lone_cfg):
 
 
 def test_study_rejects_units_too_short_to_shrink():
-    cfg = ScenarioConfig(tcu_ticks=5, tcu_experiment=True)
+    cfg = ScenarioConfig(tcu_ticks=5)
     with pytest.raises(ConfigError, match="decreased"):
         tcu_variation_study(cfg)
 
