@@ -53,7 +53,6 @@ from .errors import (
 from .montecarlo import (
     Aggregate,
     RunStats,
-    Simulator,
     mean_ci95,
     run_once,
     run_rng,

@@ -170,12 +170,6 @@ class ScenarioConfig:
 _DONE_SENDER = SenderState(SenderPhase.DONE, 0, -1, 0, 0)
 _IDLE_RECEIVER = ReceiverState(ReceiverPhase.W_START, -1, 0)
 
-# sender phases that keep the round alive (transmission pipeline or countdown)
-_ACTIVE_ROUND_PHASES = frozenset((
-    SenderPhase.COUNTDOWN, SenderPhase.SWITCH_RT, SenderPhase.SEND_RTS,
-    SenderPhase.SWITCH_TR, SenderPhase.WAIT_CTS, SenderPhase.RECV_CTS,
-))
-
 # receiver phases during which it is committed to its own transmission
 _RECEIVER_COMMITTED = frozenset((
     ReceiverPhase.SWITCH_RT, ReceiverPhase.SEND_CTS, ReceiverPhase.W_END,
@@ -210,8 +204,10 @@ def label(state: GlobalState) -> frozenset[str]:
 class Automaton:
     """Successor-rule engine for one scenario; the single source of semantics.
 
-    Both the DTMC builder and the Monte Carlo simulator step states through
-    :meth:`successor_distribution`; neither re-implements any protocol rule.
+    The DTMC builder steps states through :meth:`successor_distribution`;
+    the Monte Carlo simulator resolves each joint draw itself and plays the
+    rest of the round with :meth:`play_round`.  Neither re-implements any
+    protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -222,6 +218,8 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
+        # tick stretch of a round, keyed on the drawn counter vector
+        self._rounds: dict = {}
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -372,6 +370,11 @@ class Automaton:
             return sd
         raise AssertionError(f"sender phase {phase} cannot cross a round boundary")
 
+    def _boundary(self, state: GlobalState) -> GlobalState:
+        return GlobalState(
+            tuple(self._reset_sender(sd) for sd in state.senders), _IDLE_RECEIVER
+        )
+
     # -- full step ----------------------------------------------------------
 
     def step_kind(self, state: GlobalState) -> StepKind:
@@ -407,13 +410,10 @@ class Automaton:
         if kind == StepKind.DEADLOCK:
             return TransitionDistribution(())
         if kind == StepKind.BOUNDARY:
-            nxt = GlobalState(
-                tuple(self._reset_sender(sd) for sd in state.senders), _IDLE_RECEIVER
-            )
-            return TransitionDistribution(((1.0, nxt),))
+            return TransitionDistribution(((1.0, self._boundary(state)),))
         if kind == StepKind.DRAW:
             return self._draw_step(state)
-        return self._tick_step(state)
+        return TransitionDistribution(((1.0, self._tick_step(state)),))
 
     def draw_outcome(self, sd: SenderState, value: int) -> SenderState:
         """Sender state right after drawing `value` backoff units."""
@@ -429,6 +429,62 @@ class Automaton:
             outcomes.get(i, sd) for i, sd in enumerate(state.senders)
         )
         return GlobalState(senders, ReceiverState(ReceiverPhase.W_RTS, -1, 0))
+
+    def play_round(self, drawn: GlobalState,
+                   trace: list[GlobalState] | None = None) -> tuple:
+        """Play the rest of a round from the state right after its joint draw.
+
+        Returns ``(next state, ticks, idle ticks per sender, events,
+        deadlocked)``.  The next state opens the following round (a draw or
+        a terminal state), or is the deadlock state when `deadlocked`.  The
+        events are the round's ``(sender, e, is_reject)`` deliveries and
+        drops.  With `trace`, every state entered is appended to it.
+
+        No tick rule reads or writes a sender's ``e`` or ``msgs``, so the
+        ticks of a round depend only on the drawn counters (-1 done, 0 sending
+        at once, v counting down) and are memoized on them.  Traced calls
+        step every tick.
+        """
+        key = tuple(sd.rbc for sd in drawn.senders)
+        stretch = None if trace is not None else self._rounds.get(key)
+        if stretch is None:
+            state, ticks, idle = drawn, 0, [0] * len(drawn.senders)
+            kind = self.step_kind(state)
+            while kind == StepKind.TICK:
+                for i, sd in enumerate(state.senders):
+                    if sd.phase == SenderPhase.COUNTDOWN:
+                        idle[i] += 1
+                state = self._tick_step(state)
+                ticks += 1
+                if trace is not None:
+                    trace.append(state)
+                kind = self.step_kind(state)
+            idle, deadlocked = tuple(idle), kind == StepKind.DEADLOCK
+            self._rounds[key] = (
+                tuple((sd.phase, sd.rbc, sd.ticks) for sd in state.senders),
+                state.receiver, ticks, idle, deadlocked)
+        else:
+            ends, receiver, ticks, idle, deadlocked = stretch
+            state = GlobalState(tuple(
+                SenderState(phase, sd.e, rbc, sd.msgs, progress)
+                for (phase, rbc, progress), sd in zip(ends, drawn.senders)
+            ), receiver)
+        events = [(i, sd.e, False) for i, sd in enumerate(state.senders)
+                  if sd.phase == SenderPhase.SUCCESS]
+        if deadlocked:
+            return state, ticks, idle, events, True
+        state = self._boundary(state)
+        if trace is not None:
+            trace.append(state)
+        rejected = [(i, sd.e, True) for i, sd in enumerate(state.senders)
+                    if sd.phase == SenderPhase.REJECT]
+        if rejected:
+            # a rejected packet is collected by one more reset
+            events += rejected
+            state = self._boundary(state)
+            if trace is not None:
+                trace.append(state)
+        return state, ticks, idle, events, False
 
     def _draw_step(self, state: GlobalState) -> TransitionDistribution:
         # all pending draws resolve jointly in one zero-duration step
@@ -449,7 +505,7 @@ class Automaton:
             branches.append((prob, GlobalState(tuple(base), receiver)))
         return TransitionDistribution(tuple(branches))
 
-    def _tick_step(self, state: GlobalState) -> TransitionDistribution:
+    def _tick_step(self, state: GlobalState) -> GlobalState:
         senders = state.senders
         receiver = state.receiver
         rphase = receiver.phase
@@ -477,5 +533,5 @@ class Automaton:
         else:
             next_receiver = self._receiver_next(receiver, tx_next, frame_end)
 
-        return TransitionDistribution(((1.0, GlobalState(next_senders, next_receiver)),))
+        return GlobalState(next_senders, next_receiver)
 

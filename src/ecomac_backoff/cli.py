@@ -6,8 +6,9 @@ Monte Carlo batches, ``dump`` writes the reachable state space.  All output
 files use LF line endings and 12-significant-digit floats, so reruns with
 the same inputs are byte identical.
 
-Exit codes: 0 success, 1 battery verdict mismatch, 2 configuration error,
-3 state-space cap exceeded, 4 simulation hit a deadlock.
+Exit codes: 0 success, 1 battery verdict mismatch, 2 configuration error
+or unwritable output file, 3 state-space cap exceeded, 4 simulation hit a
+deadlock.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ EXIT_DEADLOCK = 4
 
 _INT_KEYS = frozenset((
     "n_senders", "nmax_msg", "tcu_ticks", "d_switch", "d_frame", "d_rssi",
-    "cts_timeout", "e_max", "b_max", "seed", "n_runs", "exact_cap",
+    "cts_timeout", "e_max", "b_max", "seed", "n_runs",
 ))
 _FLOAT_KEYS = frozenset(("seconds_per_tick", "idle_power_mw"))
 _BOOL_KEYS = frozenset(("robust_mode",))
@@ -43,7 +44,7 @@ _SCENARIO_KEYS = frozenset((
     "cts_timeout", "seconds_per_tick", "idle_power_mw", "robust_mode",
 ))
 
-RUN_DEFAULTS = {"seed": 0, "n_runs": 10_000, "exact_cap": props.EXACT_STATES_CAP_DEFAULT}
+RUN_DEFAULTS = {"seed": 0, "n_runs": 10_000}
 
 
 def parse_window_table(text: str) -> tuple[tuple[int, int, ContentionWindow], ...]:
@@ -114,7 +115,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def scenario_from_values(values: dict) -> tuple[ScenarioConfig, dict]:
-    """Split parsed keys into a scenario and run settings (seed, runs, cap)."""
+    """Split parsed keys into a scenario and run settings (seed, runs)."""
     run = dict(RUN_DEFAULTS)
     for key in RUN_DEFAULTS:
         if key in values:
@@ -333,6 +334,10 @@ def main(argv=None) -> int:
     except StateSpaceLimitError as exc:
         print(f"state-space limit: {exc}", file=sys.stderr)
         return EXIT_STATE_CAP
+    except OSError as exc:
+        # config files are read through load_config, so this is an output write
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -244,9 +244,12 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
     """Enumerate the reachable state space breadth first.
 
     Raises StateSpaceLimitError when more than `max_states` states are
-    discovered, and ConfigError when a config value does not fit the int16
-    feature matrix.  Every emitted row is audited to sum to 1 within 1e-12.
+    discovered, and ConfigError when `max_states` is below 1 or a config
+    value does not fit the int16 feature matrix.  Every emitted row is
+    audited to sum to 1 within 1e-12.
     """
+    if max_states < 1:
+        raise ConfigError(f"max_states must be >= 1, got {max_states}")
     for name in _FEATURE_BOUNDS:
         v = getattr(cfg, name)
         if v > _FEATURE_MAX:

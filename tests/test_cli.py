@@ -70,7 +70,7 @@ def test_parse_window_table_rejects_malformed_entries(text):
 def test_scenario_from_values_splits_run_settings():
     cfg, run = scenario_from_values({"n_senders": 3, "n_runs": 77, "seed": 5})
     assert cfg.n_senders == 3
-    assert run == {"seed": 5, "n_runs": 77, "exact_cap": 2_000_000}
+    assert run == {"seed": 5, "n_runs": 77}
     cfg, run = scenario_from_values({})
     assert cfg.n_senders == 2 and run["n_runs"] == 10_000
 
@@ -213,6 +213,32 @@ def test_config_errors_exit_2_with_line_numbers(capsys, tmp_path):
 def test_state_cap_exits_3(capsys):
     assert main(["check", "--max-states", "100"]) == EXIT_STATE_CAP
     assert "state-space limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_state_cap_below_one_exits_2(capsys, tmp_path, cap):
+    assert main(["dump", "--max-states", cap, "--out", str(tmp_path / "x.txt")]) == EXIT_CONFIG
+    assert f"max_states must be >= 1, got {cap}" in capsys.readouterr().err
+
+
+def test_removed_exact_cap_key_is_unknown(capsys, tmp_path):
+    conf = tmp_path / "cap.conf"
+    conf.write_text("exact_cap = -5\n")
+    assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
+    assert "line 1: unknown key 'exact_cap'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "--out"],
+    ["check", "--out"],
+    ["simulate", "--runs", "2", "--out"],
+    ["check", "--dump-statespace"],
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(argv + [str(target)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and str(target) in err
 
 
 def test_sweep_prints_rows_and_witness(capsys, tmp_path):

@@ -1,13 +1,17 @@
-"""Simulator: conservation, determinism, and agreement with the exact engine."""
+"""Monte Carlo runs: conservation, determinism, and agreement with the exact engine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecomac_backoff import (
+    DEFAULT_TABLE,
     Automaton,
+    BackoffTable,
+    ContentionWindow,
     ScenarioConfig,
     SenderPhase,
-    Simulator,
     expected_reward,
     idle_listening_rewards,
     mean_ci95,
@@ -68,16 +72,30 @@ def test_runs_are_independent_of_batch_size(two_sender_cfg):
     assert (a.idle_ticks == b.idle_ticks[:50]).all()
 
 
-def test_segment_cache_never_changes_results(two_sender_cfg):
-    cached = simulate(two_sender_cfg, 400, seed=2)
-    plain = simulate(two_sender_cfg, 400, seed=2,
-                     simulator=Simulator(two_sender_cfg, cache_limit=0))
-    assert (cached.successes == plain.successes).all()
-    assert (cached.rejects == plain.rejects).all()
-    assert (cached.idle_ticks == plain.idle_ticks).all()
-    assert (cached.ticks == plain.ticks).all()
-    assert (cached.rounds == plain.rounds).all()
-    assert (cached.deadlocked == plain.deadlocked).all()
+# every failure count draws 0 or 1, so rounds collide often and packets
+# reach the failure cap
+_REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_senders=st.integers(1, 3), nmax_msg=st.integers(0, 3), robust=st.booleans(),
+       tcu=st.sampled_from([3, 8, 13]), table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY]),
+       seed=st.integers(0, 2**64 - 1))
+def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, seed):
+    cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, table=table,
+                         tcu_ticks=tcu, robust_mode=robust)
+    agg = simulate(cfg, 30, seed)
+    auto = Automaton(cfg)
+    for r in range(agg.n_runs):
+        trace = []
+        stats = run_once(cfg, run_rng(seed, r), trace=trace)
+        assert (stats.successes == agg.successes[r]).all()
+        assert (stats.rejects == agg.rejects[r]).all()
+        assert (stats.idle_ticks == agg.idle_ticks[r]).all()
+        assert stats.ticks == agg.ticks[r]
+        assert stats.rounds == agg.rounds[r]
+        assert stats.deadlocked == agg.deadlocked[r]
+        assert (not auto.successor_distribution(trace[-1]).branches) == stats.deadlocked
 
 
 def test_deadlocked_runs_are_flagged_and_replayable():
