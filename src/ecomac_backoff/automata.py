@@ -34,6 +34,7 @@ deadlock unless ``robust_mode`` adds a collision-absorbing fallback.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import NamedTuple
@@ -149,10 +150,12 @@ class ScenarioConfig:
             raise ConfigError("d_frame must be >= 1")
         if self.cts_timeout < max(1, self.d_rssi):
             raise ConfigError("cts_timeout must be >= max(1, d_rssi)")
-        if not self.seconds_per_tick > 0:
-            raise ConfigError("seconds_per_tick must be > 0")
-        if self.idle_power_mw < 0:
-            raise ConfigError("idle_power_mw must be >= 0")
+        if not (math.isfinite(self.seconds_per_tick) and self.seconds_per_tick > 0):
+            raise ConfigError(f"seconds_per_tick must be finite and > 0, "
+                              f"got {self.seconds_per_tick!r}")
+        if not (math.isfinite(self.idle_power_mw) and self.idle_power_mw >= 0):
+            raise ConfigError(f"idle_power_mw must be finite and >= 0, "
+                              f"got {self.idle_power_mw!r}")
 
     @property
     def e_max(self) -> int:

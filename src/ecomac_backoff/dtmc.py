@@ -13,6 +13,11 @@ progress inside a round), so reachability probabilities, expected rewards,
 and expected visit counts are each solved exactly by one substitution sweep
 over topological levels (Kemeny & Snell, *Finite Markov Chains*).  A model
 with a proper cycle is refused with SolverError.
+
+One level plan, built on the first solve and cached on the model, holds each
+level's edge gather over the self-loop-free CSR; every backward solve and the
+forward occupation push share it.  A backward solve takes K targets as the
+columns of an (n_states, K) array and answers them all in one sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +98,7 @@ class DTMC:
 
     _open: tuple | None = field(default=None, repr=False)
     _levels: tuple | None = field(default=None, repr=False)
+    _plan: list | None = field(default=None, repr=False)
     _rev: tuple | None = field(default=None, repr=False)
     _rho: np.ndarray | None = field(default=None, repr=False)
 
@@ -161,15 +168,10 @@ class DTMC:
 
     # -- derived structures ---------------------------------------------------
 
-    def _edge_rows(self) -> np.ndarray:
-        return np.repeat(
-            np.arange(self.n_states, dtype=np.int32), np.diff(self.indptr)
-        )
-
     def open_csr(self):
         """CSR triple with self-loops removed (only terminals have them)."""
         if self._open is None:
-            rows = self._edge_rows()
+            rows = _edge_rows(self.indptr)
             keep = self.cols != rows
             counts = np.bincount(rows[keep], minlength=self.n_states)
             indptr = np.zeros(self.n_states + 1, dtype=np.int64)
@@ -181,9 +183,7 @@ class DTMC:
         """Predecessor CSR over open edges, for backward closures."""
         if self._rev is None:
             indptr, cols, _ = self.open_csr()
-            rows = np.repeat(
-                np.arange(self.n_states, dtype=np.int32), np.diff(indptr)
-            )
+            rows = _edge_rows(indptr)
             order = np.argsort(cols, kind="stable")
             rev_cols = rows[order]
             counts = np.bincount(cols, minlength=self.n_states)
@@ -218,13 +218,35 @@ class DTMC:
         return self._levels
 
 
-def _dag_levels(dtmc: DTMC) -> list[np.ndarray]:
-    """Topological levels of a model whose open edges form a DAG."""
-    levels, acyclic = dtmc.topo_levels()
-    if not acyclic:
-        raise SolverError("model has a cycle besides terminal self-loops; "
-                          "level solves require a DAG")
-    return levels
+class _Level(NamedTuple):
+    """The open edges leaving one topological level, in CSR order."""
+
+    nodes: np.ndarray   # the level's states
+    seg: np.ndarray     # per edge, its source's position in `nodes`
+    cols: np.ndarray    # per edge, the successor state
+    probs: np.ndarray   # per edge, the branch probability
+
+
+def _level_plan(dtmc: DTMC) -> list[_Level]:
+    """Per-level edge gathers of a model whose open edges form a DAG."""
+    if dtmc._plan is None:
+        levels, acyclic = dtmc.topo_levels()
+        if not acyclic:
+            raise SolverError("model has a cycle besides terminal self-loops; "
+                              "level solves require a DAG")
+        indptr, cols, probs = dtmc.open_csr()
+        plan = []
+        for nodes in levels:
+            flat = _row_gather(indptr, nodes)
+            seg = np.repeat(np.arange(nodes.size), indptr[nodes + 1] - indptr[nodes])
+            plan.append(_Level(nodes, seg, cols[flat], probs[flat]))
+        dtmc._plan = plan
+    return dtmc._plan
+
+
+def _edge_rows(indptr: np.ndarray) -> np.ndarray:
+    """Source state of every edge of a CSR triple."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int32), np.diff(indptr))
 
 
 def _row_gather(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -326,35 +348,57 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
 # -- linear solves -------------------------------------------------------------
 
 
-def _solve_fixed_point(dtmc: DTMC, pinned: np.ndarray, pinned_values: np.ndarray,
-                       state_rewards: np.ndarray | None = None) -> np.ndarray:
-    """Least solution of x = Px + r with x pinned on absorbing classes.
+def _solve_fixed_point(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
+                       rewards: np.ndarray | None = None) -> np.ndarray:
+    """Least solutions of x = Px + r, each pinned to `values` where `pinned`.
 
-    One backward substitution pass over topological levels; each unpinned
-    state's successors lie on later levels, so the pass is exact.
+    Arguments are (n_states,) for one solve or (n_states, K) for K solves,
+    one per column, and the result has the shape of `pinned`.  One backward
+    substitution sweep over the level plan answers every column; each
+    unpinned state's successors lie on later levels, so the sweep is exact.
     """
-    x = np.zeros(dtmc.n_states, dtype=np.float64)
-    x[pinned] = pinned_values[pinned]
-    for nodes in reversed(_dag_levels(dtmc)):
-        nodes = nodes[~pinned[nodes]]
-        if nodes.size == 0:
-            continue
-        flat = _row_gather(dtmc.indptr, nodes)
-        counts = dtmc.indptr[nodes + 1] - dtmc.indptr[nodes]
-        contrib = dtmc.probs[flat] * x[dtmc.cols[flat]]
-        seg = np.repeat(np.arange(nodes.size), counts)
-        acc = np.bincount(seg, weights=contrib, minlength=nodes.size)
-        x[nodes] = acc + (state_rewards[nodes] if state_rewards is not None else 0.0)
-    return x
+    n = dtmc.n_states
+    shape = np.shape(pinned)
+    pinned = np.reshape(pinned, (n, -1))
+    x = np.where(pinned, np.reshape(values, (n, -1)), 0.0)
+    if rewards is not None:
+        rewards = np.reshape(rewards, (n, -1))
+    k = x.shape[1]
+    columns = np.arange(k)
+    for lvl in reversed(_level_plan(dtmc)):
+        # one bin per (state, column), each summed in edge order
+        bins = (lvl.seg[:, None] * k + columns).ravel()
+        acc = np.bincount(bins, weights=(lvl.probs[:, None] * x[lvl.cols]).ravel(),
+                          minlength=lvl.nodes.size * k).reshape(-1, k)
+        if rewards is not None:
+            acc = acc + rewards[lvl.nodes]
+        x[lvl.nodes] = np.where(pinned[lvl.nodes], x[lvl.nodes], acc)
+    return x.reshape(shape)
+
+
+def _mask_columns(dtmc: DTMC, masks) -> np.ndarray:
+    """One (n_states,) mask or a stack (n_states, K) as K bool columns."""
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim not in (1, 2) or masks.shape[0] != dtmc.n_states:
+        raise ValueError(f"a state mask has shape ({dtmc.n_states},) or "
+                         f"({dtmc.n_states}, K), got {masks.shape}")
+    return masks.reshape(dtmc.n_states, -1)
+
+
+def _absorbing(dtmc: DTMC) -> np.ndarray:
+    return dtmc.terminal_mask | dtmc.deadlock_mask()
 
 
 def prob_reach(dtmc: DTMC, target_mask: np.ndarray) -> np.ndarray:
-    """Probability, per state, of eventually visiting the target set."""
-    target_mask = np.asarray(target_mask, dtype=bool)
-    pinned = target_mask | dtmc.terminal_mask | dtmc.deadlock_mask()
-    vals = np.zeros(dtmc.n_states)
-    vals[target_mask] = 1.0
-    return _solve_fixed_point(dtmc, pinned, vals)
+    """Probability, per state, of eventually visiting the target set.
+
+    `target_mask` is one mask of shape (n_states,) or K masks stacked as
+    (n_states, K); all K are solved in one sweep and the result has the
+    mask's shape.
+    """
+    targets = _mask_columns(dtmc, target_mask)
+    x = _solve_fixed_point(dtmc, targets | _absorbing(dtmc)[:, None], targets)
+    return x.reshape(np.shape(target_mask))
 
 
 def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
@@ -363,19 +407,25 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
 
     Rewards accrue on the source state of each transition; zero-duration
     bookkeeping states carry zero reward by construction of the caller's
-    reward vector.  Defined only when the target is reached almost surely.
+    reward vector.  Defined only when the target is reached almost surely,
+    which the same sweep checks in a second column.
     """
-    target_mask = np.asarray(target_mask, dtype=bool)
-    reach = prob_reach(dtmc, target_mask)
-    if reach[0] < 1.0 - 1e-9:
+    target = _mask_columns(dtmc, target_mask)
+    if target.shape[1] != 1:
+        raise ValueError("expected_reward takes one target mask")
+    # column 0 is the reach probability, column 1 the reward; both stop at
+    # the target and at absorbing states
+    pinned = np.repeat(target | _absorbing(dtmc)[:, None], 2, axis=1)
+    values = np.hstack((target, np.zeros_like(target)))
+    rewards = np.zeros(pinned.shape)
+    rewards[:, 1] = state_rewards
+    reach, reward = _solve_fixed_point(dtmc, pinned, values, rewards)[0]
+    if reach < 1.0 - 1e-9:
         raise RewardUndefinedError(
-            f"target reached with probability {reach[0]:.12g} < 1; "
+            f"target reached with probability {reach:.12g} < 1; "
             "expected reward is undefined"
         )
-    pinned = target_mask | dtmc.terminal_mask | dtmc.deadlock_mask()
-    vals = np.zeros(dtmc.n_states)
-    rewards = np.asarray(state_rewards, dtype=np.float64)
-    return float(_solve_fixed_point(dtmc, pinned, vals, rewards)[0])
+    return float(reward)
 
 
 def _occupation(dtmc: DTMC) -> np.ndarray:
@@ -385,18 +435,10 @@ def _occupation(dtmc: DTMC) -> np.ndarray:
     most once and occupation equals visit probability.
     """
     if dtmc._rho is None:
-        levels = _dag_levels(dtmc)
-        indptr, cols, probs = dtmc.open_csr()
         rho = np.zeros(dtmc.n_states)
         rho[0] = 1.0
-        for nodes in levels:
-            nodes = nodes[rho[nodes] > 0.0]
-            if nodes.size == 0:
-                continue
-            flat = _row_gather(indptr, nodes)
-            counts = indptr[nodes + 1] - indptr[nodes]
-            weights = np.repeat(rho[nodes], counts) * probs[flat]
-            np.add.at(rho, cols[flat], weights)
+        for lvl in _level_plan(dtmc):
+            np.add.at(rho, lvl.cols, rho[lvl.nodes][lvl.seg] * lvl.probs)
         dtmc._rho = rho
     return dtmc._rho
 
@@ -409,22 +451,27 @@ def expected_visits(dtmc: DTMC, state_mask: np.ndarray) -> float:
     return float(_occupation(dtmc)[state_mask].sum())
 
 
-def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float:
+def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:
     """Expected number of transitions entering the masked set from outside.
 
     Counts each maximal stay once, unlike expected_visits, so it measures
     events (a delivery, a drop) even where an outcome phase persists for
-    several states.  Starting inside the set counts as one entry.
+    several states.  Starting inside the set counts as one entry.  Like
+    prob_reach it takes one mask, answered as a float, or K stacked masks,
+    answered as an array of K counts.
     """
-    state_mask = np.asarray(state_mask, dtype=bool)
-    if (state_mask & dtmc.terminal_mask).any():
+    masks = _mask_columns(dtmc, state_mask)
+    if (masks & dtmc.terminal_mask[:, None]).any():
         raise ValueError("entry counts are finite only for transient states")
     rho = _occupation(dtmc)
     indptr, cols, probs = dtmc.open_csr()
-    rows = np.repeat(np.arange(dtmc.n_states, dtype=np.int64), np.diff(indptr))
-    crossing = state_mask[cols] & ~state_mask[rows]
-    total = float((rho[rows[crossing]] * probs[crossing]).sum())
-    return total + (1.0 if state_mask[0] else 0.0)
+    rows = _edge_rows(indptr)
+    flow = rho[rows] * probs
+    totals = np.array([
+        float(flow[m[cols] & ~m[rows]].sum()) + (1.0 if m[0] else 0.0)
+        for m in masks.T
+    ])
+    return float(totals[0]) if np.ndim(state_mask) == 1 else totals
 
 
 def idle_listening_rewards(dtmc: DTMC, sender: int | None = None) -> np.ndarray:

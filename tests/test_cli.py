@@ -143,6 +143,17 @@ def test_values_beyond_the_state_encoding_exit_2(capsys, tmp_path, key):
     assert "configuration error" in err and f"{key}=40000" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", ["seconds_per_tick", "idle_power_mw"])
+def test_non_finite_floats_exit_2(capsys, tmp_path, key, value):
+    conf = tmp_path / "inf.conf"
+    conf.write_text(f"{key} = {value}\n")
+    for argv in (["simulate", "--runs", "2"], ["sweep"]):
+        assert main(argv + ["--config", str(conf)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{key} must be finite" in err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_simulate_rejects_seeds_outside_64_bits(capsys, seed):
     assert main(["simulate", "--runs", "2", "--seed", seed]) == EXIT_CONFIG

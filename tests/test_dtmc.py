@@ -172,20 +172,44 @@ def _residual(d, x, pinned, rewards=None):
        tcu=st.sampled_from([3, 8, 13]))
 def test_level_solves_satisfy_the_fixed_point(n_senders, robust, tcu):
     d = build(ScenarioConfig(n_senders=n_senders, robust_mode=robust, tcu_ticks=tcu))
+    n = d.n_states
     absorbing = d.terminal_mask | d.deadlock_mask()
     phase, e = d.sender_phase(0), d.sender_e(0)
-    for target in (phase == SenderPhase.SUCCESS, (phase == SenderPhase.SUCCESS) & (e == 1),
-                   phase == SenderPhase.REJECT, phase == SenderPhase.SLEEP):
-        target = np.asarray(target)
-        x = prob_reach(d, target)
-        assert _residual(d, x, target | absorbing) <= 1e-12
+    success = phase == SenderPhase.SUCCESS
+    targets = np.stack([success, success & (e == 1), phase == SenderPhase.REJECT,
+                        phase == SenderPhase.SLEEP], axis=1)
+    # stacked masks are solved in one sweep, column for column like one mask
+    stacked = prob_reach(d, targets)
+    entries = expected_entries(d, targets)
+    assert stacked.shape == targets.shape and entries.shape == (targets.shape[1],)
+    for k in range(targets.shape[1]):
+        x = prob_reach(d, targets[:, k])
+        assert (stacked[:, k] == x).all()
+        assert _residual(d, x, targets[:, k] | absorbing) <= 1e-12
+        assert entries[k] == expected_entries(d, targets[:, k])
     # shortened units deadlock, so the reward runs until done or stuck
     target = np.asarray(phase == SenderPhase.DONE) | d.deadlock_mask()
     pinned = target | absorbing
     rewards = idle_listening_rewards(d, 0)
-    x = _solve_fixed_point(d, pinned, np.zeros(d.n_states), rewards)
+    x = _solve_fixed_point(d, pinned, np.zeros(n), rewards)
     assert _residual(d, x, pinned, rewards) <= 1e-12
+    # expected_reward's sweep: reach and reward as two columns, pinned alike
+    both = _solve_fixed_point(d, np.stack([pinned, pinned], axis=1),
+                              np.stack([target, np.zeros(n, dtype=bool)], axis=1),
+                              np.stack([np.zeros(n), rewards], axis=1))
+    assert (both[:, 1] == x).all()
+    assert _residual(d, both[:, 0], pinned) <= 1e-12
     assert expected_reward(d, rewards, target) == x[0]
+
+
+def test_masks_of_the_wrong_shape_are_refused(lone_model):
+    n = lone_model.n_states
+    for shape in [(), (n - 1,), (n + 1,), (1, n), (n + 1, 2), (n, 2, 1)]:
+        mask = np.zeros(shape, dtype=bool)
+        with pytest.raises(ValueError, match="state mask has shape"):
+            prob_reach(lone_model, mask)
+        with pytest.raises(ValueError, match="state mask has shape"):
+            expected_entries(lone_model, mask)
 
 
 def test_cyclic_model_is_refused():
