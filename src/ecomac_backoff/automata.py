@@ -207,9 +207,10 @@ def label(state: GlobalState) -> frozenset[str]:
 class Automaton:
     """Successor-rule engine for one scenario; the single source of semantics.
 
-    The DTMC builder steps states through :meth:`successor_distribution`;
-    the Monte Carlo simulator resolves each joint draw itself and plays the
-    rest of the round with :meth:`play_round`.  Neither re-implements any
+    The DTMC builder advances tick states through :meth:`next_projection`
+    and steps every other state through :meth:`successor_distribution`; the
+    Monte Carlo simulator resolves each joint draw itself and plays the rest
+    of the round with :meth:`play_round`.  Neither re-implements any
     protocol rule.
     """
 
@@ -221,6 +222,8 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
+        # tick successor of a projection, None where the step is no tick
+        self._projections: dict = {}
         # tick stretch of a round, keyed on the drawn counter vector
         self._rounds: dict = {}
 
@@ -433,6 +436,43 @@ class Automaton:
         )
         return GlobalState(senders, ReceiverState(ReceiverPhase.W_RTS, -1, 0))
 
+    # -- round context and tick projection -----------------------------------
+
+    @staticmethod
+    def split(state: GlobalState) -> tuple[tuple, tuple]:
+        """A state as ``(context, projection)``.
+
+        The context is each sender's ``(e, msgs)``; the projection is each
+        sender's ``(phase, rbc, ticks)`` plus the receiver.  No tick rule
+        reads or writes a sender's ``e`` or ``msgs``, so a context holds
+        for a whole round and a tick moves only the projection: the tick
+        successor of a state is its context joined to
+        :meth:`next_projection` of its projection.
+        """
+        context = tuple((sd.e, sd.msgs) for sd in state.senders)
+        senders = tuple((sd.phase, sd.rbc, sd.ticks) for sd in state.senders)
+        return context, (senders, state.receiver)
+
+    @staticmethod
+    def join(context: tuple, projection: tuple) -> GlobalState:
+        """The state that :meth:`split` takes to ``(context, projection)``."""
+        senders, receiver = projection
+        return GlobalState(tuple(
+            SenderState(phase, e, rbc, msgs, ticks)
+            for (e, msgs), (phase, rbc, ticks) in zip(context, senders)
+        ), receiver)
+
+    def next_projection(self, projection: tuple) -> tuple | None:
+        """Projection of the tick successor, memoized; None when the next
+        step is not a tick (terminal, deadlock, boundary or draw)."""
+        if projection not in self._projections:
+            # any context will do, since no tick rule reads it
+            state = self.join(((0, 0),) * self.cfg.n_senders, projection)
+            self._projections[projection] = (
+                self.split(self._tick_step(state))[1]
+                if self.step_kind(state) == StepKind.TICK else None)
+        return self._projections[projection]
+
     def play_round(self, drawn: GlobalState,
                    trace: list[GlobalState] | None = None) -> tuple:
         """Play the rest of a round from the state right after its joint draw.
@@ -443,10 +483,10 @@ class Automaton:
         events are the round's ``(sender, e, is_reject)`` deliveries and
         drops.  With `trace`, every state entered is appended to it.
 
-        No tick rule reads or writes a sender's ``e`` or ``msgs``, so the
-        ticks of a round depend only on the drawn counters (-1 done, 0 sending
-        at once, v counting down) and are memoized on them.  Traced calls
-        step every tick.
+        A round's ticks move only the projection of :meth:`split`, which
+        right after the draw is fixed by the drawn counters (-1 done, 0
+        sending at once, v counting down), so they are memoized on those.
+        Traced calls step every tick.
         """
         key = tuple(sd.rbc for sd in drawn.senders)
         stretch = None if trace is not None else self._rounds.get(key)

@@ -7,6 +7,15 @@ counterexample trace through the BFS parent tree.  Transitions live in a CSR
 triple; full state tuples are reconstructed on demand from a compact int16
 feature matrix.
 
+The builder splits every state into its round context and its tick
+projection (:meth:`Automaton.split`), interns both to ids, and keys its BFS
+index on the (context id, projection id) pair.  A tick moves only the
+projection, so a tick state's successor pairs its context with the
+projection that :meth:`Automaton.next_projection` computes once per
+projection; only draw, boundary, deadlock and terminal states are stepped
+through ``successor_distribution``, on the joined state.  The feature matrix
+is gathered from the interned tables by id once the search ends.
+
 Apart from the self-loops of all-done terminal states the chain is a DAG
 (packets only get consumed, failure counters only grow, and every tick makes
 progress inside a round), so reachability probabilities, expected rewards,
@@ -42,6 +51,9 @@ from .errors import ConfigError, RewardUndefinedError, SolverError, StateSpaceLi
 
 ROWSUM_TOL = 1e-12
 MAX_STATES_DEFAULT = 10_000_000
+# markers in build's per-projection tick table
+_UNSTEPPED = -2
+_NO_TICK = -1
 
 # one feature row per state: (phase, e, rbc, msgs, ticks) per sender, then
 # (phase, winner, ticks) for the receiver, stored as int16
@@ -267,8 +279,9 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
 
     Raises StateSpaceLimitError when more than `max_states` states are
     discovered, and ConfigError when `max_states` is below 1 or a config
-    value does not fit the int16 feature matrix.  Every emitted row is
-    audited to sum to 1 within 1e-12.
+    value does not fit the int16 feature matrix.  Every row taken from
+    ``successor_distribution`` is audited to sum to 1 within 1e-12; a tick
+    row is one edge of probability 1.
     """
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
@@ -278,71 +291,119 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
             raise ConfigError(f"{name}={v} exceeds {_FEATURE_MAX}, the largest "
                               "value the exact engine stores per state")
     auto = automaton if automaton is not None else Automaton(cfg)
-    init = auto.initial_state()
-    width = cfg.n_senders * N_SENDER_FIELDS + N_RECEIVER_FIELDS
 
-    index: dict[GlobalState, int] = {init: 0}
-    queue: deque[GlobalState] = deque((init,))
-    feats = array("h")
-    for v in init.senders:
-        feats.extend(v)
-    feats.extend(init.receiver)
+    # contexts and projections interned to ids; a state is an id pair
+    contexts: list[tuple] = []
+    context_ids: dict[tuple, int] = {}
+    projections: list[tuple] = []
+    projection_ids: dict[tuple, int] = {}
+    # per projection id: its tick successor's id, _NO_TICK, or _UNSTEPPED
+    tick_next: list[int] = []
+
+    def intern_projection(projection: tuple) -> int:
+        q = projection_ids.get(projection)
+        if q is None:
+            q = projection_ids[projection] = len(projections)
+            projections.append(projection)
+            tick_next.append(_UNSTEPPED)
+        return q
+
+    def intern(state: GlobalState) -> tuple[int, int]:
+        context, projection = auto.split(state)
+        c = context_ids.get(context)
+        if c is None:
+            c = context_ids[context] = len(contexts)
+            contexts.append(context)
+        return c, intern_projection(projection)
+
+    init = intern(auto.initial_state())
+    index: dict[tuple[int, int], int] = {init: 0}
+    state_context = array("i", (init[0],))
+    state_projection = array("i", (init[1],))
     parent = array("i", (-1,))
     indptr = array("q", (0,))
     cols = array("i")
     probs = array("d")
     deadlocks = array("q")
-    terminal = array("b", (0,))
+    terminals = array("q")
+    n_distributed = 0
 
-    n_done = 0
-    while queue:
-        state = queue.popleft()
-        src = n_done
-        n_done += 1
-        branches = auto.successor_distribution(state).branches
-        if not branches:
-            deadlocks.append(src)
-        total = 0.0
-        for p, nxt in branches:
-            total += p
-            j = index.get(nxt)
-            if j is None:
-                j = len(index)
-                if j >= max_states:
-                    raise StateSpaceLimitError(
-                        f"reachable state space exceeds {max_states} states"
-                    )
-                index[nxt] = j
-                queue.append(nxt)
-                for v in nxt.senders:
-                    feats.extend(v)
-                feats.extend(nxt.receiver)
-                parent.append(src)
-                terminal.append(0)
-            cols.append(j)
-            probs.append(p)
-        indptr.append(len(cols))
-        if branches:
-            if abs(total - 1.0) > ROWSUM_TOL:
+    src, n = 0, 1
+    while src < n:
+        c, q = state_context[src], state_projection[src]
+        nq = tick_next[q]
+        if nq == _UNSTEPPED:
+            nxt = auto.next_projection(projections[q])
+            nq = tick_next[q] = _NO_TICK if nxt is None else intern_projection(nxt)
+        if nq != _NO_TICK:
+            branches = ((1.0, (c, nq)),)
+        else:
+            n_distributed += 1
+            state = auto.join(contexts[c], projections[q])
+            branches = [(p, intern(nxt))
+                        for p, nxt in auto.successor_distribution(state).branches]
+            if not branches:
+                deadlocks.append(src)
+            total = 0.0
+            for p, _ in branches:
+                total += p
+            if branches and abs(total - 1.0) > ROWSUM_TOL:
                 raise SolverError(
                     f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}"
                 )
-            if len(branches) == 1 and branches[0][1] == state:
-                terminal[src] = 1
+        for p, key in branches:
+            j = index.get(key)
+            if j is None:
+                if n >= max_states:
+                    raise StateSpaceLimitError(
+                        f"reachable state space exceeds {max_states} states"
+                    )
+                j = index[key] = n
+                n += 1
+                state_context.append(key[0])
+                state_projection.append(key[1])
+                parent.append(src)
+            cols.append(j)
+            probs.append(p)
+        indptr.append(len(cols))
+        if len(branches) == 1 and j == src:
+            terminals.append(src)
+        src += 1
 
-    n = len(index)
     del index
+    # imported here: logging is about a tenth of the package's cold import
+    import logging
+    logging.getLogger(__name__).debug(
+        "build: %d states, %d edges, %d contexts, %d projections, "
+        "%d successor_distribution calls",
+        n, len(cols), len(contexts), len(projections), n_distributed)
     return DTMC(
         cfg=cfg,
         n_states=n,
-        features=np.frombuffer(feats, dtype=np.int16).reshape(n, width),
+        features=_features(cfg.n_senders, contexts, projections,
+                           np.frombuffer(state_context, dtype=np.int32),
+                           np.frombuffer(state_projection, dtype=np.int32)),
         indptr=np.frombuffer(indptr, dtype=np.int64),
         cols=np.frombuffer(cols, dtype=np.int32) if cols else np.empty(0, np.int32),
         probs=np.frombuffer(probs, dtype=np.float64) if probs else np.empty(0, np.float64),
         parent=np.frombuffer(parent, dtype=np.int32),
         deadlock_indices=np.frombuffer(deadlocks, dtype=np.int64) if deadlocks else np.empty(0, np.int64),
-        terminal_mask=np.frombuffer(terminal, dtype=np.int8).astype(bool),
+        terminal_mask=np.isin(np.arange(n), terminals),
     )
+
+
+def _features(n_senders: int, contexts: list[tuple], projections: list[tuple],
+              state_context: np.ndarray, state_projection: np.ndarray) -> np.ndarray:
+    """The int16 feature matrix, gathered from the interned tables by id."""
+    # per sender (e, msgs) and (phase, rbc, ticks); the receiver's three
+    ctx = np.array(contexts, dtype=np.int16).reshape(-1, n_senders, 2)
+    snd = np.array([p[0] for p in projections], dtype=np.int16).reshape(-1, n_senders, 3)
+    rcv = np.array([p[1] for p in projections], dtype=np.int16).reshape(-1, N_RECEIVER_FIELDS)
+    n = len(state_context)
+    senders = np.empty((n, n_senders, N_SENDER_FIELDS), dtype=np.int16)
+    senders[:, :, [0, 2, 4]] = snd[state_projection]
+    senders[:, :, [1, 3]] = ctx[state_context]
+    return np.hstack((senders.reshape(n, -1), rcv[state_projection]))
 
 
 # -- linear solves -------------------------------------------------------------

@@ -77,8 +77,13 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
-    """Counter-based stream of one run; reproducible in isolation."""
-    return np.random.Generator(np.random.Philox(key=[seed, run_index]))
+    """Counter-based stream of one run; reproducible in isolation.
+
+    The key is built as uint64: from a list, numpy would round seeds at or
+    above 2**63 through float64.
+    """
+    key = np.array([seed, run_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(eq=False)

@@ -9,8 +9,10 @@ from ecomac_backoff import (
     BackoffTable,
     ContentionWindow,
     ReceiverPhase,
+    ReceiverState,
     ScenarioConfig,
     SenderPhase,
+    StepKind,
     initial_state,
     label,
 )
@@ -278,3 +280,29 @@ def test_labels_expose_phases_and_counters():
     assert {"s0_choose", "s1_choose", "r_w_start", "s0_e_0", "s0_rbc_-1",
             "s0_msgs_1"} <= props
     assert not any(p.startswith("s2_") for p in props)
+
+
+def test_tick_successor_of_a_projection_reads_the_receiver():
+    # the same senders tick differently under a silent and a granting receiver
+    auto = Automaton(ScenarioConfig())
+    senders = ((SenderPhase.WAIT_CTS, 0, 2), (SenderPhase.COUNTDOWN, 3, 0))
+    silent = auto.next_projection((senders, ReceiverState(ReceiverPhase.W_RTS, -1, 0)))
+    granting = auto.next_projection((senders, ReceiverState(ReceiverPhase.SEND_CTS, 0, 3)))
+    assert silent[0] == ((SenderPhase.WAIT_CTS, 0, 1), (SenderPhase.COUNTDOWN, 3, 1))
+    assert granting[0] == ((SenderPhase.RECV_CTS, 0, 5), (SenderPhase.SLEEP, 3, 0))
+
+
+def test_split_and_join_are_inverse_and_a_tick_moves_only_the_projection():
+    cfg = ScenarioConfig(n_senders=2, nmax_msg=2)
+    auto = Automaton(cfg)
+    state = auto.initial_state()
+    for _ in range(400):
+        context, projection = auto.split(state)
+        assert auto.join(context, projection) == state
+        nxt = auto.next_projection(projection)
+        succ = auto.successor_distribution(state).branches[-1][1]
+        if auto.step_kind(state) == StepKind.TICK:
+            assert auto.join(context, nxt) == succ
+        else:
+            assert nxt is None
+        state = succ

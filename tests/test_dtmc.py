@@ -1,5 +1,6 @@
 """Exact engine: state-space construction and verification queries."""
 
+import logging
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 import ecomac_backoff
 from ecomac_backoff import (
+    DEFAULT_TABLE,
     DTMC,
     Automaton,
+    BackoffTable,
+    ContentionWindow,
     ReceiverPhase,
     ScenarioConfig,
     SenderPhase,
@@ -105,6 +109,74 @@ def test_every_edge_leads_to_the_automaton_successor(two_sender_cfg, two_sender_
         branches = auto.successor_distribution(d.state_at(i)).branches
         assert [d.state_at(j) for j in d.cols[lo:hi].tolist()] == [t for _, t in branches]
         assert d.probs[lo:hi].tolist() == [p for p, _ in branches]
+
+
+def reference_build(cfg):
+    """Plain BFS: one successor_distribution call per state, keyed on GlobalState."""
+    auto = Automaton(cfg)
+    states = [auto.initial_state()]
+    index = {states[0]: 0}
+    indptr, cols, probs, parent, deadlocks, terminal = [0], [], [], [-1], [], []
+    for src, state in enumerate(states):
+        branches = auto.successor_distribution(state).branches
+        if not branches:
+            deadlocks.append(src)
+        terminal.append(len(branches) == 1 and branches[0][1] == state)
+        for p, nxt in branches:
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                parent.append(src)
+            cols.append(index[nxt])
+            probs.append(p)
+        indptr.append(len(cols))
+    features = [[v for sd in s.senders for v in sd] + list(s.receiver) for s in states]
+    return {"features": np.array(features, dtype=np.int16),
+            "indptr": np.array(indptr, dtype=np.int64),
+            "cols": np.array(cols, dtype=np.int32),
+            "probs": np.array(probs, dtype=np.float64),
+            "parent": np.array(parent, dtype=np.int32),
+            "deadlock_indices": np.array(deadlocks, dtype=np.int64),
+            "terminal_mask": np.array(terminal, dtype=bool)}
+
+
+def assert_matches_reference(cfg):
+    d = build(cfg)
+    for name, want in reference_build(cfg).items():
+        got = getattr(d, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert (got == want).all(), name
+
+
+# every failure count draws 0 or 1, so rounds collide often and packets
+# reach the failure cap
+_REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
+       tcu=st.sampled_from([3, 8, 13]), d_switch=st.sampled_from([0, 1]),
+       table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY]))
+def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_switch, table):
+    assert_matches_reference(ScenarioConfig(
+        n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust, tcu_ticks=tcu,
+        d_switch=d_switch, table=table))
+
+
+def test_three_sender_build_matches_the_reference_bfs():
+    assert_matches_reference(ScenarioConfig(n_senders=3, nmax_msg=1))
+
+
+def test_build_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
+    with caplog.at_level(logging.WARNING):
+        build(two_sender_cfg)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.dtmc"):
+        d = build(two_sender_cfg)
+    [record] = caplog.records
+    assert record.getMessage().startswith(
+        f"build: {d.n_states} states, {d.n_edges} edges, ")
+    assert record.getMessage().endswith(" successor_distribution calls")
 
 
 def test_terminal_mask_is_exactly_the_all_done_states(two_sender_model):

@@ -1,5 +1,7 @@
 """Monte Carlo runs: conservation, determinism, and agreement with the exact engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,26 @@ def test_runs_are_independent_of_batch_size(two_sender_cfg):
     b = simulate(two_sender_cfg, 200, seed=33)
     assert (a.successes == b.successes[:50]).all()
     assert (a.idle_ticks == b.idle_ticks[:50]).all()
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 12345, 2**64 - 1])
+def test_seeds_above_2_63_key_exactly(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = run_rng(seed, 7)
+    assert rng.bit_generator.state["state"]["key"].tolist() == [seed, 7]
+
+
+def test_top_seed_does_not_draw_seed_zeros_stream():
+    top = run_rng(2**64 - 1, 0).integers(2**63, size=8)
+    assert (top != run_rng(0, 0).integers(2**63, size=8)).any()
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**63 - 1])
+def test_seeds_below_2_63_keep_their_streams(seed):
+    # the key a plain list gave before it was built as uint64
+    old = np.random.Generator(np.random.Philox(key=[seed, 3]))
+    assert (run_rng(seed, 3).integers(2**63, size=8) == old.integers(2**63, size=8)).all()
 
 
 # every failure count draws 0 or 1, so rounds collide often and packets
