@@ -207,11 +207,13 @@ def label(state: GlobalState) -> frozenset[str]:
 class Automaton:
     """Successor-rule engine for one scenario; the single source of semantics.
 
-    The DTMC builder advances tick states through :meth:`next_projection`
-    and steps every other state through :meth:`successor_distribution`; the
-    Monte Carlo simulator resolves each joint draw itself and plays the rest
-    of the round with :meth:`play_round`.  Neither re-implements any
-    protocol rule.
+    The tick rule, :meth:`_tick`, takes and returns tick projections
+    (:meth:`split`), so no tick can read or write a sender's ``e`` or
+    ``msgs``.  Every tick goes through it: :meth:`successor_distribution`
+    joins its result to the state's context, the DTMC builder advances tick
+    states through :meth:`next_projection`, and the Monte Carlo simulator
+    resolves each joint draw itself and plays the rest of the round with
+    :meth:`play_round`.  Neither engine re-implements any protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -222,8 +224,6 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
-        # tick successor of a projection, None where the step is no tick
-        self._projections: dict = {}
         # tick stretch of a round, keyed on the drawn counter vector
         self._rounds: dict = {}
 
@@ -238,8 +238,8 @@ class Automaton:
             return SenderPhase.SWITCH_RT, self.cfg.d_switch
         return SenderPhase.SEND_RTS, self.cfg.d_frame
 
-    def _sender_next(self, sd: SenderState, ctx: int) -> SenderState:
-        """One tick of a single sender.
+    def _sender_next(self, sd: tuple, ctx: int) -> tuple:
+        """One tick of a single sender's ``(phase, rbc, ticks)``.
 
         ctx: 0 = receiver silent, 1 = receiver transmitting a CTS to someone
         else, 2 = receiver transmitting a CTS to this sender, 3 = receiver
@@ -249,51 +249,51 @@ class Automaton:
         if cached is not None:
             return cached
         cfg = self.cfg
-        phase, e, rbc, msgs, ticks = sd
+        phase, rbc, ticks = sd
         if phase == SenderPhase.COUNTDOWN:
             if ctx in (1, 2):
-                nxt = SenderState(SenderPhase.SLEEP, e, rbc, msgs, 0)
+                nxt = (SenderPhase.SLEEP, rbc, 0)
             elif ticks + 1 == cfg.tcu_ticks:
                 if rbc == 1:
                     ph, tk = self._pipeline_start()
-                    nxt = SenderState(ph, e, 0, msgs, tk)
+                    nxt = (ph, 0, tk)
                 else:
-                    nxt = SenderState(SenderPhase.COUNTDOWN, e, rbc - 1, msgs, 0)
+                    nxt = (SenderPhase.COUNTDOWN, rbc - 1, 0)
             else:
-                nxt = SenderState(SenderPhase.COUNTDOWN, e, rbc, msgs, ticks + 1)
+                nxt = (SenderPhase.COUNTDOWN, rbc, ticks + 1)
         elif phase == SenderPhase.SWITCH_RT:
             if ticks > 1:
-                nxt = SenderState(phase, e, rbc, msgs, ticks - 1)
+                nxt = (phase, rbc, ticks - 1)
             else:
-                nxt = SenderState(SenderPhase.SEND_RTS, e, rbc, msgs, cfg.d_frame)
+                nxt = (SenderPhase.SEND_RTS, rbc, cfg.d_frame)
         elif phase == SenderPhase.SEND_RTS:
             if ticks > 1:
-                nxt = SenderState(phase, e, rbc, msgs, ticks - 1)
+                nxt = (phase, rbc, ticks - 1)
             elif cfg.d_switch >= 1:
-                nxt = SenderState(SenderPhase.SWITCH_TR, e, rbc, msgs, cfg.d_switch)
+                nxt = (SenderPhase.SWITCH_TR, rbc, cfg.d_switch)
             else:
-                nxt = SenderState(SenderPhase.WAIT_CTS, e, rbc, msgs, cfg.cts_timeout)
+                nxt = (SenderPhase.WAIT_CTS, rbc, cfg.cts_timeout)
         elif phase == SenderPhase.SWITCH_TR:
             if ticks > 1:
-                nxt = SenderState(phase, e, rbc, msgs, ticks - 1)
+                nxt = (phase, rbc, ticks - 1)
             else:
-                nxt = SenderState(SenderPhase.WAIT_CTS, e, rbc, msgs, cfg.cts_timeout)
+                nxt = (SenderPhase.WAIT_CTS, rbc, cfg.cts_timeout)
         elif phase == SenderPhase.WAIT_CTS:
             if ctx == 2:
-                nxt = SenderState(SenderPhase.RECV_CTS, e, rbc, msgs, cfg.d_frame)
+                nxt = (SenderPhase.RECV_CTS, rbc, cfg.d_frame)
             elif ctx == 1:
-                nxt = SenderState(SenderPhase.SLEEP, e, rbc, msgs, 0)
+                nxt = (SenderPhase.SLEEP, rbc, 0)
             elif ticks > 1:
-                nxt = SenderState(phase, e, rbc, msgs, ticks - 1)
+                nxt = (phase, rbc, ticks - 1)
             else:
-                nxt = SenderState(SenderPhase.SLEEP, e, rbc, msgs, 0)
+                nxt = (SenderPhase.SLEEP, rbc, 0)
         elif phase == SenderPhase.RECV_CTS:
             if ctx == 3:
-                nxt = SenderState(SenderPhase.SLEEP, e, rbc, msgs, 0)
+                nxt = (SenderPhase.SLEEP, rbc, 0)
             elif ticks > 1:
-                nxt = SenderState(phase, e, rbc, msgs, ticks - 1)
+                nxt = (phase, rbc, ticks - 1)
             else:
-                nxt = SenderState(SenderPhase.SUCCESS, e, rbc, msgs, 0)
+                nxt = (SenderPhase.SUCCESS, rbc, 0)
         elif phase in (SenderPhase.SLEEP, SenderPhase.SUCCESS,
                        SenderPhase.REJECT, SenderPhase.DONE):
             # outcome phases hold until the round boundary collects them
@@ -383,29 +383,32 @@ class Automaton:
 
     # -- full step ----------------------------------------------------------
 
-    def step_kind(self, state: GlobalState) -> StepKind:
-        """Classify the next transition without materializing it."""
-        senders = state.senders
-        if all(sd.phase == SenderPhase.DONE for sd in senders):
+    def step_kind(self, state: GlobalState | tuple) -> StepKind:
+        """Classify the next transition without materializing it.
+
+        Reads only phases, so `state` may be a state or its projection.
+        """
+        senders, receiver = state
+        if all(sd[0] == SenderPhase.DONE for sd in senders):
             return StepKind.TERMINAL
 
         # a frame arriving while the receiver is committed to its own
         # transmission has no defined transition
-        if state.receiver.phase in _RECEIVER_COMMITTED and not self.cfg.robust_mode:
-            if any(sd.phase == SenderPhase.SEND_RTS for sd in senders):
+        if receiver.phase in _RECEIVER_COMMITTED and not self.cfg.robust_mode:
+            if any(sd[0] == SenderPhase.SEND_RTS for sd in senders):
                 return StepKind.DEADLOCK
 
         # the round closes once every still-active sender has an outcome
         # (success, reject, or sleep); CHOOSE appears next to REJECT during
         # the extra reset step that converts a rejected packet
         settled = (SenderPhase.SUCCESS, SenderPhase.REJECT, SenderPhase.SLEEP)
-        active = [sd.phase for sd in senders if sd.phase != SenderPhase.DONE]
+        active = [sd[0] for sd in senders if sd[0] != SenderPhase.DONE]
         if active and all(
             p in settled or p == SenderPhase.CHOOSE for p in active
         ) and any(p in settled for p in active):
             return StepKind.BOUNDARY
 
-        if any(sd.phase == SenderPhase.CHOOSE for sd in senders):
+        if any(sd[0] == SenderPhase.CHOOSE for sd in senders):
             return StepKind.DRAW
         return StepKind.TICK
 
@@ -419,7 +422,8 @@ class Automaton:
             return TransitionDistribution(((1.0, self._boundary(state)),))
         if kind == StepKind.DRAW:
             return self._draw_step(state)
-        return TransitionDistribution(((1.0, self._tick_step(state)),))
+        context, projection = self.split(state)
+        return TransitionDistribution(((1.0, self.join(context, self._tick(projection))),))
 
     def draw_outcome(self, sd: SenderState, value: int) -> SenderState:
         """Sender state right after drawing `value` backoff units."""
@@ -446,8 +450,8 @@ class Automaton:
         sender's ``(phase, rbc, ticks)`` plus the receiver.  No tick rule
         reads or writes a sender's ``e`` or ``msgs``, so a context holds
         for a whole round and a tick moves only the projection: the tick
-        successor of a state is its context joined to
-        :meth:`next_projection` of its projection.
+        successor of a state is its context joined to :meth:`_tick` of its
+        projection.
         """
         context = tuple((sd.e, sd.msgs) for sd in state.senders)
         senders = tuple((sd.phase, sd.rbc, sd.ticks) for sd in state.senders)
@@ -463,15 +467,11 @@ class Automaton:
         ), receiver)
 
     def next_projection(self, projection: tuple) -> tuple | None:
-        """Projection of the tick successor, memoized; None when the next
-        step is not a tick (terminal, deadlock, boundary or draw)."""
-        if projection not in self._projections:
-            # any context will do, since no tick rule reads it
-            state = self.join(((0, 0),) * self.cfg.n_senders, projection)
-            self._projections[projection] = (
-                self.split(self._tick_step(state))[1]
-                if self.step_kind(state) == StepKind.TICK else None)
-        return self._projections[projection]
+        """Projection of the tick successor; None when the next step is not
+        a tick (terminal, deadlock, boundary or draw)."""
+        if self.step_kind(projection) != StepKind.TICK:
+            return None
+        return self._tick(projection)
 
     def play_round(self, drawn: GlobalState,
                    trace: list[GlobalState] | None = None) -> tuple:
@@ -485,33 +485,34 @@ class Automaton:
 
         A round's ticks move only the projection of :meth:`split`, which
         right after the draw is fixed by the drawn counters (-1 done, 0
-        sending at once, v counting down), so they are memoized on those.
-        Traced calls step every tick.
+        sending at once, v counting down).  So a round's ticks are played on
+        projections through :meth:`_tick` and memoized on those counters;
+        the round's context is joined to a projection only to append a
+        traced state, and the returned state takes ``e`` and ``msgs`` from
+        `drawn`.  Traced calls play every tick.
         """
         key = tuple(sd.rbc for sd in drawn.senders)
         stretch = None if trace is not None else self._rounds.get(key)
         if stretch is None:
-            state, ticks, idle = drawn, 0, [0] * len(drawn.senders)
-            kind = self.step_kind(state)
+            context, projection = self.split(drawn)
+            ticks, idle = 0, [0] * len(drawn.senders)
+            kind = self.step_kind(projection)
             while kind == StepKind.TICK:
-                for i, sd in enumerate(state.senders):
-                    if sd.phase == SenderPhase.COUNTDOWN:
+                for i, sd in enumerate(projection[0]):
+                    if sd[0] == SenderPhase.COUNTDOWN:
                         idle[i] += 1
-                state = self._tick_step(state)
+                projection = self._tick(projection)
                 ticks += 1
                 if trace is not None:
-                    trace.append(state)
-                kind = self.step_kind(state)
-            idle, deadlocked = tuple(idle), kind == StepKind.DEADLOCK
-            self._rounds[key] = (
-                tuple((sd.phase, sd.rbc, sd.ticks) for sd in state.senders),
-                state.receiver, ticks, idle, deadlocked)
-        else:
-            ends, receiver, ticks, idle, deadlocked = stretch
-            state = GlobalState(tuple(
-                SenderState(phase, sd.e, rbc, sd.msgs, progress)
-                for (phase, rbc, progress), sd in zip(ends, drawn.senders)
-            ), receiver)
+                    trace.append(self.join(context, projection))
+                kind = self.step_kind(projection)
+            stretch = self._rounds[key] = (
+                *projection, ticks, tuple(idle), kind == StepKind.DEADLOCK)
+        ends, receiver, ticks, idle, deadlocked = stretch
+        state = GlobalState(tuple(
+            SenderState(phase, sd.e, rbc, sd.msgs, progress)
+            for (phase, rbc, progress), sd in zip(ends, drawn.senders)
+        ), receiver)
         events = [(i, sd.e, False) for i, sd in enumerate(state.senders)
                   if sd.phase == SenderPhase.SUCCESS]
         if deadlocked:
@@ -548,9 +549,9 @@ class Automaton:
             branches.append((prob, GlobalState(tuple(base), receiver)))
         return TransitionDistribution(tuple(branches))
 
-    def _tick_step(self, state: GlobalState) -> GlobalState:
-        senders = state.senders
-        receiver = state.receiver
+    def _tick(self, projection: tuple) -> tuple:
+        """The tick rule: the projection one synchronized tick later."""
+        senders, receiver = projection
         rphase = receiver.phase
 
         if rphase == ReceiverPhase.SEND_CTS:
@@ -565,16 +566,15 @@ class Automaton:
             for i, sd in enumerate(senders)
         )
 
-        tx_next = tuple(i for i, sd in enumerate(next_senders) if sd.phase == SenderPhase.SEND_RTS)
+        tx_next = tuple(i for i, sd in enumerate(next_senders) if sd[0] == SenderPhase.SEND_RTS)
         frame_end = tuple(
             i for i, sd in enumerate(senders)
-            if sd.phase == SenderPhase.SEND_RTS and next_senders[i].phase != SenderPhase.SEND_RTS
+            if sd[0] == SenderPhase.SEND_RTS and next_senders[i][0] != SenderPhase.SEND_RTS
         )
         if self.cfg.robust_mode and rphase in _RECEIVER_COMMITTED and any(
-                sd.phase == SenderPhase.SEND_RTS for sd in senders):
+                sd[0] == SenderPhase.SEND_RTS for sd in senders):
             next_receiver = ReceiverState(ReceiverPhase.COLLISION, -1, 0)
         else:
             next_receiver = self._receiver_next(receiver, tx_next, frame_end)
 
-        return GlobalState(next_senders, next_receiver)
-
+        return next_senders, next_receiver

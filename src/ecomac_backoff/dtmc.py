@@ -9,7 +9,7 @@ feature matrix.
 
 The builder splits every state into its round context and its tick
 projection (:meth:`Automaton.split`), interns both to ids, and keys its BFS
-index on the (context id, projection id) pair.  A tick moves only the
+index on the pair packed into one int, ``c << 32 | q``.  A tick moves only the
 projection, so a tick state's successor pairs its context with the
 projection that :meth:`Automaton.next_projection` computes once per
 projection; only draw, boundary, deadlock and terminal states are stepped
@@ -136,10 +136,6 @@ class DTMC:
     def labels_of(self, idx: int) -> frozenset[str]:
         return label(self.state_at(idx))
 
-    def successors(self, idx: int) -> list[tuple[int, float]]:
-        lo, hi = self.indptr[idx], self.indptr[idx + 1]
-        return list(zip(self.cols[lo:hi].tolist(), self.probs[lo:hi].tolist()))
-
     def trace_to(self, idx: int) -> Trace:
         path = [idx]
         while self.parent[path[-1]] >= 0:
@@ -161,17 +157,11 @@ class DTMC:
     def sender_msgs(self, i: int) -> np.ndarray:
         return self.features[:, i * N_SENDER_FIELDS + 3]
 
-    def sender_ticks(self, i: int) -> np.ndarray:
-        return self.features[:, i * N_SENDER_FIELDS + 4]
-
     def receiver_phase(self) -> np.ndarray:
         return self.features[:, self.n_senders * N_SENDER_FIELDS + 0]
 
     def receiver_winner(self) -> np.ndarray:
         return self.features[:, self.n_senders * N_SENDER_FIELDS + 1]
-
-    def receiver_ticks(self) -> np.ndarray:
-        return self.features[:, self.n_senders * N_SENDER_FIELDS + 2]
 
     def deadlock_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_states, dtype=bool)
@@ -292,7 +282,8 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
                               "value the exact engine stores per state")
     auto = automaton if automaton is not None else Automaton(cfg)
 
-    # contexts and projections interned to ids; a state is an id pair
+    # contexts and projections interned to ids; a state is an id pair, packed
+    # into one int key (ids live in array("i"), so each fits in 32 bits)
     contexts: list[tuple] = []
     context_ids: dict[tuple, int] = {}
     projections: list[tuple] = []
@@ -308,18 +299,18 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
             tick_next.append(_UNSTEPPED)
         return q
 
-    def intern(state: GlobalState) -> tuple[int, int]:
+    def intern(state: GlobalState) -> int:
         context, projection = auto.split(state)
         c = context_ids.get(context)
         if c is None:
             c = context_ids[context] = len(contexts)
             contexts.append(context)
-        return c, intern_projection(projection)
+        return c << 32 | intern_projection(projection)
 
     init = intern(auto.initial_state())
-    index: dict[tuple[int, int], int] = {init: 0}
-    state_context = array("i", (init[0],))
-    state_projection = array("i", (init[1],))
+    index: dict[int, int] = {init: 0}
+    state_context = array("i", (init >> 32,))
+    state_projection = array("i", (init & 0xFFFFFFFF,))
     parent = array("i", (-1,))
     indptr = array("q", (0,))
     cols = array("i")
@@ -336,7 +327,7 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
             nxt = auto.next_projection(projections[q])
             nq = tick_next[q] = _NO_TICK if nxt is None else intern_projection(nxt)
         if nq != _NO_TICK:
-            branches = ((1.0, (c, nq)),)
+            branches = ((1.0, c << 32 | nq),)
         else:
             n_distributed += 1
             state = auto.join(contexts[c], projections[q])
@@ -360,8 +351,8 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT,
                     )
                 j = index[key] = n
                 n += 1
-                state_context.append(key[0])
-                state_projection.append(key[1])
+                state_context.append(key >> 32)
+                state_projection.append(key & 0xFFFFFFFF)
                 parent.append(src)
             cols.append(j)
             probs.append(p)

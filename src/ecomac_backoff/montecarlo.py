@@ -109,14 +109,6 @@ class Aggregate:
         t = self.idle_ticks.sum(axis=1) if sender is None else self.idle_ticks[:, sender]
         return t * self.cfg.seconds_per_tick
 
-    def delivered_within(self, sender: int, e_cap: int) -> np.ndarray:
-        """Packets per run the sender delivered with at most e_cap failures."""
-        return self.successes[:, sender, : e_cap + 1].sum(axis=1)
-
-    def ever_delivered_within(self, sender: int, e_cap: int) -> np.ndarray:
-        """Per-run indicator: did the sender deliver any packet with e <= e_cap."""
-        return (self.delivered_within(sender, e_cap) > 0).astype(np.float64)
-
 
 def mean_ci95(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and 95% normal confidence half-width (ddof=1)."""

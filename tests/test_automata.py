@@ -293,16 +293,36 @@ def test_tick_successor_of_a_projection_reads_the_receiver():
 
 
 def test_split_and_join_are_inverse_and_a_tick_moves_only_the_projection():
-    cfg = ScenarioConfig(n_senders=2, nmax_msg=2)
-    auto = Automaton(cfg)
-    state = auto.initial_state()
-    for _ in range(400):
-        context, projection = auto.split(state)
-        assert auto.join(context, projection) == state
-        nxt = auto.next_projection(projection)
-        succ = auto.successor_distribution(state).branches[-1][1]
-        if auto.step_kind(state) == StepKind.TICK:
-            assert auto.join(context, nxt) == succ
-        else:
-            assert nxt is None
-        state = succ
+    # depth first over up to 5000 reachable states: all of both short-unit
+    # models, so their deadlocks and robust mode's collision fallbacks (an
+    # RTS starting while the receiver is committed) are classified too
+    for cfg, deadlocks, fallbacks in (
+        (ScenarioConfig(n_senders=2, nmax_msg=2), False, False),
+        (ScenarioConfig(tcu_ticks=3), True, False),
+        (ScenarioConfig(tcu_ticks=3, robust_mode=True), False, True),
+    ):
+        auto = Automaton(cfg)
+        stack, seen = [auto.initial_state()], {auto.initial_state()}
+        kinds, fallback_seen = set(), False
+        while stack and len(seen) < 5000:
+            state = stack.pop()
+            context, projection = auto.split(state)
+            assert auto.join(context, projection) == state
+            kind = auto.step_kind(projection)
+            assert kind == auto.step_kind(state)
+            kinds.add(kind)
+            fallback_seen |= kind == StepKind.TICK and state.receiver.phase in (
+                ReceiverPhase.SWITCH_RT, ReceiverPhase.SEND_CTS, ReceiverPhase.W_END
+            ) and any(sd.phase == SenderPhase.SEND_RTS for sd in state.senders)
+            nxt = auto.next_projection(projection)
+            branches = auto.successor_distribution(state).branches
+            if kind == StepKind.TICK:
+                assert branches == ((1.0, auto.join(context, nxt)),)
+            else:
+                assert nxt is None
+            for _, succ in branches:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        assert (StepKind.DEADLOCK in kinds) == deadlocks, cfg
+        assert fallback_seen == fallbacks, cfg

@@ -1,5 +1,6 @@
 """Exact engine: state-space construction and verification queries."""
 
+import hashlib
 import logging
 import subprocess
 import sys
@@ -165,6 +166,96 @@ def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_swi
 
 def test_three_sender_build_matches_the_reference_bfs():
     assert_matches_reference(ScenarioConfig(n_senders=3, nmax_msg=1))
+
+
+# SHA-256 of each DTMC array (its dtype and shape, then its bytes) and of
+# the dump, recorded from an earlier exact engine: unlike the reference BFS,
+# they pin the whole model without reaching the automaton under test.  No
+# sampled output is pinned, as numpy does not promise stable streams.
+_PINNED_CONFIGS = {
+    "lone_three_packets": ScenarioConfig(n_senders=1, nmax_msg=3),
+    "default": ScenarioConfig(),
+    "three_senders": ScenarioConfig(n_senders=3, nmax_msg=1),
+    "short_unit": ScenarioConfig(tcu_ticks=3),
+    "robust_short_unit": ScenarioConfig(tcu_ticks=3, robust_mode=True),
+    "reject_heavy": ScenarioConfig(nmax_msg=2, table=_REJECT_HEAVY),
+}
+_PINNED_DIGESTS = {
+    "lone_three_packets": {
+        "features": "cb05a3a20831a9103559b8430bc405bf7fd04a5b90f5d828f8c335ea47f39e00",
+        "indptr": "8a8147f6c948d727a60516d80f576c0a31edd9e3799cb4cc9a0cfae0f5ce8dff",
+        "cols": "ce13db0e3928cfb9f3cafc5e6f83ef8145615b21827717b8728c74ab110c1876",
+        "probs": "f5380db2391c528615c0a43af81b496ba92a7d7b554e91b57bb9ed48215236f7",
+        "parent": "6d511436523707589eddacdf1ec360ca607d28cccd109f3bd0239708ae6dd84a",
+        "deadlock_indices": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "terminal_mask": "7d473c0576e9e327bd3a420f644b82b5420ac9a190704e2905811c9250d674b1",
+        "dump": "4d813d68bea190e42283a878798eb7f5209fe3d46f7b656fa078c920318060c8",
+    },
+    "default": {
+        "features": "8a4d9991dca0292a65ef3844d4e2b85d6167df72e4537c4e0732327db22ee37f",
+        "indptr": "2826bfbcfbc65cd8887751cc83d7263392f1f3045bcc784e32ba1060e6c7c78b",
+        "cols": "3c6cf474dbc3d7e97dbd303ac071c10c9edb06fc1aa79026b44cd83b031906bf",
+        "probs": "1ee0d9401b9e62727c8153da0e182152435cc6e5379df8c4cb2729c042dec34f",
+        "parent": "6c079d0ecf5e2f02f3245720ae49bc44d16cd86c88e6c5d2f0421ae9bfad3c81",
+        "deadlock_indices": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "terminal_mask": "d812da7494a82a4abfa6de9efb1620e5bb0ab42471a4b6116ff9670ef5503024",
+        "dump": "b093c75999582f25d5d934680c3e9c2073e632703032ab323c6356c6964d12e0",
+    },
+    "three_senders": {
+        "features": "b71eeac83c3d1a5f72bd2a60f6a2436823b5b85df894d0226c595f6aededf1bf",
+        "indptr": "1ac8048c6c04652740eb35150953b7f6b2de86d6ca30bee71f2f7a9ce75bb302",
+        "cols": "cf12339d14290f18b9ff3c244db7f392525378ba6a692a33d5b33bb3b2bed947",
+        "probs": "4e6d750f3fb5ccef5387d974fae99b5e30cf3ee760ab5ecedec46f35678f09d6",
+        "parent": "a62ed38636dda3d851f6d97abe89cc087b9beabce9ff3b3e10b88b61e997e9f3",
+        "deadlock_indices": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "terminal_mask": "c14155deaf47084429d2bd439563e2e5f5ac6b149591701bad1167be353f54ed",
+        "dump": "8b44a977b90341fabb1fc981eb655527c3b816b5bf03d05811d987f80d87d700",
+    },
+    "short_unit": {
+        "features": "aca13786151260260ff52cd327df3646e1b943aea15ff045f0909fe13cd65477",
+        "indptr": "aa6ce9869d5d517fb352de3418df406d8d0014c0369a13bdbb48a184569d068b",
+        "cols": "3f055bc15a924c08af1bbf0c8bcbb3a4d138894367a98ea37fab6f71b54ff618",
+        "probs": "874e9e71c6de4efc7286daad8e18ef0d4d59598b657d83719f962188cde16bdf",
+        "parent": "e3c84f7168df7bd7200c5a9c3953d0b7d88e01d5b31f256c2c7786b03da57a19",
+        "deadlock_indices": "8497e5b0e2e3caf991a68a8679a6f36ebcd54bd7d6baaea81a33c6479a4612e2",
+        "terminal_mask": "633a9aa29901aeda1c8d6c5c1ce9052f5a5ba7af167c63d1dc75dbdc3395e313",
+        "dump": "cf28e6ac6c218515afa35ba7e81bf927dbac1b80329963580426d194a4c14828",
+    },
+    "robust_short_unit": {
+        "features": "11953b8efc84f9ae7e745ae70144716227f311873c55402a7183423f77ddfe18",
+        "indptr": "54e9f8c43c01a03c45f3a556441bec574a6c120aee594724c447356996db1dbc",
+        "cols": "cf7cde4f91e0ba3483b28b8675c73a9d843cbbcf2940d2175949bb8a8aefd94b",
+        "probs": "b3b5162f996d8ce16a21b282a45c4cbb3c5e1be35984be3356c1d44c7f29e1bb",
+        "parent": "74b4b7a7a3a58840ff58bb8b0358138844b4c3493d577ca4f9c75a5dcbb31410",
+        "deadlock_indices": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "terminal_mask": "f2a4b41e911cfc8e37ba2f3d84dec1b625841d3ac05dccbe28c1c33d30999fb9",
+        "dump": "e366eefe8f2707d54fffeb8fbb0910f4e753bb694909cb598221ab0c9beca1c3",
+    },
+    "reject_heavy": {
+        "features": "1d86bc88c4a67014611abaa7d536770ca155d5712aac262385740a108fe5bb7b",
+        "indptr": "375c9dd61fd898ceeb4925a5a5ccac3d6269f5973ffb6e78e8804627c2249c42",
+        "cols": "ada0d78a2ac3d911947f8c8d020e472d10b98a664204643cd54883cd530a21bd",
+        "probs": "f4b09ff4873df5ba158d1d78013eb4a1cf50a9373f2f90ac19e04a889639beda",
+        "parent": "a066eb4dacbbb5b90aa2e06a3f10cccfc3f6ed5fb9117fbc75ef8ee45f3b4b88",
+        "deadlock_indices": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "terminal_mask": "575ab1f23b57bf39cd2d3738962cfff73d8aed9928926171dab2367787c43b4d",
+        "dump": "6677f861530fda657fd746e19d1cd0d15fddc08c71b22e1ebcfc438f3b1ad053",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_build_output_matches_its_pinned_digests(name, tmp_path):
+    d = build(_PINNED_CONFIGS[name])
+    got = {}
+    for array_name in ("features", "indptr", "cols", "probs", "parent",
+                       "deadlock_indices", "terminal_mask"):
+        a = getattr(d, array_name)
+        got[array_name] = hashlib.sha256(
+            f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+    dump_statespace(d, tmp_path / "dump.txt")
+    got["dump"] = hashlib.sha256((tmp_path / "dump.txt").read_bytes()).hexdigest()
+    assert got == _PINNED_DIGESTS[name]
 
 
 def test_build_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
