@@ -172,6 +172,8 @@ class ScenarioConfig:
 
 _DONE_SENDER = SenderState(SenderPhase.DONE, 0, -1, 0, 0)
 _IDLE_RECEIVER = ReceiverState(ReceiverPhase.W_START, -1, 0)
+# the receiver right after a joint draw, listening for a request
+_DRAWN_RECEIVER = ReceiverState(ReceiverPhase.W_RTS, -1, 0)
 
 # receiver phases during which it is committed to its own transmission
 _RECEIVER_COMMITTED = frozenset((
@@ -212,8 +214,10 @@ class Automaton:
     ``msgs``.  Every tick goes through it: :meth:`successor_distribution`
     joins its result to the state's context, the DTMC builder advances tick
     states through :meth:`next_projection`, and the Monte Carlo simulator
-    resolves each joint draw itself and plays the rest of the round with
-    :meth:`play_round`.  Neither engine re-implements any protocol rule.
+    resolves each joint draw itself, reads the rest of the round from
+    :meth:`round_outcome` and crosses the round boundary with
+    :meth:`settle`, or, traced, plays the round with :meth:`play_round`.
+    Neither engine re-implements any protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -224,8 +228,10 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
-        # tick stretch of a round, keyed on the drawn counter vector
+        # the canonical round table, keyed on the sorted drawn counter vector
         self._rounds: dict = {}
+        # a sender's round-boundary crossing, keyed on (end phase, e, msgs)
+        self._settled: dict = {}
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -427,10 +433,17 @@ class Automaton:
 
     def draw_outcome(self, sd: SenderState, value: int) -> SenderState:
         """Sender state right after drawing `value` backoff units."""
+        phase, rbc, ticks = self._drawn(value)
+        return SenderState(phase, sd.e, rbc, sd.msgs, ticks)
+
+    def _drawn(self, value: int) -> tuple:
+        # (phase, rbc, ticks) right after drawing `value`; -1 is a done sender
+        if value < 0:
+            return _DONE_SENDER.phase, _DONE_SENDER.rbc, _DONE_SENDER.ticks
         if value == 0:
             ph, tk = self._pipeline_start()
-            return SenderState(ph, sd.e, 0, sd.msgs, tk)
-        return SenderState(SenderPhase.COUNTDOWN, sd.e, value, sd.msgs, 0)
+            return ph, 0, tk
+        return SenderPhase.COUNTDOWN, value, 0
 
     def drawn_state(self, state: GlobalState,
                     outcomes: dict[int, SenderState]) -> GlobalState:
@@ -438,7 +451,7 @@ class Automaton:
         senders = tuple(
             outcomes.get(i, sd) for i, sd in enumerate(state.senders)
         )
-        return GlobalState(senders, ReceiverState(ReceiverPhase.W_RTS, -1, 0))
+        return GlobalState(senders, _DRAWN_RECEIVER)
 
     # -- round context and tick projection -----------------------------------
 
@@ -473,62 +486,112 @@ class Automaton:
             return None
         return self._tick(projection)
 
-    def play_round(self, drawn: GlobalState,
-                   trace: list[GlobalState] | None = None) -> tuple:
-        """Play the rest of a round from the state right after its joint draw.
+    def round_outcome(self, draws: tuple[int, ...]) -> tuple:
+        """The rest of the round opened by the joint draw `draws`.
+
+        `draws` holds each sender's drawn counter, -1 for a done sender.
+        Returns ``(end projection, ticks, idle ticks per sender,
+        deadlocked)``: the projection in which the round's ticks stop (every
+        active sender settled, or a deadlock), with each sender's entries in
+        the order of `draws`.
+
+        Every round opens with the receiver idle and each active sender
+        fresh from its draw, and no tick reads ``e`` or ``msgs`` or tells
+        senders apart.  So the outcome is a function of the drawn counters
+        alone, and permuting them permutes it.  One table keyed on the
+        sorted counters serves every order: a miss plays the sorted round
+        once through :meth:`_play`, and a lookup maps the row back through
+        the sort permutation, the receiver's ``winner`` included.
+        """
+        order = sorted(range(len(draws)), key=draws.__getitem__)
+        key = tuple(draws[i] for i in order)
+        row = self._rounds.get(key)
+        if row is None:
+            row = self._rounds[key] = self._play(
+                (tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
+        (ends, receiver), ticks, idle, deadlocked = row
+        if key == draws:
+            return row
+        senders, spent = [None] * len(draws), [0] * len(draws)
+        for pos, i in enumerate(order):
+            senders[i] = ends[pos]
+            spent[i] = idle[pos]
+        if receiver.winner >= 0:
+            receiver = receiver._replace(winner=order[receiver.winner])
+        return (tuple(senders), receiver), ticks, tuple(spent), deadlocked
+
+    def settle(self, phase: int, e: int, msgs: int) -> tuple:
+        """A sender's round-boundary crossing from end phase `phase`.
+
+        Returns ``((e, msgs) of the next round, event)``, where the event
+        is ``(e, is_reject)`` for a delivered or dropped packet and None
+        otherwise; ``msgs == 0`` means the sender is done.  The crossing is
+        :meth:`_reset_sender`, applied twice when it rejects the packet,
+        memoized on its arguments.
+        """
+        key = (phase, e, msgs)
+        hit = self._settled.get(key)
+        if hit is not None:
+            return hit
+        sd = self._reset_sender(SenderState(phase, e, -1, msgs, 0))
+        event = (e, False) if phase == SenderPhase.SUCCESS else None
+        if sd.phase == SenderPhase.REJECT:
+            event = (e, True)
+            sd = self._reset_sender(sd)
+        hit = self._settled[key] = ((sd.e, sd.msgs), event)
+        return hit
+
+    def play_round(self, drawn: GlobalState, trace: list[GlobalState]) -> tuple:
+        """Play the rest of a round from the state right after its joint
+        draw, appending every state entered to `trace`.
 
         Returns ``(next state, ticks, idle ticks per sender, events,
         deadlocked)``.  The next state opens the following round (a draw or
         a terminal state), or is the deadlock state when `deadlocked`.  The
         events are the round's ``(sender, e, is_reject)`` deliveries and
-        drops.  With `trace`, every state entered is appended to it.
-
-        A round's ticks move only the projection of :meth:`split`, which
-        right after the draw is fixed by the drawn counters (-1 done, 0
-        sending at once, v counting down).  So a round's ticks are played on
-        projections through :meth:`_tick` and memoized on those counters;
-        the round's context is joined to a projection only to append a
-        traced state, and the returned state takes ``e`` and ``msgs`` from
-        `drawn`.  Traced calls play every tick.
+        drops.  Every tick is played through :meth:`_play`, with no table,
+        and the round's context is joined to each projection entered; the
+        untraced simulator reads the same round from :meth:`round_outcome`
+        and crosses its boundary with :meth:`settle`.
         """
-        key = tuple(sd.rbc for sd in drawn.senders)
-        stretch = None if trace is not None else self._rounds.get(key)
-        if stretch is None:
-            context, projection = self.split(drawn)
-            ticks, idle = 0, [0] * len(drawn.senders)
-            kind = self.step_kind(projection)
-            while kind == StepKind.TICK:
-                for i, sd in enumerate(projection[0]):
-                    if sd[0] == SenderPhase.COUNTDOWN:
-                        idle[i] += 1
-                projection = self._tick(projection)
-                ticks += 1
-                if trace is not None:
-                    trace.append(self.join(context, projection))
-                kind = self.step_kind(projection)
-            stretch = self._rounds[key] = (
-                *projection, ticks, tuple(idle), kind == StepKind.DEADLOCK)
-        ends, receiver, ticks, idle, deadlocked = stretch
-        state = GlobalState(tuple(
-            SenderState(phase, sd.e, rbc, sd.msgs, progress)
-            for (phase, rbc, progress), sd in zip(ends, drawn.senders)
-        ), receiver)
+        context, projection = self.split(drawn)
+        end, ticks, idle, deadlocked = self._play(projection, context, trace)
+        state = self.join(context, end)
         events = [(i, sd.e, False) for i, sd in enumerate(state.senders)
                   if sd.phase == SenderPhase.SUCCESS]
         if deadlocked:
             return state, ticks, idle, events, True
         state = self._boundary(state)
-        if trace is not None:
-            trace.append(state)
+        trace.append(state)
         rejected = [(i, sd.e, True) for i, sd in enumerate(state.senders)
                     if sd.phase == SenderPhase.REJECT]
         if rejected:
             # a rejected packet is collected by one more reset
             events += rejected
             state = self._boundary(state)
-            if trace is not None:
-                trace.append(state)
+            trace.append(state)
         return state, ticks, idle, events, False
+
+    def _play(self, projection: tuple, context: tuple = (),
+              trace: list[GlobalState] | None = None) -> tuple:
+        """Tick `projection` until the next step is not a tick.
+
+        Returns ``(end projection, ticks, idle ticks per sender,
+        deadlocked)``; with `trace`, appends `context` joined to every
+        projection entered.
+        """
+        ticks, idle = 0, [0] * len(projection[0])
+        kind = self.step_kind(projection)
+        while kind == StepKind.TICK:
+            for i, sd in enumerate(projection[0]):
+                if sd[0] == SenderPhase.COUNTDOWN:
+                    idle[i] += 1
+            projection = self._tick(projection)
+            ticks += 1
+            if trace is not None:
+                trace.append(self.join(context, projection))
+            kind = self.step_kind(projection)
+        return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 
     def _draw_step(self, state: GlobalState) -> TransitionDistribution:
         # all pending draws resolve jointly in one zero-duration step
@@ -540,13 +603,12 @@ class Automaton:
         ]
         branches = []
         base = list(senders)
-        receiver = ReceiverState(ReceiverPhase.W_RTS, -1, 0)
         for combo in itertools.product(*per_sender):
             prob = 1.0
             for i, (p, nxt) in zip(choosing, combo):
                 prob *= p
                 base[i] = nxt
-            branches.append((prob, GlobalState(tuple(base), receiver)))
+            branches.append((prob, GlobalState(tuple(base), _DRAWN_RECEIVER)))
         return TransitionDistribution(tuple(branches))
 
     def _tick(self, projection: tuple) -> tuple:

@@ -2,10 +2,19 @@
 
 Runs are driven by the same automaton as the exact engine.  The only
 randomness is the per-sender backoff draw, sampled in ascending sender order
-with one generator call each; :meth:`Automaton.play_round` plays the rest of
-each round.  Each run gets its own counter-based stream keyed by (seed, run
-index), so any subset of runs can be reproduced independently and results do
-not depend on scheduling.  Traced runs record every state they enter.
+with one generator call each.  An untraced run carries only each sender's
+round context ``(e, msgs)``, with ``msgs == 0`` for a done sender: each round
+draws, reads its end phases, idle ticks and ticks from the automaton's
+canonical round table (:meth:`Automaton.round_outcome`, keyed on the sorted
+draws), and crosses the boundary through :meth:`Automaton.settle`.  A traced
+run steps every tick through :class:`GlobalState` with
+:meth:`Automaton.play_round`, recording every state it enters.
+
+Each run gets its own counter-based stream keyed by (seed, run index), so
+any subset of runs can be reproduced independently and results do not
+depend on scheduling.  :func:`run_rng` defines a run's stream; a batch
+builds one generator and resets its key to each run's with
+:func:`_rekey`.
 """
 
 from __future__ import annotations
@@ -45,14 +54,16 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
     n = cfg.n_senders
     successes = np.zeros((n, cfg.e_max + 1), dtype=np.int64)
     rejects = np.zeros(n, dtype=np.int64)
-    idle = [0] * n
-    ticks = 0
-    rounds = 0
-    deadlocked = False
+    idle = np.zeros(n, dtype=np.int64)
+    if trace is None:
+        ticks, rounds, deadlocked = _run(auto, rng, auto.split(auto.initial_state())[0],
+                                         successes, rejects, idle)
+        return RunStats(successes, rejects, idle, ticks, rounds, deadlocked)
 
+    ticks = rounds = 0
+    deadlocked = False
     state = auto.initial_state()
-    if trace is not None:
-        trace.append(state)
+    trace.append(state)
     while not deadlocked and auto.step_kind(state) == StepKind.DRAW:
         rounds += 1
         outcomes = {
@@ -61,19 +72,54 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
             if sd.phase == SenderPhase.CHOOSE
         }
         state = auto.drawn_state(state, outcomes)
-        if trace is not None:
-            trace.append(state)
+        trace.append(state)
         state, round_ticks, round_idle, events, deadlocked = auto.play_round(state, trace)
         ticks += round_ticks
-        idle = [a + b for a, b in zip(idle, round_idle)]
+        idle += round_idle
         for s, e, is_reject in events:
             if is_reject:
                 rejects[s] += 1
             else:
                 successes[s, e] += 1
+    return RunStats(successes, rejects, idle, ticks, rounds, deadlocked)
 
-    return RunStats(successes, rejects, np.array(idle, dtype=np.int64),
-                    ticks, rounds, deadlocked)
+
+def _run(auto: Automaton, rng: np.random.Generator, contexts: tuple,
+         successes: np.ndarray, rejects: np.ndarray, idle: np.ndarray) -> tuple[int, int, bool]:
+    """The untraced run from the round contexts `contexts`: add its counts
+    to the zeroed per-sender arrays and return ``(ticks, rounds,
+    deadlocked)``."""
+    table = auto.cfg.table
+    spent = [0] * len(contexts)
+    ticks = rounds = 0
+    deadlocked = False
+    active = any(msgs for _, msgs in contexts)
+    while active:
+        rounds += 1
+        draws = tuple([sample_rbc(table, e, rng) if msgs else -1 for e, msgs in contexts])
+        (ends, _), round_ticks, round_idle, deadlocked = auto.round_outcome(draws)
+        ticks += round_ticks
+        spent = [a + b for a, b in zip(spent, round_idle)]
+        if deadlocked:
+            # a deadlock stops the round before its boundary: only the
+            # deliveries it completed count
+            for i, ((phase, _, _), (e, _)) in enumerate(zip(ends, contexts)):
+                if phase == SenderPhase.SUCCESS:
+                    successes[i, e] += 1
+            break
+        nxt, active = [], False
+        for i, (end, (e, msgs)) in enumerate(zip(ends, contexts)):
+            context, event = auto.settle(end[0], e, msgs)
+            nxt.append(context)
+            active = active or context[1] > 0
+            if event is not None:
+                if event[1]:
+                    rejects[i] += 1
+                else:
+                    successes[i, event[0]] += 1
+        contexts = nxt
+    idle += spent
+    return ticks, rounds, deadlocked
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
@@ -84,6 +130,21 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     """
     key = np.array([seed, run_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(rng: np.random.Generator, seed: int, run_index: int) -> None:
+    """Reset a generator from :func:`run_rng` to the start of the stream
+    ``run_rng(seed, run_index)`` draws: the state of a fresh Philox with
+    that key, set without building a new generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, run_index], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(eq=False)
@@ -134,12 +195,10 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int,
     ticks = np.zeros(n_runs, dtype=np.int64)
     rounds = np.zeros(n_runs, dtype=np.int64)
     deadlocked = np.zeros(n_runs, dtype=bool)
+    start = auto.split(auto.initial_state())[0]
+    rng = run_rng(seed, 0)
     for r in range(n_runs):
-        stats = run_once(cfg, run_rng(seed, r), auto)
-        successes[r] = stats.successes
-        rejects[r] = stats.rejects
-        idle[r] = stats.idle_ticks
-        ticks[r] = stats.ticks
-        rounds[r] = stats.rounds
-        deadlocked[r] = stats.deadlocked
+        _rekey(rng, seed, r)
+        ticks[r], rounds[r], deadlocked[r] = _run(auto, rng, start, successes[r],
+                                                  rejects[r], idle[r])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

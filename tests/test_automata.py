@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecomac_backoff import (
+    DEFAULT_TABLE,
     Automaton,
     BackoffTable,
     ContentionWindow,
@@ -12,6 +15,7 @@ from ecomac_backoff import (
     ReceiverState,
     ScenarioConfig,
     SenderPhase,
+    SenderState,
     StepKind,
     initial_state,
     label,
@@ -326,3 +330,61 @@ def test_split_and_join_are_inverse_and_a_tick_moves_only_the_projection():
                     stack.append(succ)
         assert (StepKind.DEADLOCK in kinds) == deadlocks, cfg
         assert fallback_seen == fallbacks, cfg
+
+
+# every draw is 0, so all active senders collide in every round and each
+# packet is dropped at the failure cap
+_REJECT_EVERY_PACKET = BackoffTable(((0, 1, ContentionWindow(0, 0)),), e_max=1, b_max=0)
+_REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
+
+
+@st.composite
+def drawn_rounds(draw):
+    """A config, the state right after a joint draw, and a sender permutation."""
+    n = draw(st.integers(1, 4))
+    cfg = ScenarioConfig(
+        n_senders=n, nmax_msg=3, tcu_ticks=draw(st.sampled_from([3, 8, 13])),
+        robust_mode=draw(st.booleans()),
+        table=draw(st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY, _REJECT_EVERY_PACKET])))
+    senders, outcomes = [], {}
+    auto = Automaton(cfg)
+    for i in range(n):
+        msgs = draw(st.integers(0, 3))
+        if msgs == 0:
+            senders.append(SenderState(SenderPhase.DONE, 0, -1, 0, 0))
+            continue
+        e = draw(st.integers(0, cfg.e_max))
+        win = cfg.table.window_for(e)
+        senders.append(SenderState(SenderPhase.CHOOSE, e, -1, msgs, 0))
+        outcomes[i] = auto.draw_outcome(senders[i], draw(st.integers(win.lo, win.hi)))
+    drawn = auto.drawn_state(initial_state(cfg)._replace(senders=tuple(senders)), outcomes)
+    return cfg, drawn, draw(st.permutations(range(n)))
+
+
+def _permuted(perm, sequence):
+    # sender j of the permuted round is sender perm[j] of the original
+    return tuple(sequence[p] for p in perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_rounds())
+def test_permuting_senders_permutes_the_round(case):
+    cfg, drawn, perm = case
+    auto = Automaton(cfg)
+    slot = {p: j for j, p in enumerate(perm)}
+    state, ticks, idle, events, deadlocked = auto.play_round(drawn, [])
+    p_drawn = drawn._replace(senders=_permuted(perm, drawn.senders))
+    p_state, p_ticks, p_idle, p_events, p_deadlocked = auto.play_round(p_drawn, [])
+
+    receiver = state.receiver
+    if receiver.winner >= 0:
+        receiver = receiver._replace(winner=slot[receiver.winner])
+    assert p_state == state._replace(senders=_permuted(perm, state.senders), receiver=receiver)
+    assert (p_ticks, p_deadlocked) == (ticks, deadlocked)
+    assert p_idle == _permuted(perm, idle)
+    assert sorted(p_events) == sorted((slot[s], e, rej) for s, e, rej in events)
+
+    # the canonical table answers both orders with what the ticks gave
+    for d in (drawn, p_drawn):
+        _, projection = auto.split(d)
+        assert auto.round_outcome(tuple(sd.rbc for sd in d.senders)) == auto._play(projection)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecomac_backoff import (
@@ -22,6 +22,7 @@ from ecomac_backoff import (
     simulate,
 )
 from ecomac_backoff.errors import ConfigError
+from ecomac_backoff.montecarlo import _rekey
 
 
 def test_every_packet_is_resolved_exactly_once(two_sender_cfg):
@@ -99,25 +100,52 @@ def test_seeds_below_2_63_keep_their_streams(seed):
 _REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
 
 
+# a switch slower than a frame: a rival can start its request after the
+# winner's grant, so a round can deliver a packet and then deadlock
+_SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
+
+
 @settings(max_examples=25, deadline=None)
 @given(n_senders=st.integers(1, 3), nmax_msg=st.integers(0, 3), robust=st.booleans(),
-       tcu=st.sampled_from([3, 8, 13]), table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY]),
-       seed=st.integers(0, 2**64 - 1))
-def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, seed):
+       tcu=st.sampled_from([1, 3, 8, 13]), table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY]),
+       timing=st.sampled_from([{}, _SLOW_SWITCH]), seed=st.integers(0, 2**64 - 1))
+# most of these runs deadlock, or reach the failure cap
+@example(n_senders=3, nmax_msg=2, robust=False, tcu=3, table=DEFAULT_TABLE, timing={},
+         seed=12345)
+@example(n_senders=3, nmax_msg=2, robust=True, tcu=3, table=DEFAULT_TABLE, timing={},
+         seed=12345)
+@example(n_senders=2, nmax_msg=1, robust=False, tcu=1, table=DEFAULT_TABLE,
+         timing=_SLOW_SWITCH, seed=0)
+def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, timing,
+                                           seed):
+    # traced runs step every tick with no table, so they check the round
+    # table and the boundary memo that untraced batches share
     cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, table=table,
-                         tcu_ticks=tcu, robust_mode=robust)
+                         tcu_ticks=tcu, robust_mode=robust, **timing)
     agg = simulate(cfg, 30, seed)
     auto = Automaton(cfg)
+    runs = []
     for r in range(agg.n_runs):
         trace = []
-        stats = run_once(cfg, run_rng(seed, r), trace=trace)
-        assert (stats.successes == agg.successes[r]).all()
-        assert (stats.rejects == agg.rejects[r]).all()
-        assert (stats.idle_ticks == agg.idle_ticks[r]).all()
-        assert stats.ticks == agg.ticks[r]
-        assert stats.rounds == agg.rounds[r]
-        assert stats.deadlocked == agg.deadlocked[r]
-        assert (not auto.successor_distribution(trace[-1]).branches) == stats.deadlocked
+        runs.append(run_once(cfg, run_rng(seed, r), trace=trace))
+        assert (not auto.successor_distribution(trace[-1]).branches) == runs[-1].deadlocked
+    for field in ("successes", "rejects", "idle_ticks", "ticks", "rounds", "deadlocked"):
+        sampled = getattr(agg, field)
+        traced = np.array([getattr(stats, field) for stats in runs])
+        assert traced.dtype == sampled.dtype and traced.shape == sampled.shape
+        assert (traced == sampled).all(), field
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**63 + 12345, 2**64 - 1])
+def test_reset_generator_draws_each_runs_stream(seed):
+    rng = run_rng(99, 99)
+    for r in (0, 1, 4999):
+        rng.integers(0, 7)  # leaves half a 64-bit word buffered
+        _rekey(rng, seed, r)
+        fresh = run_rng(seed, r)
+        for hi in (8, 2, 1, 2**63, 5, 8):
+            assert rng.integers(0, hi) == fresh.integers(0, hi)
+        assert (rng.integers(2**63, size=8) == fresh.integers(2**63, size=8)).all()
 
 
 def test_deadlocked_runs_are_flagged_and_replayable():
