@@ -212,11 +212,13 @@ class Automaton:
     The tick rule, :meth:`_tick`, takes and returns tick projections
     (:meth:`split`), so no tick can read or write a sender's ``e`` or
     ``msgs``.  Every tick goes through it: :meth:`successor_distribution`
-    joins its result to the state's context, the DTMC builder advances tick
-    states through :meth:`next_projection`, and the Monte Carlo simulator
-    resolves each joint draw itself, reads the rest of the round from
-    :meth:`round_outcome` and crosses the round boundary with
-    :meth:`settle`, or, traced, plays the round with :meth:`play_round`.
+    joins its result to the state's context, and the DTMC builder advances
+    tick states through :meth:`next_projection`.  The Monte Carlo simulator
+    resolves each joint draw itself; a batch reads the rest of the round
+    from :meth:`round_outcome` and crosses the round boundary with
+    :meth:`settle`, and a traced run builds the drawn state with
+    :meth:`drawn_state` and takes every other step from
+    :meth:`successor_distribution`, the step function the builder uses.
     Neither engine re-implements any protocol rule.
     """
 
@@ -445,13 +447,11 @@ class Automaton:
             return ph, 0, tk
         return SenderPhase.COUNTDOWN, value, 0
 
-    def drawn_state(self, state: GlobalState,
-                    outcomes: dict[int, SenderState]) -> GlobalState:
-        """Global state after the joint draw resolves to `outcomes`."""
-        senders = tuple(
-            outcomes.get(i, sd) for i, sd in enumerate(state.senders)
-        )
-        return GlobalState(senders, _DRAWN_RECEIVER)
+    def drawn_state(self, state: GlobalState, draws: tuple[int, ...]) -> GlobalState:
+        """Global state after the joint draw of the draw state `state`, in
+        which each sender drew its counter in `draws`, -1 for a done sender."""
+        context, _ = self.split(state)
+        return self.join(context, (tuple(self._drawn(v) for v in draws), _DRAWN_RECEIVER))
 
     # -- round context and tick projection -----------------------------------
 
@@ -541,44 +541,11 @@ class Automaton:
         hit = self._settled[key] = ((sd.e, sd.msgs), event)
         return hit
 
-    def play_round(self, drawn: GlobalState, trace: list[GlobalState]) -> tuple:
-        """Play the rest of a round from the state right after its joint
-        draw, appending every state entered to `trace`.
-
-        Returns ``(next state, ticks, idle ticks per sender, events,
-        deadlocked)``.  The next state opens the following round (a draw or
-        a terminal state), or is the deadlock state when `deadlocked`.  The
-        events are the round's ``(sender, e, is_reject)`` deliveries and
-        drops.  Every tick is played through :meth:`_play`, with no table,
-        and the round's context is joined to each projection entered; the
-        untraced simulator reads the same round from :meth:`round_outcome`
-        and crosses its boundary with :meth:`settle`.
-        """
-        context, projection = self.split(drawn)
-        end, ticks, idle, deadlocked = self._play(projection, context, trace)
-        state = self.join(context, end)
-        events = [(i, sd.e, False) for i, sd in enumerate(state.senders)
-                  if sd.phase == SenderPhase.SUCCESS]
-        if deadlocked:
-            return state, ticks, idle, events, True
-        state = self._boundary(state)
-        trace.append(state)
-        rejected = [(i, sd.e, True) for i, sd in enumerate(state.senders)
-                    if sd.phase == SenderPhase.REJECT]
-        if rejected:
-            # a rejected packet is collected by one more reset
-            events += rejected
-            state = self._boundary(state)
-            trace.append(state)
-        return state, ticks, idle, events, False
-
-    def _play(self, projection: tuple, context: tuple = (),
-              trace: list[GlobalState] | None = None) -> tuple:
+    def _play(self, projection: tuple) -> tuple:
         """Tick `projection` until the next step is not a tick.
 
         Returns ``(end projection, ticks, idle ticks per sender,
-        deadlocked)``; with `trace`, appends `context` joined to every
-        projection entered.
+        deadlocked)``.
         """
         ticks, idle = 0, [0] * len(projection[0])
         kind = self.step_kind(projection)
@@ -588,8 +555,6 @@ class Automaton:
                     idle[i] += 1
             projection = self._tick(projection)
             ticks += 1
-            if trace is not None:
-                trace.append(self.join(context, projection))
             kind = self.step_kind(projection)
         return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 

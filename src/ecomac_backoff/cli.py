@@ -6,9 +6,9 @@ Monte Carlo batches, ``dump`` writes the reachable state space.  All output
 files use LF line endings and 12-significant-digit floats, so reruns with
 the same inputs are byte identical.
 
-Exit codes: 0 success, 1 battery verdict mismatch, 2 configuration error
-or unwritable output file, 3 state-space cap exceeded, 4 simulation hit a
-deadlock.
+Exit codes: 0 success, 1 battery verdict mismatch, 2 configuration error,
+unwritable output file or a request too large to allocate (such as an absurd
+run count), 3 state-space cap exceeded, 4 simulation hit a deadlock.
 """
 
 from __future__ import annotations
@@ -337,6 +337,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         # config files are read through load_config, so this is an output write
         print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"cannot allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

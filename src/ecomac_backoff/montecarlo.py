@@ -7,8 +7,11 @@ round context ``(e, msgs)``, with ``msgs == 0`` for a done sender: each round
 draws, reads its end phases, idle ticks and ticks from the automaton's
 canonical round table (:meth:`Automaton.round_outcome`, keyed on the sorted
 draws), and crosses the boundary through :meth:`Automaton.settle`.  A traced
-run steps every tick through :class:`GlobalState` with
-:meth:`Automaton.play_round`, recording every state it enters.
+run (:func:`run_once`) replays the same draws through the exact engine's
+step function, :meth:`Automaton.successor_distribution`, recording every
+:class:`GlobalState` it enters.  It reads neither the round table nor the
+boundary memo, so comparing it with a batch checks both against the exact
+model.
 
 Each run gets its own counter-based stream keyed by (seed, run index), so
 any subset of runs can be reproduced independently and results do not
@@ -47,41 +50,56 @@ class RunStats:
 
 
 def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
-             automaton: Automaton | None = None,
-             trace: list[GlobalState] | None = None) -> RunStats:
-    """Simulate one run; with `trace`, append every state it enters."""
-    auto = automaton if automaton is not None else Automaton(cfg)
+             trace: list[GlobalState]) -> RunStats:
+    """Replay one run step by step, appending every state it enters to `trace`.
+
+    The run walks the exact engine's step function.  A draw step makes the
+    generator calls of a batch run (ascending sender order, one
+    :func:`sample_rbc` call per sender with packets left) and builds the
+    drawn state with :meth:`Automaton.drawn_state`; a tick or boundary step
+    takes the single branch of :meth:`Automaton.successor_distribution`.
+    So ``run_once(cfg, run_rng(seed, r), trace)`` returns run `r` of
+    ``simulate(cfg, n_runs, seed)``.
+    """
+    auto = Automaton(cfg)
     n = cfg.n_senders
     successes = np.zeros((n, cfg.e_max + 1), dtype=np.int64)
     rejects = np.zeros(n, dtype=np.int64)
-    idle = np.zeros(n, dtype=np.int64)
-    if trace is None:
-        ticks, rounds, deadlocked = _run(auto, rng, auto.split(auto.initial_state())[0],
-                                         successes, rejects, idle)
-        return RunStats(successes, rejects, idle, ticks, rounds, deadlocked)
-
+    idle = [0] * n
     ticks = rounds = 0
-    deadlocked = False
     state = auto.initial_state()
     trace.append(state)
-    while not deadlocked and auto.step_kind(state) == StepKind.DRAW:
-        rounds += 1
-        outcomes = {
-            i: auto.draw_outcome(sd, sample_rbc(cfg.table, sd.e, rng))
-            for i, sd in enumerate(state.senders)
-            if sd.phase == SenderPhase.CHOOSE
-        }
-        state = auto.drawn_state(state, outcomes)
-        trace.append(state)
-        state, round_ticks, round_idle, events, deadlocked = auto.play_round(state, trace)
-        ticks += round_ticks
-        idle += round_idle
-        for s, e, is_reject in events:
-            if is_reject:
-                rejects[s] += 1
+    kind = auto.step_kind(state)
+    while kind not in (StepKind.TERMINAL, StepKind.DEADLOCK):
+        if kind == StepKind.DRAW:
+            rounds += 1
+            state = auto.drawn_state(state, tuple([
+                sample_rbc(cfg.table, sd.e, rng) if sd.msgs else -1 for sd in state.senders]))
+        else:
+            if kind == StepKind.TICK:
+                ticks += 1
+                for i, sd in enumerate(state.senders):
+                    if sd.phase == SenderPhase.COUNTDOWN:
+                        idle[i] += 1
             else:
-                successes[s, e] += 1
-    return RunStats(successes, rejects, idle, ticks, rounds, deadlocked)
+                # a boundary step collects the senders' outcome phases
+                for i, sd in enumerate(state.senders):
+                    if sd.phase == SenderPhase.SUCCESS:
+                        successes[i, sd.e] += 1
+                    elif sd.phase == SenderPhase.REJECT:
+                        rejects[i] += 1
+            ((_, state),) = auto.successor_distribution(state).branches
+        trace.append(state)
+        kind = auto.step_kind(state)
+    deadlocked = kind == StepKind.DEADLOCK
+    if deadlocked:
+        # a deadlock stops the round before its boundary: only the
+        # deliveries it completed count
+        for i, sd in enumerate(state.senders):
+            if sd.phase == SenderPhase.SUCCESS:
+                successes[i, sd.e] += 1
+    return RunStats(successes, rejects, np.array(idle, dtype=np.int64), ticks, rounds,
+                    deadlocked)
 
 
 def _run(auto: Automaton, rng: np.random.Generator, contexts: tuple,
@@ -180,14 +198,13 @@ def mean_ci95(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(half)
 
 
-def simulate(cfg: ScenarioConfig, n_runs: int, seed: int,
-             automaton: Automaton | None = None) -> Aggregate:
+def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     """Run `n_runs` independent simulations and collect their statistics."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    auto = automaton if automaton is not None else Automaton(cfg)
+    auto = Automaton(cfg)
     n = cfg.n_senders
     successes = np.zeros((n_runs, n, cfg.e_max + 1), dtype=np.int64)
     rejects = np.zeros((n_runs, n), dtype=np.int64)

@@ -45,6 +45,11 @@ def _model(cfg: ScenarioConfig, dtmc: DTMC | None,
     return engine.build(cfg, max_states=max_states)
 
 
+def _check_sender(cfg: ScenarioConfig, sender: int) -> None:
+    if not 0 <= sender < cfg.n_senders:
+        raise ConfigError(f"sender {sender} out of range for {cfg.n_senders} senders")
+
+
 # -- validity battery ------------------------------------------------------------
 
 
@@ -179,8 +184,7 @@ def success_profile(cfg: ScenarioConfig, sender: int = 0, mode: str = "auto",
     """
     if mode not in ("auto", "exact", "sampling"):
         raise ConfigError(f"unknown profile mode {mode!r}")
-    if not 0 <= sender < cfg.n_senders:
-        raise ConfigError(f"sender {sender} out of range for {cfg.n_senders} senders")
+    _check_sender(cfg, sender)
 
     if mode != "sampling":
         try:
@@ -267,6 +271,7 @@ def idle_listening_time(cfg: ScenarioConfig, sender: int = 0,
                         dtmc: DTMC | None = None) -> float:
     """Expected seconds a sender spends carrier sensing until all its packets
     are resolved (delivered or dropped)."""
+    _check_sender(cfg, sender)
     d = _model(cfg, dtmc)
     rewards = engine.idle_listening_rewards(d, sender)
     done = np.asarray(d.sender_phase(sender) == SenderPhase.DONE)

@@ -221,9 +221,20 @@ def test_config_errors_exit_2_with_line_numbers(capsys, tmp_path):
     assert "configuration error" in err and "line 2" in err
 
 
-def test_state_cap_exits_3(capsys):
+def test_state_cap_exits_3(capsys, tmp_path):
     assert main(["check", "--max-states", "100"]) == EXIT_STATE_CAP
     assert "state-space limit" in capsys.readouterr().err
+    conf = tmp_path / "six.conf"
+    conf.write_text("n_senders = 6\n")
+    assert main(["check", "--config", str(conf), "--max-states", "100"]) == EXIT_STATE_CAP
+    assert "state-space limit" in capsys.readouterr().err
+
+
+def test_run_count_too_large_to_allocate_exits_2(capsys):
+    # 10**13 runs ask for petabytes of per-run arrays, more than any
+    # address space holds, so numpy refuses before allocating
+    assert main(["simulate", "--runs", "10000000000000"]) == EXIT_CONFIG
+    assert "cannot allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["-1", "0"])

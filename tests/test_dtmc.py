@@ -86,6 +86,10 @@ def test_rebuild_is_deterministic(two_sender_cfg, two_sender_model):
 def test_state_cap_is_enforced(two_sender_cfg):
     with pytest.raises(StateSpaceLimitError):
         build(two_sender_cfg, max_states=100)
+    # the first draw row of six senders has 7**6 equal branches, whose
+    # naive float sum misses 1 by more than the row audit's tolerance
+    with pytest.raises(StateSpaceLimitError):
+        build(ScenarioConfig(n_senders=6), max_states=100)
 
 
 def test_feature_columns_reconstruct_states(two_sender_model):

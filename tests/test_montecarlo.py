@@ -14,6 +14,7 @@ from ecomac_backoff import (
     ContentionWindow,
     ScenarioConfig,
     SenderPhase,
+    StepKind,
     expected_reward,
     idle_listening_rewards,
     mean_ci95,
@@ -118,17 +119,26 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
          timing=_SLOW_SWITCH, seed=0)
 def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, timing,
                                            seed):
-    # traced runs step every tick with no table, so they check the round
-    # table and the boundary memo that untraced batches share
+    # traced runs step through successor_distribution, the exact builder's
+    # step function, so they check the round table and the boundary memo
+    # that batches read against the exact model
     cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, table=table,
                          tcu_ticks=tcu, robust_mode=robust, **timing)
     agg = simulate(cfg, 30, seed)
     auto = Automaton(cfg)
+    draw_branches = {}
     runs = []
     for r in range(agg.n_runs):
         trace = []
         runs.append(run_once(cfg, run_rng(seed, r), trace=trace))
         assert (not auto.successor_distribution(trace[-1]).branches) == runs[-1].deadlocked
+        # each traced draw is one of the exact model's draw branches
+        for state, drawn in zip(trace, trace[1:]):
+            if auto.step_kind(state) == StepKind.DRAW:
+                if state not in draw_branches:
+                    draw_branches[state] = {
+                        nxt for p, nxt in auto.successor_distribution(state).branches if p > 0}
+                assert drawn in draw_branches[state]
     for field in ("successes", "rejects", "idle_ticks", "ticks", "rounds", "deadlocked"):
         sampled = getattr(agg, field)
         traced = np.array([getattr(stats, field) for stats in runs])

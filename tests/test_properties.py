@@ -115,6 +115,9 @@ def test_auto_mode_falls_back_when_state_budget_is_tiny(two_sender_cfg):
     prof = success_profile(two_sender_cfg, mode="auto", exact_cap=50,
                            n_runs=300, seed=2)
     assert prof.mode == "sampling" and prof.n_runs == 300
+    prof = success_profile(ScenarioConfig(n_senders=6), mode="auto", exact_cap=100,
+                           n_runs=50, seed=2)
+    assert prof.mode == "sampling" and prof.n_runs == 50
 
 
 def test_auto_mode_prefers_exact_under_budget(two_sender_cfg, two_sender_model):
@@ -158,6 +161,15 @@ def test_idle_time_grows_with_queue_length(two_sender_model):
     for nmax in (2, 3):
         times.append(idle_listening_time(ScenarioConfig(nmax_msg=nmax)))
     assert times[0] < times[1] < times[2]
+
+
+@pytest.mark.parametrize("sender", [2, -1])
+def test_idle_listening_rejects_an_out_of_range_sender(two_sender_cfg, two_sender_model,
+                                                       sender):
+    with pytest.raises(ConfigError, match=f"sender {sender} out of range for 2 senders"):
+        idle_listening_time(two_sender_cfg, sender, dtmc=two_sender_model)
+    with pytest.raises(ConfigError, match=f"sender {sender} out of range for 2 senders"):
+        idle_listening_energy(two_sender_cfg, sender, dtmc=two_sender_model)
 
 
 def test_prebuilt_model_must_match_scenario(lone_cfg, two_sender_model):

@@ -1,7 +1,10 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and the automaton members
+it names exist."""
 
 import re
 from pathlib import Path
+
+from ecomac_backoff import Automaton
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +16,9 @@ def test_library_example_runs():
     exec(compile(block, "README.md (Library)", "exec"), namespace)
     # the example presents a quick call: keep its model small
     assert namespace["d"].n_states < 200_000
+
+
+def test_named_automaton_members_exist():
+    names = re.findall(r"`Automaton\.(\w+)", README.read_text())
+    assert names
+    assert [n for n in names if not hasattr(Automaton, n)] == []
