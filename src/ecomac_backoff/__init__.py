@@ -43,6 +43,7 @@ from .dtmc import (
     find_deadlocks,
     idle_listening_rewards,
     prob_reach,
+    reach_from_start,
 )
 from .errors import (
     ConfigError,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import NamedTuple
@@ -421,7 +422,10 @@ class Automaton:
         return StepKind.TICK
 
     def successor_distribution(self, state: GlobalState) -> TransitionDistribution:
-        kind = self.step_kind(state)
+        return self._step(state, self.step_kind(state))
+
+    def _step(self, state: GlobalState, kind: StepKind) -> TransitionDistribution:
+        """The successor distribution of `state`, whose step kind is `kind`."""
         if kind == StepKind.TERMINAL:
             return TransitionDistribution(((1.0, state),))
         if kind == StepKind.DEADLOCK:
@@ -429,7 +433,7 @@ class Automaton:
         if kind == StepKind.BOUNDARY:
             return TransitionDistribution(((1.0, self._boundary(state)),))
         if kind == StepKind.DRAW:
-            return self._draw_step(state)
+            return TransitionDistribution(tuple(self.draw_branches(state)))
         context, projection = self.split(state)
         return TransitionDistribution(((1.0, self.join(context, self._tick(projection))),))
 
@@ -558,23 +562,26 @@ class Automaton:
             kind = self.step_kind(projection)
         return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 
-    def _draw_step(self, state: GlobalState) -> TransitionDistribution:
-        # all pending draws resolve jointly in one zero-duration step
+    def draw_branches(self, state: GlobalState) -> Iterator[tuple[float, GlobalState]]:
+        """The branches of the draw state `state`, one at a time, in the
+        order :meth:`successor_distribution` lists them.
+
+        All pending draws resolve jointly in one zero-duration step, so a
+        row has up to 7**n branches; a caller can stop before the last.
+        """
         senders = state.senders
         choosing = [i for i, sd in enumerate(senders) if sd.phase == SenderPhase.CHOOSE]
         per_sender = [
             tuple((p, self.draw_outcome(senders[i], v)) for v, p in self._draws[senders[i].e])
             for i in choosing
         ]
-        branches = []
         base = list(senders)
         for combo in itertools.product(*per_sender):
             prob = 1.0
             for i, (p, nxt) in zip(choosing, combo):
                 prob *= p
                 base[i] = nxt
-            branches.append((prob, GlobalState(tuple(base), _DRAWN_RECEIVER)))
-        return TransitionDistribution(tuple(branches))
+            yield prob, GlobalState(tuple(base), _DRAWN_RECEIVER)
 
     def _tick(self, projection: tuple) -> tuple:
         """The tick rule: the projection one synchronized tick later."""

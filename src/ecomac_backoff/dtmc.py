@@ -23,10 +23,18 @@ and expected visit counts are each solved exactly by one substitution sweep
 over topological levels (Kemeny & Snell, *Finite Markov Chains*).  A model
 with a proper cycle is refused with SolverError.
 
-One level plan, built on the first solve and cached on the model, holds each
-level's edge gather over the self-loop-free CSR; every backward solve and the
-forward occupation push share it.  A backward solve takes K targets as the
-columns of an (n_states, K) array and answers them all in one sweep.
+Almost every state has one successor, of probability 1, so the sweep runs
+over a contracted graph.  A *run* is a maximal chain of such states in which
+each state after the first is entered only from the one before it.  The
+contracted graph's nodes are the run heads, the branching states and the
+sinks, and each run is one edge from its head to its exit.  Inside a run a
+state's value is the next pinned state's value, or the exit's, plus the
+rewards on the way, so solves keep values only at the nodes.  One plan over
+the nodes' levels, built on the first solve and cached on the model, serves
+every backward solve and the forward occupation push.  A backward solve
+takes K targets as the columns of an (n_states, K) array and answers them
+all in one sweep; ``prob_reach`` then fills in the states inside runs, while
+``reach_from_start`` and ``expected_reward`` read the initial state's node.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .automata import (
     ScenarioConfig,
     SenderPhase,
     SenderState,
+    StepKind,
     label,
 )
 from .errors import ConfigError, RewardUndefinedError, SolverError, StateSpaceLimitError
@@ -53,8 +62,9 @@ from .errors import ConfigError, RewardUndefinedError, SolverError, StateSpaceLi
 ROWSUM_TOL = 1e-12
 MAX_STATES_DEFAULT = 10_000_000
 # markers in build's per-projection tick table
-_UNSTEPPED = -2
-_NO_TICK = -1
+_UNSTEPPED = -3
+_DRAW = -2
+_NO_TICK = -1   # a boundary, deadlock or terminal step
 
 # one feature row per state: (phase, e, rbc, msgs, ticks) per sender, then
 # (phase, winner, ticks) for the receiver, stored as int16
@@ -111,7 +121,8 @@ class DTMC:
 
     _open: tuple | None = field(default=None, repr=False)
     _levels: tuple | None = field(default=None, repr=False)
-    _plan: list | None = field(default=None, repr=False)
+    _runs: tuple | None = field(default=None, repr=False)
+    _plan: tuple | None = field(default=None, repr=False)
     _rev: tuple | None = field(default=None, repr=False)
     _rho: np.ndarray | None = field(default=None, repr=False)
 
@@ -193,16 +204,19 @@ class DTMC:
         return self._rev
 
     def topo_levels(self) -> tuple[list[np.ndarray], bool]:
-        """Kahn frontier rounds over open edges; edges cross levels forward.
+        """Kahn frontier rounds over the run-contracted graph of open edges.
 
-        Returns (levels, acyclic); with a cyclic model some states stay
-        unlevelled and the solvers refuse it.
+        Its nodes are run heads, branching states and sinks (see
+        :func:`_contract`); each level holds their state ids, and edges
+        cross levels forward.  Returns (levels, acyclic); with a cyclic
+        model some states stay unlevelled and the solvers refuse it.
         """
         if self._levels is None:
-            indptr, cols, _ = self.open_csr()
-            n = self.n_states
-            in_deg = np.bincount(cols, minlength=n).astype(np.int64)
-            frontier = np.flatnonzero(in_deg == 0)
+            indptr = self.open_csr()[0]
+            g = _contract(self)
+            cols = _contracted_cols(self, g)
+            in_deg = np.bincount(cols[g.is_node[_edge_rows(indptr)]], minlength=self.n_states)
+            frontier = np.flatnonzero((in_deg == 0) & g.is_node)
             levels: list[np.ndarray] = []
             seen = 0
             while frontier.size:
@@ -214,33 +228,131 @@ class DTMC:
                 np.subtract.at(in_deg, heads, 1)
                 cand = np.unique(heads)
                 frontier = cand[in_deg[cand] == 0]
-            self._levels = (levels, seen == n)
+            self._levels = (levels, g.covered and seen == int(g.is_node.sum()))
         return self._levels
 
 
-class _Level(NamedTuple):
-    """The open edges leaving one topological level, in CSR order."""
+class _Contraction(NamedTuple):
+    """The runs of the open graph; contracting each to one edge from its
+    head to its exit leaves a graph over the nodes."""
 
-    nodes: np.ndarray   # the level's states
-    seg: np.ndarray     # per edge, its source's position in `nodes`
-    cols: np.ndarray    # per edge, the successor state
-    probs: np.ndarray   # per edge, the branch probability
+    is_node: np.ndarray     # bool per state: run head, branching state or sink
+    covered: bool           # every state is a node or lies on a run
+    runs: list[np.ndarray]  # runs[p]: state at position p of each run longer than p
+    exits: np.ndarray       # per run, the node its last state steps to
 
 
-def _level_plan(dtmc: DTMC) -> list[_Level]:
-    """Per-level edge gathers of a model whose open edges form a DAG."""
+def _contract(dtmc: DTMC) -> _Contraction:
+    """The runs of the open graph, cached on the model.
+
+    A run is a maximal chain of states, each with exactly one open
+    successor, of probability 1, and each after the first with exactly one
+    predecessor, the state before it.  The initial state always heads its
+    run, so every solve finds it at a node.  Runs are ordered longest
+    first, so the runs longer than p are a prefix and `runs[p]` lines up
+    with it.  A cycle of run states with no way in has no head and leaves
+    the model uncovered.
+    """
+    if dtmc._runs is None:
+        indptr, cols, probs = dtmc.open_csr()
+        n = dtmc.n_states
+        single = np.diff(indptr) == 1
+        single[single] = probs[indptr[:-1][single]] == 1.0
+        nxt = np.full(n, -1, dtype=np.int32)
+        nxt[single] = cols[indptr[:-1][single]]
+        fed = np.zeros(n, dtype=bool)
+        fed[nxt[single]] = True
+        inner = single & fed & (np.bincount(cols, minlength=n) == 1)
+        inner[0] = False
+        heads = np.flatnonzero(single & ~inner).astype(np.int32)
+
+        # walk every run at once, one position per round; a state inside
+        # a run has one way in, so no two walks meet and none loops
+        length = np.empty(heads.size, dtype=np.int64)
+        exits = np.empty(heads.size, dtype=np.int32)
+        walk, run, cur = [], np.arange(heads.size, dtype=np.int32), heads
+        while cur.size:
+            walk.append((run, cur))
+            step = nxt[cur]
+            stay = inner[step]
+            length[run[~stay]] = len(walk)
+            exits[run[~stay]] = step[~stay]
+            run, cur = run[stay], step[stay]
+        order = np.argsort(-length, kind="stable")
+        rank = np.empty(heads.size, dtype=np.int32)
+        rank[order] = np.arange(heads.size)
+        runs = []
+        for run, cur in walk:
+            at = np.empty(cur.size, dtype=np.int32)
+            at[rank[run]] = cur
+            runs.append(at)
+        dtmc._runs = _Contraction(
+            ~inner, int(length.sum()) + int((~single).sum()) == n, runs, exits[order])
+    return dtmc._runs
+
+
+def _contracted_cols(dtmc: DTMC, g: _Contraction) -> np.ndarray:
+    """The open CSR's successor column with each head's edge led to its
+    run's exit: over the rows of the nodes, it is the contracted graph."""
+    indptr, cols, _ = dtmc.open_csr()
+    cols = cols.copy()
+    if g.runs:
+        cols[indptr[g.runs[0]]] = g.exits
+    return cols
+
+
+class _Plan(NamedTuple):
+    """The contracted graph laid out for solves.
+
+    The run heads are nodes 0..R-1, longest run first, so the states of
+    `runs[p]` line up with the first nodes; branching states and sinks
+    follow.
+    """
+
+    states: np.ndarray       # per node, its state id
+    start: int               # the initial state's node
+    order: np.ndarray        # the nodes, level by level
+    bounds: np.ndarray       # per level, its first position in `order`; then its size
+    edge_bounds: np.ndarray  # per level, its first edge; edges follow `order`
+    seg: np.ndarray          # per edge, its source's position in its level
+    succ: np.ndarray         # per edge, the successor node
+    probs: np.ndarray        # per edge, the branch probability (1 for a run)
+    runs: list[np.ndarray]   # as in _Contraction
+    exits: np.ndarray        # per run, its exit's node
+
+
+def _plan(dtmc: DTMC) -> _Plan:
+    """The solve plan of a model whose open edges form a DAG, cached on it."""
     if dtmc._plan is None:
         levels, acyclic = dtmc.topo_levels()
         if not acyclic:
             raise SolverError("model has a cycle besides terminal self-loops; "
                               "level solves require a DAG")
-        indptr, cols, probs = dtmc.open_csr()
-        plan = []
-        for nodes in levels:
-            flat = _row_gather(indptr, nodes)
-            seg = np.repeat(np.arange(nodes.size), indptr[nodes + 1] - indptr[nodes])
-            plan.append(_Level(nodes, seg, cols[flat], probs[flat]))
-        dtmc._plan = plan
+        g = _contract(dtmc)
+        ordered = np.concatenate(levels)
+        is_head = np.zeros(dtmc.n_states, dtype=bool)
+        if g.runs:
+            is_head[g.runs[0]] = True
+        states = np.concatenate(g.runs[:1] + [ordered[~is_head[ordered]]])
+        node_of = np.empty(dtmc.n_states, dtype=np.int64)
+        node_of[states] = np.arange(states.size)
+        sizes = np.array([lvl.size for lvl in levels])
+        bounds = np.zeros(len(levels) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        indptr, _, probs = dtmc.open_csr()
+        counts = indptr[ordered + 1] - indptr[ordered]
+        firsts = np.zeros(ordered.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=firsts[1:])
+        flat = _row_gather(indptr, ordered)
+        seg = np.repeat(np.arange(ordered.size) - np.repeat(bounds[:-1], sizes), counts)
+        dtmc._plan = _Plan(states, int(node_of[0]), node_of[ordered], bounds, firsts[bounds],
+                           seg, node_of[_contracted_cols(dtmc, g)[flat]], probs[flat],
+                           g.runs, node_of[g.exits])
+        # imported here: logging is about a tenth of the package's cold import
+        import logging
+        logging.getLogger(__name__).debug(
+            "plan: %d states, %d runs, %d contracted nodes, %d levels",
+            dtmc.n_states, len(g.exits), states.size, len(levels))
     return dtmc._plan
 
 
@@ -264,13 +376,15 @@ def _row_gather(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     """Enumerate the reachable state space breadth first.
 
-    Raises StateSpaceLimitError when more than `max_states` states are
-    discovered, and ConfigError when `max_states` is below 1 or a config
-    value does not fit the int16 feature matrix.  Every row taken from
-    ``successor_distribution`` is audited to sum to 1 within 1e-12, with
-    the sum correctly rounded by ``math.fsum`` (a naive sum of the 7**6
-    branches of a 6-sender draw drifts past the tolerance); a tick row is
-    one edge of probability 1.
+    Raises StateSpaceLimitError as soon as more than `max_states` states
+    are discovered, and ConfigError when `max_states` is below 1 or a
+    config value does not fit the int16 feature matrix.  A draw row's up to
+    7**n branches are taken from ``Automaton.draw_branches`` one at a time,
+    so the cap can stop a row halfway without holding the rest.  Every row
+    that is not a tick is audited to sum to 1 within 1e-12, with the sum
+    correctly rounded by ``math.fsum`` (a naive sum of the 7**6 branches of
+    a 6-sender draw drifts past the tolerance); a tick row is one edge of
+    probability 1.
     """
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
@@ -287,7 +401,8 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     context_ids: dict[tuple, int] = {}
     projections: list[tuple] = []
     projection_ids: dict[tuple, int] = {}
-    # per projection id: its tick successor's id, _NO_TICK, or _UNSTEPPED
+    # per projection id: its tick successor's id, _DRAW, _NO_TICK, or
+    # _UNSTEPPED (a step's kind reads only the projection)
     tick_next: list[int] = []
 
     def intern_projection(projection: tuple) -> int:
@@ -316,7 +431,7 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     probs = array("d")
     deadlocks = array("q")
     terminals = array("q")
-    n_distributed = 0
+    n_draws = n_distributed = 0
 
     src, n = 0, 1
     while src < n:
@@ -324,21 +439,27 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
         nq = tick_next[q]
         if nq == _UNSTEPPED:
             nxt = auto.next_projection(projections[q])
-            nq = tick_next[q] = _NO_TICK if nxt is None else intern_projection(nxt)
-        if nq != _NO_TICK:
+            if nxt is not None:
+                nq = intern_projection(nxt)
+            elif auto.step_kind(projections[q]) == StepKind.DRAW:
+                nq = _DRAW
+            else:
+                nq = _NO_TICK
+            tick_next[q] = nq
+        if nq >= 0:
             branches = ((1.0, c << 32 | nq),)
         else:
-            n_distributed += 1
+            row = len(cols)
             state = auto.join(contexts[c], projections[q])
-            branches = [(p, intern(nxt))
-                        for p, nxt in auto.successor_distribution(state).branches]
-            if not branches:
-                deadlocks.append(src)
-            total = math.fsum(p for p, _ in branches)
-            if branches and abs(total - 1.0) > ROWSUM_TOL:
-                raise SolverError(
-                    f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}"
-                )
+            if nq == _DRAW:
+                # up to 7**n branches, taken one at a time, so the state
+                # cap stops the row as soon as it is exceeded
+                n_draws += 1
+                branches = ((p, intern(nxt)) for p, nxt in auto.draw_branches(state))
+            else:
+                n_distributed += 1
+                branches = [(p, intern(nxt))
+                            for p, nxt in auto.successor_distribution(state).branches]
         for p, key in branches:
             j = index.get(key)
             if j is None:
@@ -354,8 +475,16 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
             cols.append(j)
             probs.append(p)
         indptr.append(len(cols))
-        if len(branches) == 1 and j == src:
-            terminals.append(src)
+        if nq < 0:
+            total = math.fsum(probs[row:])
+            if row == len(cols):
+                deadlocks.append(src)
+            elif abs(total - 1.0) > ROWSUM_TOL:
+                raise SolverError(
+                    f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}"
+                )
+            elif len(cols) - row == 1 and j == src:
+                terminals.append(src)
         src += 1
 
     del index
@@ -363,8 +492,8 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     import logging
     logging.getLogger(__name__).debug(
         "build: %d states, %d edges, %d contexts, %d projections, "
-        "%d successor_distribution calls",
-        n, len(cols), len(contexts), len(projections), n_distributed)
+        "%d draw rows, %d successor_distribution calls",
+        n, len(cols), len(contexts), len(projections), n_draws, n_distributed)
     return DTMC(
         cfg=cfg,
         n_states=n,
@@ -397,32 +526,95 @@ def _features(n_senders: int, contexts: list[tuple], projections: list[tuple],
 # -- linear solves -------------------------------------------------------------
 
 
+def _columns(dtmc: DTMC, pinned, values, rewards):
+    # (n_states,) or (n_states, K) arguments as K columns
+    n = dtmc.n_states
+    return (np.reshape(pinned, (n, -1)), np.reshape(values, (n, -1)),
+            None if rewards is None else np.reshape(rewards, (n, -1)))
+
+
+def _fold(fold: np.ndarray, states: np.ndarray, pinned: np.ndarray, values: np.ndarray,
+          rewards: np.ndarray | None) -> np.ndarray:
+    """One backward substitution step at the states of one run position.
+
+    `fold`'s rows are the values of the runs' next states; they become the
+    values at `states`.  Returns where `states` are pinned.
+    """
+    pin = pinned[states]
+    if rewards is not None:
+        fold += rewards[states]
+    np.copyto(fold, values[states], where=pin)
+    return pin
+
+
+def _sweep(plan: _Plan, pinned: np.ndarray, values: np.ndarray,
+           rewards: np.ndarray | None) -> np.ndarray:
+    """Least solutions of x = Px + r at the contracted nodes, (n_nodes, K).
+
+    Each run is first folded from its last state to its head: a pinned
+    state cuts the run off at its value, and otherwise the run adds its
+    rewards to its exit's value.  Then one backward sweep over the levels
+    answers every column; each node's successors lie on later levels, so
+    it is exact.  Within a run the rewards are summed before the exit's
+    value is added, so a reward solve can differ from state-by-state
+    substitution in the last bits.
+    """
+    k = pinned.shape[1]
+    n_runs = plan.exits.size
+    others = plan.states[n_runs:]
+    # y starts at a node's value if it is pinned (for a head: if its run is
+    # cut off), else at what it adds to the sum over its edges
+    y = np.zeros((plan.states.size, k))
+    pin = np.zeros(y.shape, dtype=bool)
+    pin[n_runs:] = pinned[others]
+    y[n_runs:] = np.where(pin[n_runs:], values[others],
+                          0.0 if rewards is None else rewards[others])
+    for states in reversed(plan.runs):
+        pin[:states.size] |= _fold(y[:states.size], states, pinned, values, rewards)
+    columns = np.arange(k)
+    for lo, hi, elo, ehi in reversed(list(zip(plan.bounds[:-1], plan.bounds[1:],
+                                              plan.edge_bounds[:-1], plan.edge_bounds[1:]))):
+        nodes = plan.order[lo:hi]
+        # one bin per (node, column), each summed in edge order
+        bins = (plan.seg[elo:ehi, None] * k + columns).ravel()
+        acc = np.bincount(bins, weights=(plan.probs[elo:ehi, None] * y[plan.succ[elo:ehi]]).ravel(),
+                          minlength=(hi - lo) * k).reshape(-1, k)
+        # 0.0 + a == a, so a node without reward takes its sum unchanged;
+        # a sink's empty sum leaves it at its reward
+        here = y[nodes]
+        np.add(here, acc, out=here, where=~pin[nodes])
+        y[nodes] = here
+    return y
+
+
 def _solve_fixed_point(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
                        rewards: np.ndarray | None = None) -> np.ndarray:
     """Least solutions of x = Px + r, each pinned to `values` where `pinned`.
 
     Arguments are (n_states,) for one solve or (n_states, K) for K solves,
-    one per column, and the result has the shape of `pinned`.  One backward
-    substitution sweep over the level plan answers every column; each
-    unpinned state's successors lie on later levels, so the sweep is exact.
+    one per column, and the result has the shape of `pinned`.  The nodes
+    are solved by :func:`_sweep`; then every state inside a run takes the
+    value of the next pinned state of its run, or of its exit, plus the
+    rewards up to there, substituted state by state.
     """
-    n = dtmc.n_states
+    plan = _plan(dtmc)
     shape = np.shape(pinned)
-    pinned = np.reshape(pinned, (n, -1))
-    x = np.where(pinned, np.reshape(values, (n, -1)), 0.0)
-    if rewards is not None:
-        rewards = np.reshape(rewards, (n, -1))
-    k = x.shape[1]
-    columns = np.arange(k)
-    for lvl in reversed(_level_plan(dtmc)):
-        # one bin per (state, column), each summed in edge order
-        bins = (lvl.seg[:, None] * k + columns).ravel()
-        acc = np.bincount(bins, weights=(lvl.probs[:, None] * x[lvl.cols]).ravel(),
-                          minlength=lvl.nodes.size * k).reshape(-1, k)
-        if rewards is not None:
-            acc = acc + rewards[lvl.nodes]
-        x[lvl.nodes] = np.where(pinned[lvl.nodes], x[lvl.nodes], acc)
+    pinned, values, rewards = _columns(dtmc, pinned, values, rewards)
+    y = _sweep(plan, pinned, values, rewards)
+    x = np.empty((dtmc.n_states, y.shape[1]))
+    x[plan.states] = y
+    fold = y[plan.exits]
+    for states in reversed(plan.runs[1:]):
+        _fold(fold[:states.size], states, pinned, values, rewards)
+        x[states] = fold[:states.size]
     return x.reshape(shape)
+
+
+def _solve_at_start(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
+                    rewards: np.ndarray | None = None) -> np.ndarray:
+    """Row 0 of :func:`_solve_fixed_point`, (K,), without the per-state array."""
+    plan = _plan(dtmc)
+    return _sweep(plan, *_columns(dtmc, pinned, values, rewards))[plan.start]
 
 
 def _mask_columns(dtmc: DTMC, masks) -> np.ndarray:
@@ -434,10 +626,6 @@ def _mask_columns(dtmc: DTMC, masks) -> np.ndarray:
     return masks.reshape(dtmc.n_states, -1)
 
 
-def _absorbing(dtmc: DTMC) -> np.ndarray:
-    return dtmc.terminal_mask | dtmc.deadlock_mask()
-
-
 def prob_reach(dtmc: DTMC, target_mask: np.ndarray) -> np.ndarray:
     """Probability, per state, of eventually visiting the target set.
 
@@ -446,8 +634,20 @@ def prob_reach(dtmc: DTMC, target_mask: np.ndarray) -> np.ndarray:
     mask's shape.
     """
     targets = _mask_columns(dtmc, target_mask)
-    x = _solve_fixed_point(dtmc, targets | _absorbing(dtmc)[:, None], targets)
+    x = _solve_fixed_point(dtmc, targets, targets)
     return x.reshape(np.shape(target_mask))
+
+
+def reach_from_start(dtmc: DTMC, target_mask: np.ndarray) -> float | np.ndarray:
+    """Probability of eventually visiting the target set from the initial state.
+
+    The initial state's entry of :func:`prob_reach`, without the per-state
+    array: one mask is answered as a float, and K masks stacked as
+    (n_states, K) as an array of K probabilities, all from one sweep.
+    """
+    targets = _mask_columns(dtmc, target_mask)
+    x = _solve_at_start(dtmc, targets, targets)
+    return float(x[0]) if np.ndim(target_mask) == 1 else x
 
 
 def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
@@ -462,13 +662,13 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
     target = _mask_columns(dtmc, target_mask)
     if target.shape[1] != 1:
         raise ValueError("expected_reward takes one target mask")
-    # column 0 is the reach probability, column 1 the reward; both stop at
-    # the target and at absorbing states
-    pinned = np.repeat(target | _absorbing(dtmc)[:, None], 2, axis=1)
+    # column 0 is the reach probability, column 1 the reward, both pinned
+    # at the target; terminal and deadlocked states have no open successor,
+    # so reaching one instead leaves the reach probability below 1
     values = np.hstack((target, np.zeros_like(target)))
-    rewards = np.zeros(pinned.shape)
+    rewards = np.zeros(values.shape)
     rewards[:, 1] = state_rewards
-    reach, reward = _solve_fixed_point(dtmc, pinned, values, rewards)[0]
+    reach, reward = _solve_at_start(dtmc, np.repeat(target, 2, axis=1), values, rewards)
     if reach < 1.0 - 1e-9:
         raise RewardUndefinedError(
             f"target reached with probability {reach:.12g} < 1; "
@@ -481,13 +681,20 @@ def _occupation(dtmc: DTMC) -> np.ndarray:
     """Visit probability of every state, pushed forward level by level.
 
     Off-terminal parts of the chain are acyclic, so each state is visited at
-    most once and occupation equals visit probability.
+    most once and occupation equals visit probability.  The push runs over
+    the contracted nodes; a state inside a run takes its head's value.
     """
     if dtmc._rho is None:
-        rho = np.zeros(dtmc.n_states)
-        rho[0] = 1.0
-        for lvl in _level_plan(dtmc):
-            np.add.at(rho, lvl.cols, rho[lvl.nodes][lvl.seg] * lvl.probs)
+        plan = _plan(dtmc)
+        y = np.zeros(plan.states.size)
+        y[plan.start] = 1.0
+        for lo, elo, ehi in zip(plan.bounds[:-1], plan.edge_bounds[:-1], plan.edge_bounds[1:]):
+            flow = y[plan.order[lo + plan.seg[elo:ehi]]] * plan.probs[elo:ehi]
+            np.add.at(y, plan.succ[elo:ehi], flow)
+        rho = np.empty(dtmc.n_states)
+        rho[plan.states] = y
+        for states in plan.runs[1:]:
+            rho[states] = y[:states.size]
         dtmc._rho = rho
     return dtmc._rho
 

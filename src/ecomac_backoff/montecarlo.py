@@ -57,8 +57,10 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
     generator calls of a batch run (ascending sender order, one
     :func:`sample_rbc` call per sender with packets left) and builds the
     drawn state with :meth:`Automaton.drawn_state`; a tick or boundary step
-    takes the single branch of :meth:`Automaton.successor_distribution`.
-    So ``run_once(cfg, run_rng(seed, r), trace)`` returns run `r` of
+    takes the single branch of :meth:`Automaton.successor_distribution`,
+    through its body ``Automaton._step`` with the step kind the loop has
+    already read, so each state is classified once.  So
+    ``run_once(cfg, run_rng(seed, r), trace)`` returns run `r` of
     ``simulate(cfg, n_runs, seed)``.
     """
     auto = Automaton(cfg)
@@ -88,7 +90,7 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
                         successes[i, sd.e] += 1
                     elif sd.phase == SenderPhase.REJECT:
                         rejects[i] += 1
-            ((_, state),) = auto.successor_distribution(state).branches
+            ((_, state),) = auto._step(state, kind).branches
         trace.append(state)
         kind = auto.step_kind(state)
     deadlocked = kind == StepKind.DEADLOCK

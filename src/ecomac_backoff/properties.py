@@ -8,8 +8,6 @@ prebuilt model to share the expensive state-space enumeration.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +19,6 @@ from .dtmc import DTMC, PropertyReport
 from .errors import ConfigError, StateSpaceLimitError
 
 EXACT_STATES_CAP_DEFAULT = 2_000_000
-# targets per reachability sweep: a sweep holds an (n_states, SOLVE_BLOCK)
-# float64 array, so wider blocks buy little speed for much memory
-SOLVE_BLOCK = 4
 
 # verdicts a correct backoff model must produce; the third check is an
 # existential claim the model is supposed to refute
@@ -219,24 +214,18 @@ def _exact_profile(d: DTMC, sender: int, per_packet: bool) -> ProfileResult:
             success_at, reject = entries[:-1], entries[-1]
         cumulative = np.cumsum(success_at)
     else:
-        masks = itertools.chain((success & (e == k) for k in range(e_max + 1)),
-                                (success & (e <= k) for k in range(e_max + 1)),
-                                (reject_mask,))
-        reach = _reach_from_start(d, masks)
+        # columns: delivered after exactly k failures, after at most k, dropped
+        masks = np.empty((d.n_states, 2 * e_max + 3), dtype=bool)
+        for k in range(e_max + 1):
+            masks[:, k] = success & (e == k)
+            masks[:, e_max + 1 + k] = success & (e <= k)
+        masks[:, -1] = reject_mask
+        reach = engine.reach_from_start(d, masks)
         success_at, cumulative, reject = reach[:e_max + 1], reach[e_max + 1:-1], reach[-1]
     return ProfileResult(
         cfg, sender, "exact", per_packet, success_at, cumulative, float(reject),
         n_states=d.n_states,
     )
-
-
-def _reach_from_start(d: DTMC, masks: Iterator[np.ndarray]) -> np.ndarray:
-    """Reach probability of each target from the initial state, solved
-    SOLVE_BLOCK targets per sweep; masks are drawn one block at a time."""
-    out = []
-    while block := list(itertools.islice(masks, SOLVE_BLOCK)):
-        out.extend(engine.prob_reach(d, np.stack(block, axis=1))[0])
-    return np.array(out)
 
 
 def _sampled_profile(agg: mc.Aggregate, sender: int, per_packet: bool) -> ProfileResult:

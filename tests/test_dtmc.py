@@ -2,8 +2,11 @@
 
 import hashlib
 import logging
+import signal
 import subprocess
 import sys
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,8 +35,9 @@ from ecomac_backoff import (
     find_deadlocks,
     idle_listening_rewards,
     prob_reach,
+    reach_from_start,
 )
-from ecomac_backoff.dtmc import _solve_fixed_point
+from ecomac_backoff.dtmc import _solve_at_start, _solve_fixed_point
 from ecomac_backoff.errors import (
     RewardUndefinedError,
     SolverError,
@@ -90,6 +94,19 @@ def test_state_cap_is_enforced(two_sender_cfg):
     # naive float sum misses 1 by more than the row audit's tolerance
     with pytest.raises(StateSpaceLimitError):
         build(ScenarioConfig(n_senders=6), max_states=100)
+
+
+def test_state_cap_stops_a_draw_row_halfway():
+    # the first draw row of six senders has 7**6 = 117 649 branches; the
+    # cap must stop it before they are all held
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceLimitError):
+            build(ScenarioConfig(n_senders=6), max_states=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_feature_columns_reconstruct_states(two_sender_model):
@@ -274,6 +291,21 @@ def test_build_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
     assert record.getMessage().endswith(" successor_distribution calls")
 
 
+def test_plan_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
+    d = build(two_sender_cfg)
+    with caplog.at_level(logging.WARNING):
+        reach_from_start(d, d.terminal_mask)
+    assert not caplog.records
+    d = build(two_sender_cfg)
+    with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.dtmc"):
+        reach_from_start(d, d.terminal_mask)
+        prob_reach(d, d.terminal_mask)
+    # built once: 677 runs of about ten states leave 95 levels, not 718
+    [record] = caplog.records
+    assert record.getMessage() == ("plan: 6664 states, 677 runs, "
+                                   "715 contracted nodes, 95 levels")
+
+
 def test_terminal_mask_is_exactly_the_all_done_states(two_sender_model):
     d = two_sender_model
     done = (d.sender_phase(0) == SenderPhase.DONE) & (d.sender_phase(1) == SenderPhase.DONE)
@@ -334,11 +366,20 @@ def _residual(d, x, pinned, rewards=None):
     return np.abs(y[free] - x[free]).max() if free.any() else 0.0
 
 
+# the narrowed table of the verifier benchmark, and a table in which every
+# draw is 0, so each draw row has one branch and lies on a run
+_NARROWED = BackoffTable(((0, 1, ContentionWindow(1, 3)), (2, 6, ContentionWindow(0, 3))),
+                         e_max=6, b_max=3)
+_DRAW_ZERO = BackoffTable(((0, 1, ContentionWindow(0, 0)),), e_max=1, b_max=0)
+
+
 @settings(max_examples=12, deadline=None)
-@given(n_senders=st.integers(1, 2), robust=st.booleans(),
-       tcu=st.sampled_from([3, 8, 13]))
-def test_level_solves_satisfy_the_fixed_point(n_senders, robust, tcu):
-    d = build(ScenarioConfig(n_senders=n_senders, robust_mode=robust, tcu_ticks=tcu))
+@given(n_senders=st.integers(1, 2), nmax_msg=st.integers(1, 2), robust=st.booleans(),
+       tcu=st.sampled_from([3, 8, 13]),
+       table=st.sampled_from([DEFAULT_TABLE, _NARROWED, _DRAW_ZERO]))
+def test_level_solves_satisfy_the_fixed_point(n_senders, nmax_msg, robust, tcu, table):
+    d = build(ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
+                             tcu_ticks=tcu, table=table))
     n = d.n_states
     absorbing = d.terminal_mask | d.deadlock_mask()
     phase, e = d.sender_phase(0), d.sender_e(0)
@@ -349,6 +390,7 @@ def test_level_solves_satisfy_the_fixed_point(n_senders, robust, tcu):
     stacked = prob_reach(d, targets)
     entries = expected_entries(d, targets)
     assert stacked.shape == targets.shape and entries.shape == (targets.shape[1],)
+    assert (reach_from_start(d, targets) == stacked[0]).all()
     for k in range(targets.shape[1]):
         x = prob_reach(d, targets[:, k])
         assert (stacked[:, k] == x).all()
@@ -396,6 +438,129 @@ def test_cyclic_model_is_refused():
         prob_reach(d, np.array([False, False]))
     with pytest.raises(SolverError):
         expected_visits(d, np.array([True, False]))
+
+
+def hand_built(rows):
+    """A one-sender DTMC whose row i lists state i's (successor, probability)
+    pairs; no state is marked terminal or deadlocked."""
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    return DTMC(
+        cfg=ScenarioConfig(n_senders=1), n_states=n,
+        features=np.zeros((n, 8), dtype=np.int16), indptr=indptr,
+        cols=np.array([j for row in rows for j, _ in row], dtype=np.int32),
+        probs=np.array([p for row in rows for _, p in row], dtype=np.float64),
+        parent=np.full(n, -1, dtype=np.int32),
+        deadlock_indices=np.empty(0, dtype=np.int64),
+        terminal_mask=np.zeros(n, dtype=bool),
+    )
+
+
+def solve_every_state(d, pinned, values, rewards=None):
+    """The contracted solve, checked at every state against x = Px + r."""
+    x = _solve_fixed_point(d, pinned, values, rewards)
+    xs, ps, vs = (np.reshape(a, (d.n_states, -1)) for a in (x, pinned, values))
+    for k in range(xs.shape[1]):
+        r = None if rewards is None else np.reshape(rewards, (d.n_states, -1))[:, k]
+        assert _residual(d, xs[:, k], ps[:, k], r) <= 1e-12
+        assert (xs[ps[:, k], k] == vs[ps[:, k], k]).all()
+    assert (_solve_at_start(d, pinned, values, rewards) == xs[0]).all()
+    return x
+
+
+def contracted_nodes(d):
+    return sorted(np.concatenate(d.topo_levels()[0]).tolist())
+
+
+def test_a_merge_into_the_middle_of_a_run_starts_a_new_run():
+    # 0 branches to the chains 1-2-3 and 4-5; 5 also enters 2, which splits
+    # 1-2-3 into the runs 1 and 2-3
+    d = hand_built([[(1, 0.5), (4, 0.5)], [(2, 1.0)], [(3, 1.0)], [(6, 1.0)],
+                    [(5, 1.0)], [(2, 1.0)], []])
+    assert contracted_nodes(d) == [0, 1, 2, 4, 6]
+    pinned = np.arange(7) == 6
+    rewards = np.arange(1, 8) * 0.25
+    x = solve_every_state(d, pinned, pinned * 1.0, rewards)
+    x2 = 0.75 + (1.0 + 1.0)
+    assert x[2] == x2 and x[1] == 0.5 + x2 and x[4] == 1.25 + (1.5 + x2)
+    assert (prob_reach(d, pinned) == 1.0).all()
+
+
+def test_a_pinned_state_cuts_its_run_with_rewards_on_both_sides():
+    # one run 0-1-2-3-4 into the sink 5; column 0 pins 2, column 1 pins 4
+    d = hand_built([[(1, 1.0)], [(2, 1.0)], [(3, 1.0)], [(4, 1.0)], [(5, 1.0)], []])
+    assert contracted_nodes(d) == [0, 5]
+    pinned = np.zeros((6, 2), dtype=bool)
+    pinned[2, 0] = pinned[4, 1] = True
+    values = np.zeros((6, 2))
+    values[2, 0], values[4, 1] = 7.0, -1.0
+    rewards = np.repeat(np.arange(1.0, 7.0)[:, None], 2, axis=1)
+    x = solve_every_state(d, pinned, values, rewards)
+    # an unpinned sink keeps its own reward
+    assert x[:, 0].tolist() == [10.0, 9.0, 7.0, 15.0, 11.0, 6.0]
+    assert x[:, 1].tolist() == [9.0, 8.0, 6.0, 3.0, -1.0, 6.0]
+
+
+def test_the_initial_state_can_head_a_run():
+    d = hand_built([[(1, 1.0)], [(2, 1.0)], [(3, 0.25), (4, 0.75)],
+                    [(5, 1.0)], [(5, 1.0)], []])
+    assert contracted_nodes(d) == [0, 2, 3, 4, 5]
+    target = np.arange(6) == 3
+    solve_every_state(d, target, target)
+    assert prob_reach(d, target)[0] == 0.25 and reach_from_start(d, target) == 0.25
+    done = np.arange(6) == 5
+    assert expected_reward(d, np.ones(6), done) == 4.0
+    solve_every_state(d, done, np.zeros(6), np.ones(6))
+    # an unreachable state stepping into the initial state does not make
+    # it part of its run
+    d = hand_built([[(2, 1.0)], [(0, 1.0)], []])
+    assert contracted_nodes(d) == [0, 1, 2]
+    done = np.arange(3) == 2
+    solve_every_state(d, done, done, np.ones(3))
+    assert reach_from_start(d, done) == 1.0 and expected_reward(d, np.ones(3), done) == 1.0
+
+
+def test_an_unpinned_sink_takes_its_reward():
+    d = hand_built([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(3, 1.0)], []])
+    x = solve_every_state(d, np.zeros(4, dtype=bool), np.zeros(4), np.arange(1.0, 5.0))
+    assert x.tolist() == [7.5, 6.0, 7.0, 4.0]
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("rows", [
+    # a tail into the two-state cycle 1-2: 1 is entered twice, so its run
+    # 1-2 leads back to itself
+    [[(1, 1.0)], [(2, 1.0)], [(1, 1.0)]],
+    # a cycle through the branching state 1
+    [[(1, 1.0)], [(2, 0.5), (3, 0.5)], [(1, 1.0)], []],
+    # a cycle with no way in, so no state of it heads a run
+    [[(3, 1.0)], [(2, 1.0)], [(1, 1.0)], []],
+], ids=["tail_into_cycle", "cycle_through_branch", "cycle_without_entry"])
+def test_cycles_around_runs_are_refused(rows):
+    d = hand_built(rows)
+    n = d.n_states
+    mask = np.arange(n) == n - 1
+    with deadline(30):
+        assert d.topo_levels()[1] is False
+        for solve in (lambda: prob_reach(d, mask), lambda: reach_from_start(d, mask),
+                      lambda: expected_reward(d, np.ones(n), mask),
+                      lambda: expected_visits(d, np.arange(n) == 0)):
+            with pytest.raises(SolverError):
+                solve()
 
 
 # -- rewards -----------------------------------------------------------------------

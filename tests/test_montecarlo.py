@@ -171,6 +171,22 @@ def test_deadlocked_runs_are_flagged_and_replayable():
     assert any(sd.phase == SenderPhase.SEND_RTS for sd in final.senders)
 
 
+def test_traced_runs_classify_each_state_once(monkeypatch):
+    calls = []
+    step_kind = Automaton.step_kind
+
+    def counted(self, state):
+        calls.append(state)
+        return step_kind(self, state)
+
+    monkeypatch.setattr(Automaton, "step_kind", counted)
+    for cfg in (ScenarioConfig(nmax_msg=2), ScenarioConfig().with_tcu(3)):
+        for r in range(5):
+            trace, calls[:] = [], []
+            run_once(cfg, run_rng(4, r), trace)
+            assert calls == trace
+
+
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
     # the first round is won by the smaller of two draws from {1..7}
     agg = simulate(two_sender_cfg, 20_000, seed=12)

@@ -144,6 +144,82 @@ def test_empty_queue_profile_is_all_zero():
         assert prof.n_states == 1
 
 
+# exact outputs for sender 0 at (n_senders, 1 packet), recorded from the
+# earlier solver, which substituted every state level by level: the
+# per-sender profile as float.hex, held to ==, and idle time and the
+# per-packet profile, held within 1e-13 relative (solving a run at once
+# sums its rewards in another order)
+_PINNED_OUTPUTS = {
+    2: {
+        "success_at": [
+            "0x1.b6db6db6db6dep-2", "0x1.f58d0fac687d9p-2", "0x1.1f58d0fac6880p-4",
+            "0x1.4924924924924p-7", "0x1.4865811e99bfbp-10", "0x1.478b245bb1f3fp-13",
+            "0x1.7655e068cb600p-16", "0x1.aa5394e920826p-19", "0x1.e53fea031a989p-22",
+            "0x1.41a6b572b28b0p-24", "0x1.a9e91aa277e46p-27", "0x1.512ddfc09eea4p-29",
+            "0x1.0a31b0a58aeebp-31",
+        ],
+        "cumulative": [
+            "0x1.b6db6db6db6dep-2", "0x1.d6343eb1a1f5dp-1", "0x1.fa1f58d0fac6dp-1",
+            "0x1.ff43eb1a1f592p-1", "0x1.ffe81ddaaea62p-1", "0x1.fffc968cf4612p-1",
+            "0x1.ffff8338b532cp-1", "0x1.ffffedcd9a6d1p-1", "0x1.fffffcf799bd2p-1",
+            "0x1.ffffff7ae7281p-1", "0x1.ffffffe5616edp-1", "0x1.fffffffa744ccp-1",
+            "0x1.fffffffe9d139p-1",
+        ],
+        "reject": "0x1.62eceb8763e91p-33",
+        "idle_s": 0.07925352548770931,
+        "per_packet_at": [
+            0.42857142857142855, 0.4897959183673469, 0.07015306122448976,
+            0.010044642857142854, 0.0012527332361516033, 0.00015618492294877128,
+            2.2312131849824464e-05, 3.176379881398622e-06, 4.519239668656576e-07,
+            7.489025736630896e-08, 1.2395628805458037e-08, 2.45330153441357e-09,
+            4.842042502132047e-10,
+        ],
+        "per_packet_reject": 1.6140141673773488e-10,
+    },
+    3: {
+        "success_at": [
+            "0x1.0fac687d63435p-2", "0x1.204e79560b4b4p-2", "0x1.46ff40eed5746p-2",
+            "0x1.a452d871722e8p-4", "0x1.92fb75717cc3fp-6", "0x1.53e8631c2400cp-8",
+            "0x1.23ed367e1e978p-10", "0x1.ea88ece32ff10p-13", "0x1.9835e2851f7b3p-15",
+            "0x1.7342a0ddc3910p-17", "0x1.54e6fcbd047b1p-19", "0x1.61709b154b659p-21",
+            "0x1.74aa85e2b5d68p-23",
+        ],
+        "cumulative": [
+            "0x1.0fac687d63435p-2", "0x1.17fd70e9b747cp-1", "0x1.bb7d116122008p-1",
+            "0x1.f0076c6f504c2p-1", "0x1.fc9f481adc32dp-1", "0x1.ff4718e114739p-1",
+            "0x1.ffd90f7c53862p-1", "0x1.fff7b80b21b97p-1", "0x1.fffe18e2abcdep-1",
+            "0x1.ffff8c254ca8dp-1", "0x1.ffffe15f0bdd1p-1", "0x1.fffff776158fap-1",
+            "0x1.fffffd48bfa35p-1",
+        ],
+        "reject": "0x1.5ba02ddd4dce4p-24",
+        "idle_s": 0.09914360240755228,
+        "per_packet_at": [
+            0.26530612244897955, 0.28154935443565177, 0.3193330903790087,
+            0.10261807010750727, 0.024596085253460496, 0.005186580845602907,
+            0.0011136116513897636, 0.0002339052508428716, 4.8662482222447624e-05,
+            1.1064418170583736e-05, 2.5399200169828553e-06, 6.583330526604341e-07,
+            1.7353617839139983e-07,
+        ],
+        "per_packet_reject": 8.093791544350266e-08,
+    },
+}
+
+
+@pytest.mark.parametrize("n_senders", sorted(_PINNED_OUTPUTS))
+def test_exact_outputs_match_their_pinned_values(n_senders):
+    want = _PINNED_OUTPUTS[n_senders]
+    cfg = ScenarioConfig(n_senders=n_senders)
+    d = engine.build(cfg)
+    prof = success_profile(cfg, mode="exact", dtmc=d)
+    assert [float(v).hex() for v in prof.success_at] == want["success_at"]
+    assert [float(v).hex() for v in prof.cumulative] == want["cumulative"]
+    assert prof.reject_prob.hex() == want["reject"]
+    assert idle_listening_time(cfg, dtmc=d) == pytest.approx(want["idle_s"], rel=1e-13, abs=0)
+    prof = success_profile(cfg, mode="exact", per_packet=True, dtmc=d)
+    np.testing.assert_allclose(prof.success_at, want["per_packet_at"], rtol=1e-13, atol=0)
+    assert prof.reject_prob == pytest.approx(want["per_packet_reject"], rel=1e-13, abs=0)
+
+
 # -- idle listening and energy -----------------------------------------------------
 
 
