@@ -231,6 +231,8 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
+        # step kinds, keyed on (sender phases, receiver phase)
+        self._kinds: dict = {}
         # the canonical round table, keyed on the sorted drawn counter vector
         self._rounds: dict = {}
         # a sender's round-boundary crossing, keyed on (end phase, e, msgs)
@@ -395,29 +397,38 @@ class Automaton:
     def step_kind(self, state: GlobalState | tuple) -> StepKind:
         """Classify the next transition without materializing it.
 
-        Reads only phases, so `state` may be a state or its projection.
+        Reads only phases, so `state` may be a state or its projection; the
+        kind is memoized on the sender phases and the receiver phase.
         """
         senders, receiver = state
-        if all(sd[0] == SenderPhase.DONE for sd in senders):
+        key = (tuple([sd[0] for sd in senders]), receiver[0])
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = self._classify(*key)
+        return kind
+
+    def _classify(self, phases: tuple[int, ...], receiver_phase: int) -> StepKind:
+        """The step kind of a state with these sender phases and receiver phase."""
+        if all(p == SenderPhase.DONE for p in phases):
             return StepKind.TERMINAL
 
         # a frame arriving while the receiver is committed to its own
         # transmission has no defined transition
-        if receiver.phase in _RECEIVER_COMMITTED and not self.cfg.robust_mode:
-            if any(sd[0] == SenderPhase.SEND_RTS for sd in senders):
+        if receiver_phase in _RECEIVER_COMMITTED and not self.cfg.robust_mode:
+            if SenderPhase.SEND_RTS in phases:
                 return StepKind.DEADLOCK
 
         # the round closes once every still-active sender has an outcome
         # (success, reject, or sleep); CHOOSE appears next to REJECT during
         # the extra reset step that converts a rejected packet
         settled = (SenderPhase.SUCCESS, SenderPhase.REJECT, SenderPhase.SLEEP)
-        active = [sd[0] for sd in senders if sd[0] != SenderPhase.DONE]
+        active = [p for p in phases if p != SenderPhase.DONE]
         if active and all(
             p in settled or p == SenderPhase.CHOOSE for p in active
         ) and any(p in settled for p in active):
             return StepKind.BOUNDARY
 
-        if any(sd[0] == SenderPhase.CHOOSE for sd in senders):
+        if SenderPhase.CHOOSE in phases:
             return StepKind.DRAW
         return StepKind.TICK
 

@@ -208,7 +208,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, _run = load_config(args.config)
-    study = props.tcu_variation_study(cfg, max_states=args.max_states)
+    # a dump is of the initial variant, so the study reuses its model
+    d = engine.build(cfg, max_states=args.max_states) if args.dump_statespace else None
+    study = props.tcu_variation_study(cfg, max_states=args.max_states, dtmc=d)
     rows = []
     for row in study.rows:
         print(f"{row.variant}: contention unit {row.tcu_ticks} ticks, "
@@ -224,8 +226,7 @@ def _cmd_sweep(args) -> int:
         _write_csv(args.out,
                    ["variant", "tcu_ticks", "n_states", "n_deadlocks",
                     "idle_seconds", "energy_mj"], rows)
-    if args.dump_statespace:
-        d = engine.build(cfg, max_states=args.max_states)
+    if d is not None:
         engine.dump_statespace(d, args.dump_statespace)
     return EXIT_OK
 

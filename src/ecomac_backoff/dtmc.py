@@ -9,12 +9,18 @@ feature matrix.
 
 The builder splits every state into its round context and its tick
 projection (:meth:`Automaton.split`), interns both to ids, and keys its BFS
-index on the pair packed into one int, ``c << 32 | q``.  A tick moves only the
-projection, so a tick state's successor pairs its context with the
-projection that :meth:`Automaton.next_projection` computes once per
-projection; only draw, boundary, deadlock and terminal states are stepped
-through ``successor_distribution``, on the joined state.  The feature matrix
-is gathered from the interned tables by id once the search ends.
+index on the pair packed into one int, ``c << 32 | q``.  It takes the search
+one layer at a time: the states found from one layer are the next, numbered
+in order of first occurrence, exactly as a state-by-state BFS numbers them.
+A tick moves only the projection, so the tick rows of a layer are one gather
+from a per-projection table of the successors that
+:meth:`Automaton.next_projection` computes once per projection.  A draw row
+comes from a cache keyed on the projection and each sender's draw
+distribution, and a boundary row from a cache keyed on the context and the
+sender phases; only their misses and deadlock and terminal states reach the
+automaton.  Each layer's successor keys are then looked up in the index in
+one batch.  The feature matrix is gathered from the interned tables by id
+once the search ends.
 
 Apart from the self-loops of all-done terminal states the chain is a DAG
 (packets only get consumed, failure counters only grow, and every tick makes
@@ -43,6 +49,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count, filterfalse
 from typing import NamedTuple
 
 import numpy as np
@@ -61,10 +68,10 @@ from .errors import ConfigError, RewardUndefinedError, SolverError, StateSpaceLi
 
 ROWSUM_TOL = 1e-12
 MAX_STATES_DEFAULT = 10_000_000
-# markers in build's per-projection tick table
-_UNSTEPPED = -3
-_DRAW = -2
-_NO_TICK = -1   # a boundary, deadlock or terminal step
+# markers in build's per-projection tick table: -1 - the kind of a step
+# that is not a tick
+_DRAW = -1 - StepKind.DRAW
+_BOUNDARY = -1 - StepKind.BOUNDARY
 
 # one feature row per state: (phase, e, rbc, msgs, ticks) per sender, then
 # (phase, winner, ticks) for the receiver, stored as int16
@@ -373,18 +380,190 @@ def _row_gather(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - seg, counts) + np.arange(total, dtype=np.int64)
 
 
-def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
-    """Enumerate the reachable state space breadth first.
+class _Builder:
+    """The interned tables and the row caches of one build.
 
-    Raises StateSpaceLimitError as soon as more than `max_states` states
-    are discovered, and ConfigError when `max_states` is below 1 or a
-    config value does not fit the int16 feature matrix.  A draw row's up to
-    7**n branches are taken from ``Automaton.draw_branches`` one at a time,
-    so the cap can stop a row halfway without holding the rest.  Every row
-    that is not a tick is audited to sum to 1 within 1e-12, with the sum
-    correctly rounded by ``math.fsum`` (a naive sum of the 7**6 branches of
-    a 6-sender draw drifts past the tolerance); a tick row is one edge of
-    probability 1.
+    Contexts and projections are interned to ids, and a state is the id
+    pair packed into one int key, ``c << 32 | q``.  A draw keeps the
+    context and its branches read only the projection and each choosing
+    sender's draw distribution, so draw rows are cached on (projection id,
+    each sender's distribution id) as probabilities and drawn projection
+    ids.  A boundary step reads only each sender's phase, ``e`` and
+    ``msgs`` and resets the receiver, so boundary rows are cached on
+    (context id, sender phases) as probabilities and successor keys.  Each
+    cached row is audited once when it is filled.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, max_states: int):
+        self.auto = Automaton(cfg)
+        self.max_states = max_states
+        self.contexts: list[tuple] = []
+        self.context_ids: dict[tuple, int] = {}
+        self.projections: list[tuple] = []
+        self.projection_ids: dict[tuple, int] = {}
+        # per projection id: its tick successor's id, or -1 - the kind of a
+        # step that is not a tick
+        self.tick_next = array("q")
+        # per failure count its draw distribution's id, and per context id
+        # each sender's: failure counts that share a window share draw rows
+        ids: dict[tuple, int] = {}
+        self.draw_ids = [ids.setdefault(d, len(ids)) for d in self.auto._draws]
+        self.context_draws: list[tuple] = []
+        self.draw_rows: dict[tuple, tuple] = {}
+        self.boundary_rows: dict[tuple, tuple] = {}
+        self.index: dict[int, int] = {}
+        self.deadlocks = array("q")
+        self.terminals = array("q")
+        self.counts = dict.fromkeys(("draw", "draw_cached", "boundary", "boundary_cached",
+                                     "distributed"), 0)
+
+    def intern_projection(self, projection: tuple) -> int:
+        q = self.projection_ids.get(projection)
+        if q is None:
+            q = self.projection_ids[projection] = len(self.projections)
+            self.projections.append(projection)
+        return q
+
+    def intern(self, state: GlobalState) -> int:
+        context, projection = self.auto.split(state)
+        c = self.context_ids.get(context)
+        if c is None:
+            c = self.context_ids[context] = len(self.contexts)
+            self.contexts.append(context)
+            self.context_draws.append(tuple(self.draw_ids[e] for e, _ in context))
+        return c << 32 | self.intern_projection(projection)
+
+    def rows(self, lo: int, frontier: np.ndarray) -> tuple:
+        """The rows of the layer of states ``lo, lo + 1, ...`` keyed `frontier`.
+
+        Returns ``(keys, probs, ends)``: every row's successor keys and
+        probabilities, rows in order, and each row's end in them.  The tick
+        rows are one gather from the per-projection table; every other row
+        comes from a cache or from the automaton, and is recorded if it is
+        a deadlock (no edge) or a terminal self-loop.
+        """
+        # every projection interned so far belongs to a discovered state, so
+        # each is stepped once, in id order
+        while len(self.tick_next) < len(self.projections):
+            self.tick_next.append(self.step(len(self.tick_next)))
+        projection = frontier & 0xFFFFFFFF
+        nq = np.frombuffer(self.tick_next, dtype=np.int64)[projection]
+        # a tick keeps the context; other rows' keys are replaced below
+        keys = frontier - projection + nq
+        others = np.flatnonzero(nq < 0)
+        parts = []
+        for r, key, kind in zip(others.tolist(), frontier[others].tolist(), nq[others].tolist()):
+            c, q = key >> 32, key & 0xFFFFFFFF
+            if kind == _DRAW:
+                probs, qs = self.draw_row(lo + r, c, q)
+                succ = c << 32 | qs
+            elif kind == _BOUNDARY:
+                probs, succ = self.boundary_row(lo + r, c, q)
+            else:
+                probs, succ = self.stepped(lo + r, c, q)
+            if not probs.size:
+                self.deadlocks.append(lo + r)
+            elif probs.size == 1 and succ[0] == key:
+                self.terminals.append(lo + r)
+            parts.append((probs, succ))
+        lens = np.ones(frontier.size, dtype=np.int64)
+        lens[others] = [p.size for p, _ in parts]
+        keys = np.repeat(keys, lens)
+        probs = np.ones(keys.size)
+        if parts:
+            at = np.repeat(nq < 0, lens)
+            keys[at] = np.concatenate([k for _, k in parts])
+            probs[at] = np.concatenate([p for p, _ in parts])
+        return keys, probs, np.cumsum(lens)
+
+    def step(self, q: int) -> int:
+        """The table entry of projection `q`."""
+        projection = self.projections[q]
+        nxt = self.auto.next_projection(projection)
+        if nxt is not None:
+            return self.intern_projection(nxt)
+        return -1 - self.auto.step_kind(projection)
+
+    def audited(self, src: int, probs: list[float]) -> np.ndarray:
+        total = math.fsum(probs)
+        if probs and abs(total - 1.0) > ROWSUM_TOL:
+            raise SolverError(
+                f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}")
+        return np.array(probs, dtype=np.float64)
+
+    def draw_row(self, src: int, c: int, q: int) -> tuple:
+        """``(probs, drawn projection ids)`` of the draw from projection `q`
+        under context `c`.
+
+        A miss takes the row's up to 7**n branches one at a time, and
+        raises as soon as the row alone holds more states missing from the
+        index than the cap has room for: then its layer does too.
+        """
+        self.counts["draw"] += 1
+        key = (q, self.context_draws[c])
+        row = self.draw_rows.get(key)
+        if row is not None:
+            self.counts["draw_cached"] += 1
+            return row
+        probs, qs, fresh = [], [], set()
+        room = self.max_states - len(self.index)
+        for p, nxt in self.auto.draw_branches(self.auto.join(self.contexts[c],
+                                                             self.projections[q])):
+            qn = self.intern_projection(self.auto.split(nxt)[1])
+            new = c << 32 | qn
+            if new not in self.index and new not in fresh:
+                fresh.add(new)
+                if len(fresh) > room:
+                    raise StateSpaceLimitError(
+                        f"reachable state space exceeds {self.max_states} states")
+            probs.append(p)
+            qs.append(qn)
+        row = self.draw_rows[key] = (self.audited(src, probs), np.array(qs, dtype=np.int64))
+        return row
+
+    def boundary_row(self, src: int, c: int, q: int) -> tuple:
+        """``(probs, successor keys)`` of the round boundary from projection
+        `q` under context `c`."""
+        self.counts["boundary"] += 1
+        key = (c, tuple([sd[0] for sd in self.projections[q][0]]))
+        row = self.boundary_rows.get(key)
+        if row is not None:
+            self.counts["boundary_cached"] += 1
+            return row
+        row = self.boundary_rows[key] = self.stepped(src, c, q)
+        return row
+
+    def stepped(self, src: int, c: int, q: int) -> tuple:
+        """``(probs, successor keys)`` from ``successor_distribution``."""
+        self.counts["distributed"] += 1
+        branches = self.auto.successor_distribution(
+            self.auto.join(self.contexts[c], self.projections[q])).branches
+        return (self.audited(src, [p for p, _ in branches]),
+                np.array([self.intern(nxt) for _, nxt in branches], dtype=np.int64))
+
+
+def _extend(out: array, values: np.ndarray) -> None:
+    out.frombytes(values.astype(out.typecode).tobytes())
+
+
+def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
+    """Enumerate the reachable state space breadth first, one layer at a time.
+
+    A layer is the states discovered from the layer before.  Its successor
+    keys are looked up in the index in one batch, and the keys not found
+    are numbered in order of first occurrence, exactly as a state-by-state
+    BFS numbers them; each new state's parent is the row it first occurs
+    in.
+
+    Raises StateSpaceLimitError when more than `max_states` states are
+    reachable, and ConfigError when `max_states` is below 1 or a config
+    value does not fit the int16 feature matrix.  A draw row's up to 7**n
+    branches are taken from ``Automaton.draw_branches`` one at a time the
+    first time the row is met, so the cap can stop a row halfway without
+    holding the rest.  Every row that is not a tick is audited to sum to 1
+    within 1e-12, with the sum correctly rounded by ``math.fsum`` (a naive
+    sum of the 7**6 branches of a 6-sender draw drifts past the
+    tolerance); a tick row is one edge of probability 1.
     """
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
@@ -393,119 +572,64 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
         if v > _FEATURE_MAX:
             raise ConfigError(f"{name}={v} exceeds {_FEATURE_MAX}, the largest "
                               "value the exact engine stores per state")
-    auto = Automaton(cfg)
-
-    # contexts and projections interned to ids; a state is an id pair, packed
-    # into one int key (ids live in array("i"), so each fits in 32 bits)
-    contexts: list[tuple] = []
-    context_ids: dict[tuple, int] = {}
-    projections: list[tuple] = []
-    projection_ids: dict[tuple, int] = {}
-    # per projection id: its tick successor's id, _DRAW, _NO_TICK, or
-    # _UNSTEPPED (a step's kind reads only the projection)
-    tick_next: list[int] = []
-
-    def intern_projection(projection: tuple) -> int:
-        q = projection_ids.get(projection)
-        if q is None:
-            q = projection_ids[projection] = len(projections)
-            projections.append(projection)
-            tick_next.append(_UNSTEPPED)
-        return q
-
-    def intern(state: GlobalState) -> int:
-        context, projection = auto.split(state)
-        c = context_ids.get(context)
-        if c is None:
-            c = context_ids[context] = len(contexts)
-            contexts.append(context)
-        return c << 32 | intern_projection(projection)
-
-    init = intern(auto.initial_state())
-    index: dict[int, int] = {init: 0}
-    state_context = array("i", (init >> 32,))
-    state_projection = array("i", (init & 0xFFFFFFFF,))
+    b = _Builder(cfg, max_states)
+    index = b.index
+    new = [b.intern(b.auto.initial_state())]
+    index[new[0]] = 0
+    state_context = array("i")
+    state_projection = array("i")
     parent = array("i", (-1,))
     indptr = array("q", (0,))
     cols = array("i")
     probs = array("d")
-    deadlocks = array("q")
-    terminals = array("q")
-    n_draws = n_distributed = 0
 
-    src, n = 0, 1
-    while src < n:
-        c, q = state_context[src], state_projection[src]
-        nq = tick_next[q]
-        if nq == _UNSTEPPED:
-            nxt = auto.next_projection(projections[q])
-            if nxt is not None:
-                nq = intern_projection(nxt)
-            elif auto.step_kind(projections[q]) == StepKind.DRAW:
-                nq = _DRAW
-            else:
-                nq = _NO_TICK
-            tick_next[q] = nq
-        if nq >= 0:
-            branches = ((1.0, c << 32 | nq),)
-        else:
-            row = len(cols)
-            state = auto.join(contexts[c], projections[q])
-            if nq == _DRAW:
-                # up to 7**n branches, taken one at a time, so the state
-                # cap stops the row as soon as it is exceeded
-                n_draws += 1
-                branches = ((p, intern(nxt)) for p, nxt in auto.draw_branches(state))
-            else:
-                n_distributed += 1
-                branches = [(p, intern(nxt))
-                            for p, nxt in auto.successor_distribution(state).branches]
-        for p, key in branches:
-            j = index.get(key)
-            if j is None:
-                if n >= max_states:
-                    raise StateSpaceLimitError(
-                        f"reachable state space exceeds {max_states} states"
-                    )
-                j = index[key] = n
-                n += 1
-                state_context.append(key >> 32)
-                state_projection.append(key & 0xFFFFFFFF)
-                parent.append(src)
-            cols.append(j)
-            probs.append(p)
-        indptr.append(len(cols))
-        if nq < 0:
-            total = math.fsum(probs[row:])
-            if row == len(cols):
-                deadlocks.append(src)
-            elif abs(total - 1.0) > ROWSUM_TOL:
-                raise SolverError(
-                    f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}"
-                )
-            elif len(cols) - row == 1 and j == src:
-                terminals.append(src)
-        src += 1
+    lo = n_layers = 0
+    while new:
+        n_layers += 1
+        frontier = np.array(new, dtype=np.int64)
+        _extend(state_context, frontier >> 32)
+        _extend(state_projection, frontier & 0xFFFFFFFF)
+        keys, row_probs, ends = b.rows(lo, frontier)
+        n = len(index)
+        keys = keys.tolist()
+        new = list(filterfalse(index.__contains__, dict.fromkeys(keys)))
+        if n + len(new) > max_states:
+            raise StateSpaceLimitError(f"reachable state space exceeds {max_states} states")
+        index.update(zip(new, count(n)))
+        if new:
+            # each new state's parent is the row of its first occurrence
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            _extend(parent, lo + np.searchsorted(ends, list(map(first.__getitem__, new)),
+                                                 side="right"))
+        _extend(indptr, len(cols) + ends)
+        cols.extend(map(index.__getitem__, keys))
+        probs.frombytes(row_probs.tobytes())
+        lo = n
 
-    del index
+    n = len(index)
+    index.clear()
     # imported here: logging is about a tenth of the package's cold import
     import logging
     logging.getLogger(__name__).debug(
-        "build: %d states, %d edges, %d contexts, %d projections, "
-        "%d draw rows, %d successor_distribution calls",
-        n, len(cols), len(contexts), len(projections), n_draws, n_distributed)
+        "build: %d states, %d edges, %d layers, %d contexts, %d projections, "
+        "%d draw rows (%d from cache), %d boundary rows (%d from cache), "
+        "%d successor_distribution calls",
+        n, len(cols), n_layers, len(b.contexts), len(b.projections), b.counts["draw"],
+        b.counts["draw_cached"], b.counts["boundary"], b.counts["boundary_cached"],
+        b.counts["distributed"])
     return DTMC(
         cfg=cfg,
         n_states=n,
-        features=_features(cfg.n_senders, contexts, projections,
+        features=_features(cfg.n_senders, b.contexts, b.projections,
                            np.frombuffer(state_context, dtype=np.int32),
                            np.frombuffer(state_projection, dtype=np.int32)),
         indptr=np.frombuffer(indptr, dtype=np.int64),
         cols=np.frombuffer(cols, dtype=np.int32) if cols else np.empty(0, np.int32),
         probs=np.frombuffer(probs, dtype=np.float64) if probs else np.empty(0, np.float64),
         parent=np.frombuffer(parent, dtype=np.int32),
-        deadlock_indices=np.frombuffer(deadlocks, dtype=np.int64) if deadlocks else np.empty(0, np.int64),
-        terminal_mask=np.isin(np.arange(n), terminals),
+        deadlock_indices=(np.frombuffer(b.deadlocks, dtype=np.int64) if b.deadlocks
+                          else np.empty(0, np.int64)),
+        terminal_mask=np.isin(np.arange(n), b.terminals),
     )
 
 

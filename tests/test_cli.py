@@ -280,6 +280,30 @@ def test_sweep_prints_rows_and_witness(capsys, tmp_path):
     assert decreased[4] == "" and decreased[5] == ""
 
 
+def test_sweep_builds_the_model_it_dumps_once(capsys, tmp_path, monkeypatch):
+    from ecomac_backoff import dtmc
+    built = []
+    build = dtmc.build
+
+    def counted(cfg, *args, **kwargs):
+        built.append(cfg.tcu_ticks)
+        return build(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(dtmc, "build", counted)
+    plain, dumped = tmp_path / "plain.csv", tmp_path / "dumped.csv"
+    space, alone = tmp_path / "space.txt", tmp_path / "alone.txt"
+    assert main(["sweep", "--out", str(plain)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    built.clear()
+    assert main(["sweep", "--out", str(dumped), "--dump-statespace", str(space)]) == EXIT_OK
+    # one model per contention unit: the initial one serves the dump too
+    assert built == [8, 13, 3]
+    assert capsys.readouterr().out == stdout
+    assert dumped.read_bytes() == plain.read_bytes()
+    assert main(["dump", "--out", str(alone)]) == EXIT_OK
+    assert space.read_bytes() == alone.read_bytes()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

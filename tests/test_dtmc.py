@@ -121,16 +121,17 @@ def test_feature_columns_reconstruct_states(two_sender_model):
                               "s0_msgs_1", "s1_msgs_1"}
 
 
-def test_every_edge_leads_to_the_automaton_successor(two_sender_cfg, two_sender_model):
-    # the feature rows decode to the very states the automaton stepped
-    d = two_sender_model
-    auto = Automaton(two_sender_cfg)
-    assert d.state_at(0) == auto.initial_state()
-    for i in range(d.n_states):
-        lo, hi = d.indptr[i], d.indptr[i + 1]
-        branches = auto.successor_distribution(d.state_at(i)).branches
-        assert [d.state_at(j) for j in d.cols[lo:hi].tolist()] == [t for _, t in branches]
-        assert d.probs[lo:hi].tolist() == [p for p, _ in branches]
+def test_every_edge_leads_to_the_automaton_successor(two_sender_model):
+    # the feature rows decode to the very states the automaton stepped, also
+    # where cached draw and boundary rows serve many contexts
+    for d in (two_sender_model, build(_PINNED_CONFIGS["reject_heavy"])):
+        auto = Automaton(d.cfg)
+        assert d.state_at(0) == auto.initial_state()
+        for i in range(d.n_states):
+            lo, hi = d.indptr[i], d.indptr[i + 1]
+            branches = auto.successor_distribution(d.state_at(i)).branches
+            assert [d.state_at(j) for j in d.cols[lo:hi].tolist()] == [t for _, t in branches]
+            assert d.probs[lo:hi].tolist() == [p for p, _ in branches]
 
 
 def reference_build(cfg):
@@ -173,12 +174,18 @@ def assert_matches_reference(cfg):
 # every failure count draws 0 or 1, so rounds collide often and packets
 # reach the failure cap
 _REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
+# the narrowed table of the verifier benchmark, in which failure counts 0-1
+# and 2-6 share their windows, and a table in which every draw is 0, so each
+# draw row has one branch and lies on a run
+_NARROWED = BackoffTable(((0, 1, ContentionWindow(1, 3)), (2, 6, ContentionWindow(0, 3))),
+                         e_max=6, b_max=3)
+_DRAW_ZERO = BackoffTable(((0, 1, ContentionWindow(0, 0)),), e_max=1, b_max=0)
 
 
 @settings(max_examples=15, deadline=None)
 @given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
        tcu=st.sampled_from([3, 8, 13]), d_switch=st.sampled_from([0, 1]),
-       table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY]))
+       table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY, _NARROWED]))
 def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_switch, table):
     assert_matches_reference(ScenarioConfig(
         n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust, tcu_ticks=tcu,
@@ -187,6 +194,12 @@ def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_swi
 
 def test_three_sender_build_matches_the_reference_bfs():
     assert_matches_reference(ScenarioConfig(n_senders=3, nmax_msg=1))
+
+
+def test_three_sender_deadlocking_build_matches_the_reference_bfs():
+    cfg = ScenarioConfig(n_senders=3, nmax_msg=1, tcu_ticks=3)
+    assert len(build(cfg).deadlock_indices) > 0
+    assert_matches_reference(cfg)
 
 
 # SHA-256 of each DTMC array (its dtype and shape, then its bytes) and of
@@ -287,7 +300,7 @@ def test_build_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
         d = build(two_sender_cfg)
     [record] = caplog.records
     assert record.getMessage().startswith(
-        f"build: {d.n_states} states, {d.n_edges} edges, ")
+        f"build: {d.n_states} states, {d.n_edges} edges, 178 layers, ")
     assert record.getMessage().endswith(" successor_distribution calls")
 
 
@@ -364,13 +377,6 @@ def _residual(d, x, pinned, rewards=None):
         y += rewards
     free = ~pinned
     return np.abs(y[free] - x[free]).max() if free.any() else 0.0
-
-
-# the narrowed table of the verifier benchmark, and a table in which every
-# draw is 0, so each draw row has one branch and lies on a run
-_NARROWED = BackoffTable(((0, 1, ContentionWindow(1, 3)), (2, 6, ContentionWindow(0, 3))),
-                         e_max=6, b_max=3)
-_DRAW_ZERO = BackoffTable(((0, 1, ContentionWindow(0, 0)),), e_max=1, b_max=0)
 
 
 @settings(max_examples=12, deadline=None)
