@@ -215,12 +215,13 @@ class Automaton:
     ``msgs``.  Every tick goes through it: :meth:`successor_distribution`
     joins its result to the state's context, and the DTMC builder advances
     tick states through :meth:`next_projection`.  The Monte Carlo simulator
-    resolves each joint draw itself; a batch reads the rest of the round
-    from :meth:`round_outcome` and crosses the round boundary with
-    :meth:`settle`, and a traced run builds the drawn state with
-    :meth:`drawn_state` and takes every other step from
-    :meth:`successor_distribution`, the step function the builder uses.
-    Neither engine re-implements any protocol rule.
+    resolves each joint draw itself.  A batch draws a round for all its
+    live runs at once, reads the rest of the round from
+    :meth:`round_outcome` once per distinct draw vector, and crosses the
+    round boundary through a table it fills from :meth:`settle`.  A traced
+    run builds the drawn state with :meth:`drawn_state` and takes every
+    other step from :meth:`successor_distribution`, the step function the
+    builder uses.  Neither engine re-implements any protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -235,8 +236,6 @@ class Automaton:
         self._kinds: dict = {}
         # the canonical round table, keyed on the sorted drawn counter vector
         self._rounds: dict = {}
-        # a sender's round-boundary crossing, keyed on (end phase, e, msgs)
-        self._settled: dict = {}
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -541,20 +540,14 @@ class Automaton:
         Returns ``((e, msgs) of the next round, event)``, where the event
         is ``(e, is_reject)`` for a delivered or dropped packet and None
         otherwise; ``msgs == 0`` means the sender is done.  The crossing is
-        :meth:`_reset_sender`, applied twice when it rejects the packet,
-        memoized on its arguments.
+        :meth:`_reset_sender`, applied twice when it rejects the packet.
         """
-        key = (phase, e, msgs)
-        hit = self._settled.get(key)
-        if hit is not None:
-            return hit
         sd = self._reset_sender(SenderState(phase, e, -1, msgs, 0))
         event = (e, False) if phase == SenderPhase.SUCCESS else None
         if sd.phase == SenderPhase.REJECT:
             event = (e, True)
             sd = self._reset_sender(sd)
-        hit = self._settled[key] = ((sd.e, sd.msgs), event)
-        return hit
+        return (sd.e, sd.msgs), event
 
     def _play(self, projection: tuple) -> tuple:
         """Tick `projection` until the next step is not a tick.

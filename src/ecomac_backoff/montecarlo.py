@@ -2,22 +2,28 @@
 
 Runs are driven by the same automaton as the exact engine.  The only
 randomness is the per-sender backoff draw, sampled in ascending sender order
-with one generator call each.  An untraced run carries only each sender's
-round context ``(e, msgs)``, with ``msgs == 0`` for a done sender: each round
-draws, reads its end phases, idle ticks and ticks from the automaton's
-canonical round table (:meth:`Automaton.round_outcome`, keyed on the sorted
-draws), and crosses the boundary through :meth:`Automaton.settle`.  A traced
-run (:func:`run_once`) replays the same draws through the exact engine's
-step function, :meth:`Automaton.successor_distribution`, recording every
-:class:`GlobalState` it enters.  It reads neither the round table nor the
-boundary memo, so comparing it with a batch checks both against the exact
-model.
+with one generator call each.  A run carries only each sender's round
+context ``(e, msgs)``, with ``msgs == 0`` for a done sender.
+
+:func:`simulate` runs a batch in lockstep, one round per pass over every
+live run: the pass draws each run's counters from its own stream, reads the
+round's end phases, ticks and idle ticks from the automaton's canonical
+round table (:meth:`Automaton.round_outcome`) once per distinct draw vector,
+and crosses the boundary through a table filled from
+:meth:`Automaton.settle`.  A traced run (:func:`run_once`) replays the same
+draws through the exact engine's step function,
+:meth:`Automaton.successor_distribution`, recording every
+:class:`GlobalState` it enters.  It reads neither table, so comparing it
+with a batch checks both against the exact model.
 
 Each run gets its own counter-based stream keyed by (seed, run index), so
 any subset of runs can be reproduced independently and results do not
-depend on scheduling.  :func:`run_rng` defines a run's stream; a batch
-builds one generator and resets its key to each run's with
-:func:`_rekey`.
+depend on scheduling.  :func:`run_rng` defines a run's stream.  Philox is
+counter-based (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011), so a batch computes the next block of every
+run's stream in one array pass, and it turns words into counters with the
+rule ``Generator.integers`` uses (Lemire, "Fast random integer generation
+in an interval", ACM TOMACS 2019); see :class:`_Streams`.
 """
 
 from __future__ import annotations
@@ -104,44 +110,6 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
                     deadlocked)
 
 
-def _run(auto: Automaton, rng: np.random.Generator, contexts: tuple,
-         successes: np.ndarray, rejects: np.ndarray, idle: np.ndarray) -> tuple[int, int, bool]:
-    """The untraced run from the round contexts `contexts`: add its counts
-    to the zeroed per-sender arrays and return ``(ticks, rounds,
-    deadlocked)``."""
-    table = auto.cfg.table
-    spent = [0] * len(contexts)
-    ticks = rounds = 0
-    deadlocked = False
-    active = any(msgs for _, msgs in contexts)
-    while active:
-        rounds += 1
-        draws = tuple([sample_rbc(table, e, rng) if msgs else -1 for e, msgs in contexts])
-        (ends, _), round_ticks, round_idle, deadlocked = auto.round_outcome(draws)
-        ticks += round_ticks
-        spent = [a + b for a, b in zip(spent, round_idle)]
-        if deadlocked:
-            # a deadlock stops the round before its boundary: only the
-            # deliveries it completed count
-            for i, ((phase, _, _), (e, _)) in enumerate(zip(ends, contexts)):
-                if phase == SenderPhase.SUCCESS:
-                    successes[i, e] += 1
-            break
-        nxt, active = [], False
-        for i, (end, (e, msgs)) in enumerate(zip(ends, contexts)):
-            context, event = auto.settle(end[0], e, msgs)
-            nxt.append(context)
-            active = active or context[1] > 0
-            if event is not None:
-                if event[1]:
-                    rejects[i] += 1
-                else:
-                    successes[i, event[0]] += 1
-        contexts = nxt
-    idle += spent
-    return ticks, rounds, deadlocked
-
-
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
     """Counter-based stream of one run; reproducible in isolation.
 
@@ -152,19 +120,122 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(rng: np.random.Generator, seed: int, run_index: int) -> None:
-    """Reset a generator from :func:`run_rng` to the start of the stream
-    ``run_rng(seed, run_index)`` draws: the state of a fresh Philox with
-    that key, set without building a new generator."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, run_index], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+#: runs simulated side by side; bounds a batch's working arrays
+_LANES = 1 << 14
+
+_M32 = np.uint64(0xFFFFFFFF)
+_HALVES = np.array([0, 32], dtype=np.uint64)  # an output's low half, then its high half
+# Philox4x64-10's round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64 bits of each 128-bit product ``m * x``."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _M32, x >> 32
+    cross_lo, cross_hi = x_lo * m_hi, x_hi * m_lo
+    mid = (x_lo * m_lo >> 32) + (cross_lo & _M32) + (cross_hi & _M32)
+    return x * np.uint64(m), x_hi * m_hi + (cross_lo >> 32) + (cross_hi >> 32) + (mid >> 32)
+
+
+def _philox(seed: int, runs: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 blocks under the keys ``(seed, runs)`` at the counters
+    ``(counters, 0, 0, 0)``: one row of four 64-bit outputs per entry."""
+    zero = np.zeros_like(counters)
+    c0, c1, c2, c3 = counters, zero, zero, zero
+    k0, k1 = seed, runs
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, k1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=1)
+
+
+class _Streams:
+    """The 32-bit words that ``run_rng(seed, r)`` feeds ``Generator.integers``,
+    for many runs at once.
+
+    Word k of run r is half ``k % 2`` (the low half first) of output
+    ``k // 2 % 4`` of the Philox4x64-10 block at counter ``(k // 8 + 1, 0,
+    0, 0)`` under the key ``(seed, r)``: numpy's Philox advances its counter
+    before it computes a block, and a 32-bit draw takes a 64-bit output's
+    low half and keeps the high half for the next one.  Each lane holds two
+    consecutive blocks, sixteen words.
+    """
+
+    def __init__(self, seed: int, runs: np.ndarray):
+        self.seed = seed
+        self.runs = runs.astype(np.uint64)
+        self.pos = np.zeros(len(runs), dtype=np.int64)       # next word
+        self.block = np.full(len(runs), -2, dtype=np.int64)  # first block held (-2: none)
+        self.words = np.zeros((len(runs), 16), dtype=np.uint64)
+
+    def _hold(self, lanes: np.ndarray, count: np.ndarray) -> None:
+        """Make each lane hold its next `count` words where two blocks can:
+        a lane that does not gets the two blocks from its next word's on."""
+        pos = self.pos[lanes]
+        refill = pos + count > (self.block[lanes] + 2) * 8
+        if refill.any():
+            fill = lanes[refill]
+            block = pos[refill] >> 3
+            counters = (block[:, None] + [1, 2]).ravel().astype(np.uint64)
+            out = _philox(self.seed, np.repeat(self.runs[fill], 2), counters)
+            self.words[fill] = ((out[..., None] >> _HALVES) & _M32).reshape(-1, 16)
+            self.block[fill] = block
+
+    def _next_words(self, lanes: np.ndarray) -> np.ndarray:
+        self._hold(lanes, np.ones(len(lanes), dtype=np.int64))
+        pos = self.pos[lanes]
+        self.pos[lanes] = pos + 1
+        return self.words[lanes, pos - self.block[lanes] * 8]
+
+    def integers(self, lanes: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """``Generator.integers(lo, lo + width)`` for every entry of the
+        ``(len(lanes), k)`` arrays `lo` and `width`, with widths from 1 to
+        2**32: row i is drawn in the stream of lane ``lanes[i]``, one column
+        after another.  The lanes must be distinct.
+
+        numpy draws such a value from 32-bit words by Lemire's rule: a word
+        x gives ``lo + (x * width >> 32)``, unless ``x * width mod 2**32``
+        is below ``2**32 mod width``, in which case it takes the next word.
+        A window of width 1 takes no word.
+        """
+        out = lo.astype(np.int64)
+        width = width.astype(np.uint64)
+        threshold = np.uint64(2**32) % width
+        wide = width > 1
+        self._hold(lanes, wide.sum(axis=1))
+        for j in range(width.shape[1]):
+            todo = np.flatnonzero(wide[:, j])
+            while todo.size:
+                m = self._next_words(lanes[todo]) * width[todo, j]
+                ok = (m & _M32) >= threshold[todo, j]
+                out[todo[ok], j] += (m[ok] >> 32).astype(np.int64)
+                todo = todo[~ok]
+        return out
+
+
+def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `rows`, whose entries lie in ``[-1, radix - 2]``,
+    and the index of each row among them.
+
+    Rows are grouped on a mixed-radix code.  Before a column would take the
+    code past int64, the code is replaced by its rank among the distinct
+    codes so far, so it never wraps.
+    """
+    code = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # codes lie in [0, span)
+    for column in rows.T:
+        if span * radix > np.iinfo(np.int64).max:
+            _, code = np.unique(code, return_inverse=True)
+            span = int(code.max()) + 1
+        code = code * radix + (column + 1)
+        span *= radix
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 @dataclass(eq=False)
@@ -201,11 +272,21 @@ def mean_ci95(samples: np.ndarray) -> tuple[float, float]:
 
 
 def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
-    """Run `n_runs` independent simulations and collect their statistics."""
+    """Run `n_runs` independent simulations and collect their statistics.
+
+    Runs go in lockstep, `_LANES` at a time, one round per pass: every live
+    run draws its round, the round's outcome is read per distinct draw
+    vector from :meth:`Automaton.round_outcome`, and each sender crosses
+    the boundary through a dense table of :meth:`Automaton.settle` over
+    (end phase, e, msgs).  A run leaves the pass when every sender is done
+    or its round deadlocks.
+    """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    if cfg.b_max >= 2**32:
+        raise ConfigError(f"simulation needs b_max < 2**32, got {cfg.b_max}")
     auto = Automaton(cfg)
     n = cfg.n_senders
     successes = np.zeros((n_runs, n, cfg.e_max + 1), dtype=np.int64)
@@ -214,10 +295,55 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     ticks = np.zeros(n_runs, dtype=np.int64)
     rounds = np.zeros(n_runs, dtype=np.int64)
     deadlocked = np.zeros(n_runs, dtype=bool)
-    start = auto.split(auto.initial_state())[0]
-    rng = run_rng(seed, 0)
-    for r in range(n_runs):
-        _rekey(rng, seed, r)
-        ticks[r], rounds[r], deadlocked[r] = _run(auto, rng, start, successes[r],
-                                                  rejects[r], idle[r])
+    windows = [cfg.table.window_for(e) for e in range(cfg.e_max + 1)]
+    lo = np.array([w.lo for w in windows], dtype=np.int64)
+    width = np.array([w.width for w in windows], dtype=np.int64)
+    start = np.array(auto.split(auto.initial_state())[0], dtype=np.int64)
+    # settle's (next e, next msgs, event) at [end phase, e, msgs]; the event
+    # is 1 for none, 2 for a delivery and 3 for a drop, and 0 marks a
+    # crossing not read yet
+    crossing = np.zeros((len(SenderPhase), cfg.e_max + 1, cfg.nmax_msg + 1, 3), dtype=np.int64)
+    for first in range(0, n_runs, _LANES):
+        runs = np.arange(first, min(first + _LANES, n_runs))
+        streams = _Streams(seed, runs)
+        lane = np.arange(len(runs) if start[:, 1].any() else 0)
+        e, msgs = np.tile(start[:, 0], (lane.size, 1)), np.tile(start[:, 1], (lane.size, 1))
+        while lane.size:
+            run = runs[lane]
+            rounds[run] += 1
+            # a done sender draws -1 from a width-1 window, which takes no word
+            drawing = msgs > 0
+            draws = streams.integers(lane, np.where(drawing, lo[e], -1),
+                                     np.where(drawing, width[e], 1))
+            rows, inverse = _distinct_rows(draws, cfg.b_max + 2)
+            outcomes = [auto.round_outcome(tuple(row)) for row in rows.tolist()]
+            ends = np.array([[sd[0] for sd in out[0][0]] for out in outcomes],
+                            dtype=np.int64)[inverse]
+            ticks[run] += np.array([out[1] for out in outcomes], dtype=np.int64)[inverse]
+            idle[run] += np.array([out[2] for out in outcomes], dtype=np.int64)[inverse]
+            stuck = np.array([out[3] for out in outcomes])[inverse]
+            if stuck.any():
+                # a deadlock stops the round before its boundary: only the
+                # deliveries it completed count
+                deadlocked[run[stuck]] = True
+                at, who = np.nonzero((ends == SenderPhase.SUCCESS) & stuck[:, None])
+                successes[run[at], who, e[at, who]] += 1
+                going = ~stuck
+                lane, run, e, msgs, ends = lane[going], run[going], e[going], msgs[going], ends[going]
+            cross = crossing[ends, e, msgs]
+            unread = cross[..., 2] == 0
+            if unread.any():
+                for key in set(zip(ends[unread].tolist(), e[unread].tolist(),
+                                   msgs[unread].tolist())):
+                    (e_next, msgs_next), event = auto.settle(*key)
+                    crossing[key] = e_next, msgs_next, 1 if event is None else 2 + event[1]
+                cross = crossing[ends, e, msgs]
+            # settle's event is (e, is_reject) at the packet's e
+            at, who = np.nonzero(cross[..., 2] == 2)
+            successes[run[at], who, e[at, who]] += 1
+            at, who = np.nonzero(cross[..., 2] == 3)
+            rejects[run[at], who] += 1
+            e, msgs = cross[..., 0], cross[..., 1]
+            going = msgs.any(axis=1)
+            lane, e, msgs = lane[going], e[going], msgs[going]
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

@@ -22,8 +22,9 @@ from ecomac_backoff import (
     run_rng,
     simulate,
 )
+from ecomac_backoff import montecarlo
 from ecomac_backoff.errors import ConfigError
-from ecomac_backoff.montecarlo import _rekey
+from ecomac_backoff.montecarlo import _distinct_rows, _Streams
 
 
 def test_every_packet_is_resolved_exactly_once(two_sender_cfg):
@@ -147,15 +148,71 @@ def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, tab
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 12345, 2**64 - 1])
-def test_reset_generator_draws_each_runs_stream(seed):
-    rng = run_rng(99, 99)
-    for r in (0, 1, 4999):
-        rng.integers(0, 7)  # leaves half a 64-bit word buffered
-        _rekey(rng, seed, r)
-        fresh = run_rng(seed, r)
-        for hi in (8, 2, 1, 2**63, 5, 8):
-            assert rng.integers(0, hi) == fresh.integers(0, hi)
-        assert (rng.integers(2**63, size=8) == fresh.integers(2**63, size=8)).all()
+def test_stream_draws_match_generator_integers(seed):
+    # windows of 3 * 2**30 and 2**31 + 1 values redraw a word with
+    # probability 1/4 and nearly 1/2, which no full run could finish with;
+    # rows of 11 draws outrun the two blocks a lane holds, and 8 rows take
+    # each lane past its third Philox block
+    runs = np.array([0, 1, 4999])
+    streams = _Streams(seed, runs)
+    generators = [run_rng(seed, int(r)) for r in runs]
+    widths = [7, 1, 8, 3 * 2**30, 2**31 + 1, 2**32]
+    for k in range(8):
+        row = [widths[(k + j) % len(widths)] for j in range(11)]
+        got = streams.integers(np.arange(len(runs)), np.full((len(runs), 11), 5),
+                               np.tile(row, (len(runs), 1)))
+        assert got.tolist() == [[int(g.integers(5, 5 + w)) for w in row] for g in generators]
+    assert (streams.block >= 2).all()
+    # a width-1 window takes no word from the stream
+    before = streams.pos.copy()
+    streams.integers(np.arange(len(runs)), np.zeros((len(runs), 2)), np.ones((len(runs), 2)))
+    assert (streams.pos == before).all()
+    # lanes that draw apart keep their own streams
+    streams.integers(np.array([1]), np.zeros((1, 1)), np.full((1, 1), 7))
+    generators[1].integers(0, 7)
+    got = streams.integers(np.array([2, 0, 1]), np.zeros((3, 2)), np.full((3, 2), 8))
+    assert got.tolist() == [[int(generators[i].integers(0, 8)) for _ in range(2)]
+                            for i in (2, 0, 1)]
+
+
+def test_distinct_rows_never_share_a_code():
+    # at radix 256 a plain mixed-radix code of a 9-sender row multiplies one
+    # end column by 256**8 = 2**64, so int64 drops it: rows that differ only
+    # there would share a code, whichever end carries the top digit
+    radix, n = 256, 9
+    rows = np.random.default_rng(3).integers(-1, radix - 1, size=(400, n))
+    # rows 4k and 4k+1 differ only in the last column, 4k+2 and 4k+3 in the first
+    for twin, col in ((1, -1), (3, 0)):
+        rows[twin::4] = rows[twin - 1::4]
+        rows[twin::4, col] = (rows[twin::4, col] + 2) % (radix - 1) - 1
+    for order in (1, -1):
+        plain = [sum((d + 1) * radix**i for i, d in enumerate(row[::order])) % 2**64
+                 for row in rows[:4].tolist()]
+        assert len(set(plain)) < 4
+    distinct, inverse = _distinct_rows(rows, radix)
+    assert (distinct[inverse] == rows).all()
+    assert len(distinct) == len({tuple(row) for row in rows.tolist()})
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(nmax_msg=2), ScenarioConfig(n_senders=3, nmax_msg=2,
+                                                                           tcu_ticks=3)],
+                         ids=["two_senders", "deadlocking"])
+def test_lane_chunks_do_not_change_the_batch(monkeypatch, cfg):
+    whole = simulate(cfg, 50, seed=12345)
+    monkeypatch.setattr(montecarlo, "_LANES", 7)
+    chunked = simulate(cfg, 50, seed=12345)
+    for field in ("successes", "rejects", "idle_ticks", "ticks", "rounds", "deadlocked"):
+        a, b = getattr(whole, field), getattr(chunked, field)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert (a == b).all(), field
+
+
+def test_windows_beyond_32_bits_are_refused():
+    # the batch draws a counter from one 32-bit word, as numpy does for
+    # windows of at most 2**32 values
+    table = BackoffTable(((0, 0, ContentionWindow(0, 2**32)),), e_max=0, b_max=2**32)
+    with pytest.raises(ConfigError, match="b_max"):
+        simulate(ScenarioConfig(table=table), 2, seed=0)
 
 
 def test_deadlocked_runs_are_flagged_and_replayable():
