@@ -109,6 +109,11 @@ class TransitionDistribution(NamedTuple):
     branches: tuple[tuple[float, GlobalState], ...]
 
 
+def _is_int(v) -> bool:
+    # a bool is an int to Python, but True is no sender count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Model parameters for one contention scenario.
@@ -134,19 +139,21 @@ class ScenarioConfig:
     robust_mode: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_senders, int) or self.n_senders < 1:
+        if not _is_int(self.n_senders) or self.n_senders < 1:
             raise ConfigError(f"n_senders must be an integer >= 1, got {self.n_senders!r}")
-        if not isinstance(self.nmax_msg, int) or self.nmax_msg < 0:
+        if not _is_int(self.nmax_msg) or self.nmax_msg < 0:
             raise ConfigError(f"nmax_msg must be an integer >= 0, got {self.nmax_msg!r}")
         for name in ("d_switch", "d_frame", "d_rssi", "cts_timeout"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
         if self.tcu_ticks is None:
             object.__setattr__(self, "tcu_ticks",
                                2 * self.d_switch + self.d_frame + self.d_rssi)
-        if not isinstance(self.tcu_ticks, int) or self.tcu_ticks < 1:
+        if not _is_int(self.tcu_ticks) or self.tcu_ticks < 1:
             raise ConfigError(f"tcu_ticks must be an integer >= 1, got {self.tcu_ticks!r}")
+        if not isinstance(self.robust_mode, bool):
+            raise ConfigError(f"robust_mode must be True or False, got {self.robust_mode!r}")
         if self.d_frame < 1:
             raise ConfigError("d_frame must be >= 1")
         if self.cts_timeout < max(1, self.d_rssi):

@@ -38,36 +38,39 @@ class ContentionWindow:
 class BackoffTable:
     """Maps the per-packet failure count e to a contention window.
 
-    ``rows`` is a tuple of ``(e_lo, e_hi, window)`` entries.  The rows must
-    tile ``[0, e_max]`` contiguously, every window must stay inside
-    ``[0, b_max]``, and window upper bounds must not grow as e grows: repeated
-    failures tighten, never widen, the spread of backoff delays.
+    ``rows`` is a tuple of ``(e_lo, e_hi, window)`` entries, and it is the
+    whole table.  The rows must tile ``[0, e_max]`` contiguously,
+    and window upper bounds must not grow as e grows: repeated failures
+    tighten, never widen, the spread of backoff delays.  The failure cap
+    ``e_max`` and the largest counter ``b_max`` follow from the rows.
     """
 
     rows: tuple[tuple[int, int, ContentionWindow], ...]
-    e_max: int = 12
-    b_max: int = 7
 
     def __post_init__(self):
-        if self.e_max < 0 or self.b_max < 0:
-            raise ConfigError("e_max and b_max must be non-negative")
         if not self.rows:
             raise ConfigError("backoff table needs at least one row")
         expect = 0
         prev_hi = None
         for e_lo, e_hi, win in self.rows:
             if e_lo != expect:
-                raise ConfigError(f"backoff table rows must tile 0..{self.e_max}; gap or overlap at e={e_lo}")
+                raise ConfigError(f"backoff table rows must tile 0..e_max; gap or overlap at e={e_lo}")
             if e_hi < e_lo:
                 raise ConfigError(f"backoff table row [{e_lo}..{e_hi}] is empty")
-            if win.hi > self.b_max:
-                raise ConfigError(f"window [{win.lo}, {win.hi}] exceeds b_max={self.b_max}")
             if prev_hi is not None and win.hi > prev_hi:
                 raise ConfigError("window upper bounds must be non-increasing in e")
             prev_hi = win.hi
             expect = e_hi + 1
-        if expect != self.e_max + 1:
-            raise ConfigError(f"backoff table rows stop at e={expect - 1}, expected e_max={self.e_max}")
+
+    @property
+    def e_max(self) -> int:
+        """Failure cap: the last row's e_hi."""
+        return self.rows[-1][1]
+
+    @property
+    def b_max(self) -> int:
+        """Largest backoff counter: the first window's hi, as bounds never grow."""
+        return self.rows[0][2].hi
 
     def window_for(self, e: int) -> ContentionWindow:
         """Contention window for failure count e; e must lie in [0, e_max]."""
@@ -89,8 +92,6 @@ DEFAULT_TABLE = BackoffTable(
         (9, 10, ContentionWindow(0, 4)),
         (11, 12, ContentionWindow(0, 3)),
     ),
-    e_max=12,
-    b_max=7,
 )
 
 

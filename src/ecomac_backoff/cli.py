@@ -21,7 +21,7 @@ from . import dtmc as engine
 from . import montecarlo as mc
 from . import properties as props
 from .automata import ScenarioConfig, label
-from .backoff import DEFAULT_TABLE, BackoffTable, ContentionWindow
+from .backoff import BackoffTable, ContentionWindow
 from .errors import ConfigError, StateSpaceLimitError
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ EXIT_DEADLOCK = 4
 
 _INT_KEYS = frozenset((
     "n_senders", "nmax_msg", "tcu_ticks", "d_switch", "d_frame", "d_rssi",
-    "cts_timeout", "e_max", "b_max", "seed", "n_runs",
+    "cts_timeout", "seed", "n_runs",
 ))
 _FLOAT_KEYS = frozenset(("seconds_per_tick", "idle_power_mw"))
 _BOOL_KEYS = frozenset(("robust_mode",))
@@ -121,26 +121,9 @@ def scenario_from_values(values: dict) -> tuple[ScenarioConfig, dict]:
         if key in values:
             run[key] = values[key]
 
-    if "window_table" in values:
-        rows = parse_window_table(values["window_table"])
-        e_max = values.get("e_max", max(hi for _, hi, _ in rows))
-        b_max = values.get("b_max", max(w.hi for _, _, w in rows))
-        table = BackoffTable(rows, e_max=e_max, b_max=b_max)
-    else:
-        table = DEFAULT_TABLE
-        if "e_max" in values and values["e_max"] != table.e_max:
-            raise ConfigError(
-                f"e_max={values['e_max']} does not match the default backoff "
-                f"table (e_max={table.e_max}); provide window_table to change it"
-            )
-        if "b_max" in values and values["b_max"] != table.b_max:
-            raise ConfigError(
-                f"b_max={values['b_max']} does not match the default backoff "
-                f"table (b_max={table.b_max}); provide window_table to change it"
-            )
-
     kwargs = {k: values[k] for k in _SCENARIO_KEYS if k in values}
-    kwargs["table"] = table
+    if "window_table" in values:
+        kwargs["table"] = BackoffTable(parse_window_table(values["window_table"]))
     return ScenarioConfig(**kwargs), run
 
 
@@ -296,22 +279,24 @@ def make_parser() -> argparse.ArgumentParser:
                         help="scenario file with 'key = value' lines")
     common.add_argument("--max-states", type=int, default=engine.MAX_STATES_DEFAULT,
                         metavar="N", help="state-space cap (default %(default)s)")
-    common.add_argument("--dump-statespace", metavar="FILE",
-                        help="also write the reachable state space to FILE")
+    # dump writes the state space anyway, so only the other subcommands take this
+    also_dump = argparse.ArgumentParser(add_help=False, parents=[common])
+    also_dump.add_argument("--dump-statespace", metavar="FILE",
+                           help="also write the reachable state space to FILE")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[also_dump],
                        help="run the validity battery against expected verdicts")
     p.add_argument("--out", metavar="CSV", help="write verdicts to CSV")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[also_dump],
                        help="contention-unit sizing study (one frame longer/shorter)")
     p.add_argument("--out", metavar="CSV", help="write study rows to CSV")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo batch")
+    p = sub.add_parser("simulate", parents=[also_dump], help="Monte Carlo batch")
     p.add_argument("--runs", type=int, metavar="N", help="number of runs")
     p.add_argument("--seed", type=int, metavar="S", help="stream seed")
     p.add_argument("--out", metavar="CSV", help="write per-run rows to CSV")

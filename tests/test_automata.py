@@ -22,6 +22,8 @@ from ecomac_backoff import (
 )
 from ecomac_backoff.errors import ConfigError
 
+from backoff_tables import REJECT_HEAVY
+
 
 def step1(auto, state):
     branches = auto.successor_distribution(state).branches
@@ -70,6 +72,8 @@ def test_explicit_contention_unit_is_taken_as_given():
     {"seconds_per_tick": 0.0},
     {"idle_power_mw": -1.0},
     {"tcu_ticks": 0},
+    {"robust_mode": "false"},   # truthy, but no bool
+    {"n_senders": True},        # a bool, but no sender count
 ])
 def test_scenario_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -334,8 +338,7 @@ def test_split_and_join_are_inverse_and_a_tick_moves_only_the_projection():
 
 # every draw is 0, so all active senders collide in every round and each
 # packet is dropped at the failure cap
-_REJECT_EVERY_PACKET = BackoffTable(((0, 1, ContentionWindow(0, 0)),), e_max=1, b_max=0)
-_REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
+_REJECT_EVERY_PACKET = BackoffTable(((0, 1, ContentionWindow(0, 0)),))
 
 
 @st.composite
@@ -345,7 +348,7 @@ def drawn_rounds(draw):
     cfg = ScenarioConfig(
         n_senders=n, nmax_msg=3, tcu_ticks=draw(st.sampled_from([3, 8, 13])),
         robust_mode=draw(st.booleans()),
-        table=draw(st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY, _REJECT_EVERY_PACKET])))
+        table=draw(st.sampled_from([DEFAULT_TABLE, REJECT_HEAVY, _REJECT_EVERY_PACKET])))
     senders, draws = [], []
     for _ in range(n):
         msgs = draw(st.integers(0, 3))

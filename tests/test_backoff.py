@@ -1,5 +1,7 @@
 """Backoff window table and contention-unit arithmetic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -67,13 +69,30 @@ def test_window_validation():
     ((0, 1, ContentionWindow(1, 7)), (3, 12, ContentionWindow(0, 7))),   # gap at e=2
     ((0, 2, ContentionWindow(1, 7)), (2, 12, ContentionWindow(0, 7))),   # overlap at e=2
     ((1, 12, ContentionWindow(1, 7)),),                                  # misses e=0
-    ((0, 11, ContentionWindow(1, 7)),),                                  # misses e=12
     ((0, 5, ContentionWindow(0, 4)), (6, 12, ContentionWindow(0, 6))),   # upper bound grows
-    ((0, 12, ContentionWindow(0, 9)),),                                  # above b_max
+    ((0, 3, ContentionWindow(1, 7)), (4, 2, ContentionWindow(0, 7))),    # empty row
+    (),                                                                  # no rows
 ])
 def test_table_validation_rejects_malformed_rows(rows):
     with pytest.raises(ConfigError):
         BackoffTable(rows)
+
+
+@pytest.mark.parametrize("rows,e_max,b_max", [
+    (DEFAULT_TABLE.rows, 12, 7),
+    (((0, 4, ContentionWindow(0, 3)),), 4, 3),
+    (((0, 1, ContentionWindow(1, 3)), (2, 6, ContentionWindow(0, 3))), 6, 3),
+    (((0, 0, ContentionWindow(2, 2)), (1, 2, ContentionWindow(0, 1))), 2, 2),
+])
+def test_table_bounds_are_derived_from_the_rows(rows, e_max, b_max):
+    # the rows are the whole table: the last e_hi caps failures and the
+    # first window's hi is the largest counter
+    assert [f.name for f in dataclasses.fields(BackoffTable)] == ["rows"]
+    table = BackoffTable(rows)
+    assert (table.e_max, table.b_max) == (e_max, b_max)
+    assert table.window_for(e_max) == rows[-1][2]
+    with pytest.raises(ConfigError):
+        table.window_for(e_max + 1)
 
 
 def test_table_upper_bounds_may_repeat():

@@ -85,22 +85,10 @@ def test_contention_unit_is_derived_unless_given():
     assert cfg.tcu_ticks == 5
 
 
-def test_failure_cap_keys_must_match_the_default_table():
-    with pytest.raises(ConfigError, match="e_max=10 does not match"):
-        scenario_from_values({"e_max": 10})
-    with pytest.raises(ConfigError, match="b_max=5 does not match"):
-        scenario_from_values({"b_max": 5})
-    cfg, _ = scenario_from_values({"e_max": 12, "b_max": 7})
-    assert cfg.e_max == 12 and cfg.b_max == 7
-
-
 def test_window_table_key_rebuilds_the_table():
-    values = {"window_table": "0..2:0..3; 3..4:0..2", "e_max": 4, "b_max": 3}
-    cfg, _ = scenario_from_values(values)
-    assert cfg.e_max == 4 and cfg.b_max == 3
-    assert cfg.table.window_for(3) == ContentionWindow(0, 2)
-    # bounds fall out of the rows when not given
     cfg, _ = scenario_from_values({"window_table": "0..2:0..3; 3..4:0..2"})
+    assert cfg.table.window_for(3) == ContentionWindow(0, 2)
+    # the failure cap and the largest counter fall out of the rows
     assert cfg.e_max == 4 and cfg.b_max == 3
 
 
@@ -243,11 +231,13 @@ def test_state_cap_below_one_exits_2(capsys, tmp_path, cap):
     assert f"max_states must be >= 1, got {cap}" in capsys.readouterr().err
 
 
-def test_removed_exact_cap_key_is_unknown(capsys, tmp_path):
+@pytest.mark.parametrize("key", ["exact_cap", "e_max", "b_max"])
+def test_removed_exact_cap_key_is_unknown(capsys, tmp_path, key):
+    # e_max and b_max are the window table's, so no key restates them
     conf = tmp_path / "cap.conf"
-    conf.write_text("exact_cap = -5\n")
+    conf.write_text(f"{key} = -5\n")
     assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
-    assert "line 1: unknown key 'exact_cap'" in capsys.readouterr().err
+    assert f"line 1: unknown key '{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,6 +251,16 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert main(argv + [str(target)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "cannot write output" in err and str(target) in err
+
+
+def test_dump_refuses_dump_statespace(capsys, tmp_path):
+    # dump writes the state space to --out, so a second target is refused
+    out, extra = tmp_path / "space.txt", tmp_path / "extra.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--out", str(out), "--dump-statespace", str(extra)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --dump-statespace" in capsys.readouterr().err
+    assert not out.exists() and not extra.exists()
 
 
 def test_sweep_prints_rows_and_witness(capsys, tmp_path):

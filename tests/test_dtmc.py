@@ -44,6 +44,8 @@ from ecomac_backoff.errors import (
     StateSpaceLimitError,
 )
 
+from backoff_tables import REJECT_HEAVY, tables
+
 
 def first_round_outcomes():
     """Brute force over the 49 equally likely first draws.
@@ -171,21 +173,17 @@ def assert_matches_reference(cfg):
         assert (got == want).all(), name
 
 
-# every failure count draws 0 or 1, so rounds collide often and packets
-# reach the failure cap
-_REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
 # the narrowed table of the verifier benchmark, in which failure counts 0-1
 # and 2-6 share their windows, and a table in which every draw is 0, so each
 # draw row has one branch and lies on a run
-_NARROWED = BackoffTable(((0, 1, ContentionWindow(1, 3)), (2, 6, ContentionWindow(0, 3))),
-                         e_max=6, b_max=3)
-_DRAW_ZERO = BackoffTable(((0, 1, ContentionWindow(0, 0)),), e_max=1, b_max=0)
+_NARROWED = BackoffTable(((0, 1, ContentionWindow(1, 3)), (2, 6, ContentionWindow(0, 3))))
+_DRAW_ZERO = BackoffTable(((0, 1, ContentionWindow(0, 0)),))
 
 
 @settings(max_examples=15, deadline=None)
 @given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
        tcu=st.sampled_from([3, 8, 13]), d_switch=st.sampled_from([0, 1]),
-       table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY, _NARROWED]))
+       table=tables(DEFAULT_TABLE, REJECT_HEAVY, _NARROWED))
 def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_switch, table):
     assert_matches_reference(ScenarioConfig(
         n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust, tcu_ticks=tcu,
@@ -212,7 +210,7 @@ _PINNED_CONFIGS = {
     "three_senders": ScenarioConfig(n_senders=3, nmax_msg=1),
     "short_unit": ScenarioConfig(tcu_ticks=3),
     "robust_short_unit": ScenarioConfig(tcu_ticks=3, robust_mode=True),
-    "reject_heavy": ScenarioConfig(nmax_msg=2, table=_REJECT_HEAVY),
+    "reject_heavy": ScenarioConfig(nmax_msg=2, table=REJECT_HEAVY),
 }
 _PINNED_DIGESTS = {
     "lone_three_packets": {

@@ -26,6 +26,8 @@ from ecomac_backoff import montecarlo
 from ecomac_backoff.errors import ConfigError
 from ecomac_backoff.montecarlo import _distinct_rows, _Streams
 
+from backoff_tables import REJECT_HEAVY, tables
+
 
 def test_every_packet_is_resolved_exactly_once(two_sender_cfg):
     agg = simulate(two_sender_cfg, 500, seed=5)
@@ -97,11 +99,6 @@ def test_seeds_below_2_63_keep_their_streams(seed):
     assert (run_rng(seed, 3).integers(2**63, size=8) == old.integers(2**63, size=8)).all()
 
 
-# every failure count draws 0 or 1, so rounds collide often and packets
-# reach the failure cap
-_REJECT_HEAVY = BackoffTable(((0, 1, ContentionWindow(0, 1)),), e_max=1, b_max=1)
-
-
 # a switch slower than a frame: a rival can start its request after the
 # winner's grant, so a round can deliver a packet and then deadlock
 _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
@@ -109,7 +106,7 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
 
 @settings(max_examples=25, deadline=None)
 @given(n_senders=st.integers(1, 3), nmax_msg=st.integers(0, 3), robust=st.booleans(),
-       tcu=st.sampled_from([1, 3, 8, 13]), table=st.sampled_from([DEFAULT_TABLE, _REJECT_HEAVY]),
+       tcu=st.sampled_from([1, 3, 8, 13]), table=tables(DEFAULT_TABLE, REJECT_HEAVY),
        timing=st.sampled_from([{}, _SLOW_SWITCH]), seed=st.integers(0, 2**64 - 1))
 # most of these runs deadlock, or reach the failure cap
 @example(n_senders=3, nmax_msg=2, robust=False, tcu=3, table=DEFAULT_TABLE, timing={},
@@ -210,7 +207,7 @@ def test_lane_chunks_do_not_change_the_batch(monkeypatch, cfg):
 def test_windows_beyond_32_bits_are_refused():
     # the batch draws a counter from one 32-bit word, as numpy does for
     # windows of at most 2**32 values
-    table = BackoffTable(((0, 0, ContentionWindow(0, 2**32)),), e_max=0, b_max=2**32)
+    table = BackoffTable(((0, 0, ContentionWindow(0, 2**32)),))
     with pytest.raises(ConfigError, match="b_max"):
         simulate(ScenarioConfig(table=table), 2, seed=0)
 
