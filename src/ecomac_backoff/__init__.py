@@ -20,6 +20,7 @@ from .automata import (
     StepKind,
     initial_state,
     label,
+    label_text,
 )
 from .backoff import (
     DEFAULT_TABLE,

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import NamedTuple
 
-from .backoff import DEFAULT_TABLE, BackoffTable, rbc_pmf
+from .backoff import DEFAULT_TABLE, BackoffTable, is_int, rbc_pmf
 from .errors import ConfigError
 
 
@@ -109,11 +110,6 @@ class TransitionDistribution(NamedTuple):
     branches: tuple[tuple[float, GlobalState], ...]
 
 
-def _is_int(v) -> bool:
-    # a bool is an int to Python, but True is no sender count
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Model parameters for one contention scenario.
@@ -139,21 +135,27 @@ class ScenarioConfig:
     robust_mode: bool = False
 
     def __post_init__(self):
-        if not _is_int(self.n_senders) or self.n_senders < 1:
+        if not is_int(self.n_senders) or self.n_senders < 1:
             raise ConfigError(f"n_senders must be an integer >= 1, got {self.n_senders!r}")
-        if not _is_int(self.nmax_msg) or self.nmax_msg < 0:
+        if not is_int(self.nmax_msg) or self.nmax_msg < 0:
             raise ConfigError(f"nmax_msg must be an integer >= 0, got {self.nmax_msg!r}")
         for name in ("d_switch", "d_frame", "d_rssi", "cts_timeout"):
             v = getattr(self, name)
-            if not _is_int(v) or v < 0:
+            if not is_int(v) or v < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
         if self.tcu_ticks is None:
             object.__setattr__(self, "tcu_ticks",
                                2 * self.d_switch + self.d_frame + self.d_rssi)
-        if not _is_int(self.tcu_ticks) or self.tcu_ticks < 1:
+        if not is_int(self.tcu_ticks) or self.tcu_ticks < 1:
             raise ConfigError(f"tcu_ticks must be an integer >= 1, got {self.tcu_ticks!r}")
         if not isinstance(self.robust_mode, bool):
             raise ConfigError(f"robust_mode must be True or False, got {self.robust_mode!r}")
+        if not isinstance(self.table, BackoffTable):
+            raise ConfigError(f"table must be a BackoffTable, got {self.table!r}")
+        for name in ("seconds_per_tick", "idle_power_mw"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be a number, got {v!r}")
         if self.d_frame < 1:
             raise ConfigError("d_frame must be >= 1")
         if self.cts_timeout < max(1, self.d_rssi):
@@ -202,16 +204,44 @@ _SENDER_PHASE_NAMES = {p: p.name.lower() for p in SenderPhase}
 _RECEIVER_PHASE_NAMES = {p: p.name.lower() for p in ReceiverPhase}
 
 
+def sender_labels(i: int, phase: int, e: int, rbc: int, msgs: int) -> tuple[str, ...]:
+    """The four atomic propositions of sender `i`, sorted."""
+    return tuple(sorted((f"s{i}_{_SENDER_PHASE_NAMES[phase]}", f"s{i}_e_{e}",
+                         f"s{i}_rbc_{rbc}", f"s{i}_msgs_{msgs}")))
+
+
+def receiver_label(phase: int) -> str:
+    """The atomic proposition of the receiver's phase."""
+    return f"r_{_RECEIVER_PHASE_NAMES[phase]}"
+
+
+def label_order(n_senders: int) -> list[int]:
+    """Sender indices in the order their labels sort, after the receiver's.
+
+    Every label starts with its owner's prefix, ``r_`` or ``s<i>_``, and no
+    prefix is a prefix of another, so two labels of different owners
+    compare as their prefixes do: ``r_`` first, then ``s0_``, ``s10_``,
+    ``s11_``, ..., ``s1_``, ``s2_``.  The receiver's label followed by each
+    sender's sorted labels in this order is the sorted label set.
+    """
+    return sorted(range(n_senders), key=lambda i: f"s{i}_")
+
+
 def label(state: GlobalState) -> frozenset[str]:
     """Atomic propositions of a state (sender phases, counters, receiver phase)."""
-    props = set()
+    props = {receiver_label(state.receiver.phase)}
     for i, sd in enumerate(state.senders):
-        props.add(f"s{i}_{_SENDER_PHASE_NAMES[sd.phase]}")
-        props.add(f"s{i}_e_{sd.e}")
-        props.add(f"s{i}_rbc_{sd.rbc}")
-        props.add(f"s{i}_msgs_{sd.msgs}")
-    props.add(f"r_{_RECEIVER_PHASE_NAMES[state.receiver.phase]}")
+        props.update(sender_labels(i, sd.phase, sd.e, sd.rbc, sd.msgs))
     return frozenset(props)
+
+
+def label_text(state: GlobalState) -> str:
+    """The labels of a state, sorted as strings and joined by commas."""
+    parts = [receiver_label(state.receiver.phase)]
+    for i in label_order(len(state.senders)):
+        sd = state.senders[i]
+        parts.extend(sender_labels(i, sd.phase, sd.e, sd.rbc, sd.msgs))
+    return ",".join(parts)
 
 
 class Automaton:

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
+def is_int(v) -> bool:
+    """An int that is not a bool: True is no count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ContentionWindow:
     """Inclusive integer range [lo, hi] a backoff counter is drawn from."""
@@ -23,6 +28,9 @@ class ContentionWindow:
     hi: int
 
     def __post_init__(self):
+        if not (is_int(self.lo) and is_int(self.hi)):
+            raise ConfigError(f"contention window bounds must be integers, "
+                              f"got [{self.lo!r}, {self.hi!r}]")
         if not (0 <= self.lo <= self.hi):
             raise ConfigError(f"contention window [{self.lo}, {self.hi}] needs 0 <= lo <= hi")
 
@@ -38,7 +46,7 @@ class ContentionWindow:
 class BackoffTable:
     """Maps the per-packet failure count e to a contention window.
 
-    ``rows`` is a tuple of ``(e_lo, e_hi, window)`` entries, and it is the
+    ``rows`` is a tuple of ``(e_lo, e_hi, window)`` tuples, and it is the
     whole table.  The rows must tile ``[0, e_max]`` contiguously,
     and window upper bounds must not grow as e grows: repeated failures
     tighten, never widen, the spread of backoff delays.  The failure cap
@@ -48,11 +56,19 @@ class BackoffTable:
     rows: tuple[tuple[int, int, ContentionWindow], ...]
 
     def __post_init__(self):
+        # tuples, not lists, so a table and the scenarios holding it hash
+        if not isinstance(self.rows, tuple):
+            raise ConfigError(f"backoff table rows must be a tuple, got {self.rows!r}")
         if not self.rows:
             raise ConfigError("backoff table needs at least one row")
         expect = 0
         prev_hi = None
-        for e_lo, e_hi, win in self.rows:
+        for row in self.rows:
+            if not (isinstance(row, tuple) and len(row) == 3 and is_int(row[0])
+                    and is_int(row[1]) and isinstance(row[2], ContentionWindow)):
+                raise ConfigError(f"backoff table row {row!r} is not an "
+                                  f"(int, int, ContentionWindow) tuple")
+            e_lo, e_hi, win = row
             if e_lo != expect:
                 raise ConfigError(f"backoff table rows must tile 0..e_max; gap or overlap at e={e_lo}")
             if e_hi < e_lo:
@@ -118,6 +134,6 @@ def compute_tcu(t_mxsrt_us: int, t_frmctrl_us: int, t_rssi_us: int) -> int:
     """
     timings = {"t_mxsrt_us": t_mxsrt_us, "t_frmctrl_us": t_frmctrl_us, "t_rssi_us": t_rssi_us}
     for name, v in timings.items():
-        if not isinstance(v, int) or v < 0:
+        if not is_int(v) or v < 0:
             raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
     return 2 * t_mxsrt_us + t_frmctrl_us + t_rssi_us

@@ -20,7 +20,7 @@ from . import __version__
 from . import dtmc as engine
 from . import montecarlo as mc
 from . import properties as props
-from .automata import ScenarioConfig, label
+from .automata import ScenarioConfig, label_text
 from .backoff import BackoffTable, ContentionWindow
 from .errors import ConfigError, StateSpaceLimitError
 
@@ -159,7 +159,7 @@ def _write_trace_file(path: str, states, note: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(note + "\n")
         for step, state in enumerate(states):
-            fh.write(f"{step:4d}  " + ",".join(sorted(label(state))) + "\n")
+            fh.write(f"{step:4d}  {label_text(state)}\n")
 
 
 # -- subcommands -----------------------------------------------------------------

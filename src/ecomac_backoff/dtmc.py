@@ -63,6 +63,10 @@ from .automata import (
     SenderState,
     StepKind,
     label,
+    label_order,
+    label_text,
+    receiver_label,
+    sender_labels,
 )
 from .errors import ConfigError, RewardUndefinedError, SolverError, StateSpaceLimitError
 
@@ -81,6 +85,8 @@ _FEATURE_MAX = int(np.iinfo(np.int16).max)
 # config values bounding some feature column
 _FEATURE_BOUNDS = ("n_senders", "nmax_msg", "tcu_ticks", "d_switch", "d_frame",
                    "cts_timeout", "e_max", "b_max")
+# states per write of dump_statespace; bounds the text held at once
+_DUMP_CHUNK = 4096
 
 
 @dataclass
@@ -92,8 +98,7 @@ class Trace:
     def render(self, dtmc: "DTMC") -> str:
         lines = []
         for step, idx in enumerate(self.indices):
-            props = ",".join(sorted(label(dtmc.state_at(idx))))
-            lines.append(f"{step:4d}  #{idx}  {props}")
+            lines.append(f"{step:4d}  #{idx}  {label_text(dtmc.state_at(idx))}")
         return "\n".join(lines)
 
 
@@ -971,12 +976,35 @@ def find_deadlocks(dtmc: DTMC, limit: int | None = 10) -> list[Trace]:
 
 
 def dump_statespace(dtmc: DTMC, path) -> None:
-    """Write one line per state: index, sorted labels, successor:probability."""
+    """Write one line per state: index, sorted labels, successor:probability.
+
+    The file is written column by column, in chunks of ``_DUMP_CHUNK``
+    states.  Each sender's distinct ``(phase, e, rbc, msgs)`` blocks, the
+    receiver's distinct phases and the distinct probabilities are formatted
+    once; a line's label field joins its owners' texts in
+    :func:`label_order`, which is the sorted order of its labels.
+    """
+    f, n = dtmc.features, dtmc.n_states
+    phases, r_inv = np.unique(f[:, dtmc.n_senders * N_SENDER_FIELDS], return_inverse=True)
+    columns = [(np.array([receiver_label(p) for p in phases.tolist()], dtype=object), r_inv)]
+    for i in label_order(dtmc.n_senders):
+        # a block's four int16 fields read as one int64, so np.unique sorts
+        # plain integers rather than rows
+        block = np.ascontiguousarray(f[:, i * N_SENDER_FIELDS:i * N_SENDER_FIELDS + 4])
+        keys, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        blocks = keys.view(np.int16).reshape(-1, 4).tolist()
+        texts = [",".join(sender_labels(i, *b)) for b in blocks]
+        columns.append((np.array(texts, dtype=object), inv))
+    probs, p_inv = np.unique(dtmc.probs, return_inverse=True)
+    p_texts = np.array([f"{p:.12g}" for p in probs.tolist()], dtype=object)
+    indptr = dtmc.indptr
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for i in range(dtmc.n_states):
-            lo, hi = dtmc.indptr[i], dtmc.indptr[i + 1]
-            succs = " ".join(
-                f"{j}:{p:.12g}"
-                for j, p in zip(dtmc.cols[lo:hi].tolist(), dtmc.probs[lo:hi].tolist())
-            )
-            fh.write(f"{i}\t{','.join(sorted(dtmc.labels_of(i)))}\t{succs}\n")
+        for lo in range(0, n, _DUMP_CHUNK):
+            hi = min(lo + _DUMP_CHUNK, n)
+            e_lo, e_hi = int(indptr[lo]), int(indptr[hi])
+            labels = map(",".join, zip(*(texts[inv[lo:hi]].tolist() for texts, inv in columns)))
+            succs = [f"{j}:{p}" for j, p in zip(dtmc.cols[e_lo:e_hi].tolist(),
+                                                 p_texts[p_inv[e_lo:e_hi]].tolist())]
+            bounds = (indptr[lo:hi + 1] - e_lo).tolist()
+            fh.write("".join(f"{i}\t{lab}\t{' '.join(succs[a:b])}\n" for i, lab, a, b
+                             in zip(range(lo, hi), labels, bounds, bounds[1:])))

@@ -74,6 +74,14 @@ def test_explicit_contention_unit_is_taken_as_given():
     {"tcu_ticks": 0},
     {"robust_mode": "false"},   # truthy, but no bool
     {"n_senders": True},        # a bool, but no sender count
+    {"table": "nope"},
+    {"table": ((0, 1, ContentionWindow(0, 3)),)},   # rows, but no table
+    {"seconds_per_tick": "x"},
+    {"seconds_per_tick": None},
+    {"seconds_per_tick": True},  # would be 1.0 s
+    {"idle_power_mw": "x"},
+    {"idle_power_mw": None},
+    {"idle_power_mw": False},
 ])
 def test_scenario_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -65,6 +65,13 @@ def test_window_validation():
         ContentionWindow(-1, 3)
 
 
+@pytest.mark.parametrize("lo,hi", [(True, 3), (0, True), (0.0, 3), (0, 3.0), ("0", 3)])
+def test_window_bounds_must_be_integers(lo, hi):
+    # True would pass for 1, and a float bound would reach range()
+    with pytest.raises(ConfigError, match="integers"):
+        ContentionWindow(lo, hi)
+
+
 @pytest.mark.parametrize("rows", [
     ((0, 1, ContentionWindow(1, 7)), (3, 12, ContentionWindow(0, 7))),   # gap at e=2
     ((0, 2, ContentionWindow(1, 7)), (2, 12, ContentionWindow(0, 7))),   # overlap at e=2
@@ -72,6 +79,13 @@ def test_window_validation():
     ((0, 5, ContentionWindow(0, 4)), (6, 12, ContentionWindow(0, 6))),   # upper bound grows
     ((0, 3, ContentionWindow(1, 7)), (4, 2, ContentionWindow(0, 7))),    # empty row
     (),                                                                  # no rows
+    ((0, 2.5, ContentionWindow(0, 3)),),                                 # float e_hi
+    ((0.0, 2, ContentionWindow(0, 3)),),                                 # float e_lo
+    ((False, 2, ContentionWindow(0, 3)),),                               # bool e_lo
+    ((0, 2, (0, 3)),),                                                   # no window
+    ((0, 2),),                                                           # short row
+    [(0, 2, ContentionWindow(0, 3))],                                    # list of rows
+    ([0, 2, ContentionWindow(0, 3)],),                                   # list row
 ])
 def test_table_validation_rejects_malformed_rows(rows):
     with pytest.raises(ConfigError):
@@ -116,6 +130,8 @@ def test_timing_params_validation():
         compute_tcu(850, 12000, 12.5)
     with pytest.raises(ConfigError, match="t_frmctrl_us"):
         compute_tcu(850, -1, 12)
+    with pytest.raises(ConfigError, match="t_mxsrt_us"):
+        compute_tcu(True, 0, 0)
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))

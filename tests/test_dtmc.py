@@ -9,6 +9,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,9 +35,11 @@ from ecomac_backoff import (
     expected_visits,
     find_deadlocks,
     idle_listening_rewards,
+    label,
     prob_reach,
     reach_from_start,
 )
+from ecomac_backoff import dtmc as dtmc_module
 from ecomac_backoff.dtmc import _solve_at_start, _solve_fixed_point
 from ecomac_backoff.errors import (
     RewardUndefinedError,
@@ -288,6 +291,47 @@ def test_build_output_matches_its_pinned_digests(name, tmp_path):
     dump_statespace(d, tmp_path / "dump.txt")
     got["dump"] = hashlib.sha256((tmp_path / "dump.txt").read_bytes()).hexdigest()
     assert got == _PINNED_DIGESTS[name]
+
+
+def reference_dump(d, path):
+    """The per-state writer: one GlobalState, label set and sort per state."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for i in range(d.n_states):
+            lo, hi = d.indptr[i], d.indptr[i + 1]
+            succs = " ".join(
+                f"{j}:{p:.12g}" for j, p in zip(d.cols[lo:hi].tolist(), d.probs[lo:hi].tolist()))
+            fh.write(f"{i}\t{','.join(sorted(label(d.state_at(i))))}\t{succs}\n")
+
+
+def test_dump_label_order_at_eleven_senders(tmp_path):
+    # s10_ sorts before s1_, so the label field is not in sender order
+    d = build(ScenarioConfig(n_senders=11, nmax_msg=1,
+                             table=BackoffTable(((0, 1, ContentionWindow(2, 2)),))))
+    dump_statespace(d, tmp_path / "dump.txt")
+    lines = (tmp_path / "dump.txt").read_text().splitlines()
+    assert len(lines) == d.n_states == 58
+    for i, line in enumerate(lines):
+        field = line.split("\t")[1]
+        assert field == ",".join(sorted(label(d.state_at(i))))
+        assert field.index("s10_") < field.index("s1_")
+
+
+# the narrowed table draws with probability 1/3, whose digits run past
+# the 12 printed
+@settings(max_examples=15, deadline=None)
+@given(shape=st.sampled_from([(1, 0), (1, 2), (2, 1), (2, 2), (3, 1)]), robust=st.booleans(),
+       tcu=st.sampled_from([3, 8]), table=tables(_NARROWED), chunk=st.sampled_from([1, 7, 4096]))
+def test_columnar_dump_matches_the_per_state_writer(shape, robust, tcu, table, chunk,
+                                                    tmp_path_factory):
+    n_senders, nmax_msg = shape
+    d = build(ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
+                             tcu_ticks=tcu, table=table))
+    out = tmp_path_factory.mktemp("dump")
+    reference_dump(d, out / "want.txt")
+    # chunks of 1 and 7 states put chunk boundaries beside draw rows and deadlocks
+    with patch.object(dtmc_module, "_DUMP_CHUNK", chunk):
+        dump_statespace(d, out / "got.txt")
+    assert (out / "got.txt").read_bytes() == (out / "want.txt").read_bytes()
 
 
 def test_build_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
