@@ -247,18 +247,20 @@ def label_text(state: GlobalState) -> str:
 class Automaton:
     """Successor-rule engine for one scenario; the single source of semantics.
 
-    The tick rule, :meth:`_tick`, takes and returns tick projections
-    (:meth:`split`), so no tick can read or write a sender's ``e`` or
-    ``msgs``.  Every tick goes through it: :meth:`successor_distribution`
-    joins its result to the state's context, and the DTMC builder advances
-    tick states through :meth:`next_projection`.  The Monte Carlo simulator
-    resolves each joint draw itself.  A batch draws a round for all its
-    live runs at once, reads the rest of the round from
-    :meth:`round_outcome` once per distinct draw vector, and crosses the
-    round boundary through a table it fills from :meth:`settle`.  A traced
-    run builds the drawn state with :meth:`drawn_state` and takes every
-    other step from :meth:`successor_distribution`, the step function the
-    builder uses.  Neither engine re-implements any protocol rule.
+    Every step rule takes a state as ``(context, projection)``
+    (:meth:`split`): the tick rule, :meth:`_tick`, maps projections, so no
+    tick can read or write a sender's ``e`` or ``msgs``; a draw
+    (:meth:`draw_branches`) keeps the context; and :meth:`boundary` applies
+    the boundary rule, :meth:`_reset`, to each sender.  The DTMC builder
+    steps these pairs, and :meth:`successor_distribution` joins them into
+    whole states.  The Monte Carlo simulator resolves each joint draw
+    itself.  A batch draws a round for all its live runs at once, reads the
+    rest of the round from :meth:`round_outcome` once per distinct draw
+    vector, and crosses the round boundary through a table it fills from
+    :meth:`settle`.  A traced run builds the drawn state with
+    :meth:`drawn_state` and takes every other step from
+    :meth:`successor_distribution`.  Neither engine re-implements any
+    protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -408,25 +410,28 @@ class Automaton:
 
     # -- round boundary ----------------------------------------------------
 
-    def _reset_sender(self, sd: SenderState) -> SenderState:
-        phase = sd.phase
+    def _reset(self, phase: int, e: int, msgs: int) -> tuple[int, int, int]:
+        """The boundary rule: a sender's ``(phase, e, msgs)`` after one reset;
+        a rejected packet takes a second."""
         if phase in (SenderPhase.SUCCESS, SenderPhase.REJECT):
-            msgs = sd.msgs - 1
-            if msgs == 0:
-                return _DONE_SENDER
-            return SenderState(SenderPhase.CHOOSE, 0, -1, msgs, 0)
+            if msgs == 1:
+                return SenderPhase.DONE, 0, 0
+            return SenderPhase.CHOOSE, 0, msgs - 1
         if phase == SenderPhase.SLEEP:
-            if sd.e == self.cfg.e_max:
-                return SenderState(SenderPhase.REJECT, sd.e, -1, sd.msgs, 0)
-            return SenderState(SenderPhase.CHOOSE, sd.e + 1, -1, sd.msgs, 0)
+            if e == self.cfg.e_max:
+                return SenderPhase.REJECT, e, msgs
+            return SenderPhase.CHOOSE, e + 1, msgs
         if phase in (SenderPhase.CHOOSE, SenderPhase.DONE):
-            return sd
+            return phase, e, msgs
         raise AssertionError(f"sender phase {phase} cannot cross a round boundary")
 
-    def _boundary(self, state: GlobalState) -> GlobalState:
-        return GlobalState(
-            tuple(self._reset_sender(sd) for sd in state.senders), _IDLE_RECEIVER
-        )
+    def boundary(self, context: tuple, projection: tuple) -> tuple[tuple, tuple]:
+        """The boundary state ``(context, projection)`` after its reset: each
+        sender through :meth:`_reset`, undrawn, and the receiver idle."""
+        reset = [self._reset(sd[0], e, msgs)
+                 for (e, msgs), sd in zip(context, projection[0])]
+        return (tuple((e, msgs) for _, e, msgs in reset),
+                (tuple((phase, -1, 0) for phase, _, _ in reset), _IDLE_RECEIVER))
 
     # -- full step ----------------------------------------------------------
 
@@ -477,17 +482,15 @@ class Automaton:
             return TransitionDistribution(((1.0, state),))
         if kind == StepKind.DEADLOCK:
             return TransitionDistribution(())
-        if kind == StepKind.BOUNDARY:
-            return TransitionDistribution(((1.0, self._boundary(state)),))
-        if kind == StepKind.DRAW:
-            return TransitionDistribution(tuple(self.draw_branches(state)))
         context, projection = self.split(state)
-        return TransitionDistribution(((1.0, self.join(context, self._tick(projection))),))
-
-    def draw_outcome(self, sd: SenderState, value: int) -> SenderState:
-        """Sender state right after drawing `value` backoff units."""
-        phase, rbc, ticks = self._drawn(value)
-        return SenderState(phase, sd.e, rbc, sd.msgs, ticks)
+        if kind == StepKind.BOUNDARY:
+            branches = ((1.0, self.boundary(context, projection)),)
+        elif kind == StepKind.DRAW:
+            branches = ((p, (context, drawn))
+                        for p, drawn in self.draw_branches(context, projection))
+        else:
+            branches = ((1.0, (context, self._tick(projection))),)
+        return TransitionDistribution(tuple((p, self.join(*nxt)) for p, nxt in branches))
 
     def _drawn(self, value: int) -> tuple:
         # (phase, rbc, ticks) right after drawing `value`; -1 is a done sender
@@ -577,14 +580,14 @@ class Automaton:
         Returns ``((e, msgs) of the next round, event)``, where the event
         is ``(e, is_reject)`` for a delivered or dropped packet and None
         otherwise; ``msgs == 0`` means the sender is done.  The crossing is
-        :meth:`_reset_sender`, applied twice when it rejects the packet.
+        :meth:`_reset`, applied twice when it rejects the packet.
         """
-        sd = self._reset_sender(SenderState(phase, e, -1, msgs, 0))
+        phase_next, e_next, msgs_next = self._reset(phase, e, msgs)
         event = (e, False) if phase == SenderPhase.SUCCESS else None
-        if sd.phase == SenderPhase.REJECT:
+        if phase_next == SenderPhase.REJECT:
             event = (e, True)
-            sd = self._reset_sender(sd)
-        return (sd.e, sd.msgs), event
+            _, e_next, msgs_next = self._reset(phase_next, e_next, msgs_next)
+        return (e_next, msgs_next), event
 
     def _play(self, projection: tuple) -> tuple:
         """Tick `projection` until the next step is not a tick.
@@ -603,17 +606,18 @@ class Automaton:
             kind = self.step_kind(projection)
         return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 
-    def draw_branches(self, state: GlobalState) -> Iterator[tuple[float, GlobalState]]:
-        """The branches of the draw state `state`, one at a time, in the
-        order :meth:`successor_distribution` lists them.
+    def draw_branches(self, context: tuple, projection: tuple) -> Iterator[tuple[float, tuple]]:
+        """The draw state ``(context, projection)``'s branches as (probability,
+        drawn projection), one at a time, in :meth:`successor_distribution`'s
+        order; the context stays.
 
         All pending draws resolve jointly in one zero-duration step, so a
         row has up to 7**n branches; a caller can stop before the last.
         """
-        senders = state.senders
-        choosing = [i for i, sd in enumerate(senders) if sd.phase == SenderPhase.CHOOSE]
+        senders = projection[0]
+        choosing = [i for i, sd in enumerate(senders) if sd[0] == SenderPhase.CHOOSE]
         per_sender = [
-            tuple((p, self.draw_outcome(senders[i], v)) for v, p in self._draws[senders[i].e])
+            tuple((p, self._drawn(v)) for v, p in self._draws[context[i][0]])
             for i in choosing
         ]
         base = list(senders)
@@ -622,7 +626,7 @@ class Automaton:
             for i, (p, nxt) in zip(choosing, combo):
                 prob *= p
                 base[i] = nxt
-            yield prob, GlobalState(tuple(base), _DRAWN_RECEIVER)
+            yield prob, (tuple(base), _DRAWN_RECEIVER)
 
     def _tick(self, projection: tuple) -> tuple:
         """The tick rule: the projection one synchronized tick later."""

@@ -12,15 +12,15 @@ projection (:meth:`Automaton.split`), interns both to ids, and keys its BFS
 index on the pair packed into one int, ``c << 32 | q``.  It takes the search
 one layer at a time: the states found from one layer are the next, numbered
 in order of first occurrence, exactly as a state-by-state BFS numbers them.
-A tick moves only the projection, so the tick rows of a layer are one gather
-from a per-projection table of the successors that
-:meth:`Automaton.next_projection` computes once per projection.  A draw row
-comes from a cache keyed on the projection and each sender's draw
-distribution, and a boundary row from a cache keyed on the context and the
-sender phases; only their misses and deadlock and terminal states reach the
-automaton.  Each layer's successor keys are then looked up in the index in
-one batch.  The feature matrix is gathered from the interned tables by id
-once the search ends.
+Every step is taken on the pair.  A tick moves only the projection, so the
+tick rows of a layer are one gather from a per-projection table of the
+successors that :meth:`Automaton.next_projection` computes once, or of the
+step kind when it is no tick.  Draw rows (:meth:`Automaton.draw_branches`)
+are cached on the projection and each sender's draw distribution, and
+boundary rows (:meth:`Automaton.boundary`), one edge like a tick, on the
+context and the sender phases.  Each layer's successor keys are then looked
+up in the index in one batch.  The feature matrix is gathered from the
+interned tables by id once the search ends.
 
 Apart from the self-loops of all-done terminal states the chain is a DAG
 (packets only get consumed, failure counters only grow, and every tick makes
@@ -76,6 +76,7 @@ MAX_STATES_DEFAULT = 10_000_000
 # that is not a tick
 _DRAW = -1 - StepKind.DRAW
 _BOUNDARY = -1 - StepKind.BOUNDARY
+_TERMINAL = -1 - StepKind.TERMINAL
 
 # one feature row per state: (phase, e, rbc, msgs, ticks) per sender, then
 # (phase, winner, ticks) for the receiver, stored as int16
@@ -393,10 +394,10 @@ class _Builder:
     context and its branches read only the projection and each choosing
     sender's draw distribution, so draw rows are cached on (projection id,
     each sender's distribution id) as probabilities and drawn projection
-    ids.  A boundary step reads only each sender's phase, ``e`` and
-    ``msgs`` and resets the receiver, so boundary rows are cached on
-    (context id, sender phases) as probabilities and successor keys.  Each
-    cached row is audited once when it is filled.
+    ids, and each is audited once when it is filled.  A boundary step reads
+    only each sender's phase, ``e`` and ``msgs`` and resets the receiver,
+    so it is one edge of probability 1, cached on (context id, sender
+    phases) as its successor key.
     """
 
     def __init__(self, cfg: ScenarioConfig, max_states: int):
@@ -415,12 +416,11 @@ class _Builder:
         self.draw_ids = [ids.setdefault(d, len(ids)) for d in self.auto._draws]
         self.context_draws: list[tuple] = []
         self.draw_rows: dict[tuple, tuple] = {}
-        self.boundary_rows: dict[tuple, tuple] = {}
+        self.boundary_rows: dict[tuple, int] = {}
         self.index: dict[int, int] = {}
         self.deadlocks = array("q")
         self.terminals = array("q")
-        self.counts = dict.fromkeys(("draw", "draw_cached", "boundary", "boundary_cached",
-                                     "distributed"), 0)
+        self.counts = dict.fromkeys(("draw", "draw_cached", "boundary", "boundary_cached"), 0)
 
     def intern_projection(self, projection: tuple) -> int:
         q = self.projection_ids.get(projection)
@@ -429,8 +429,7 @@ class _Builder:
             self.projections.append(projection)
         return q
 
-    def intern(self, state: GlobalState) -> int:
-        context, projection = self.auto.split(state)
+    def intern(self, context: tuple, projection: tuple) -> int:
         c = self.context_ids.get(context)
         if c is None:
             c = self.context_ids[context] = len(self.contexts)
@@ -443,9 +442,9 @@ class _Builder:
 
         Returns ``(keys, probs, ends)``: every row's successor keys and
         probabilities, rows in order, and each row's end in them.  The tick
-        rows are one gather from the per-projection table; every other row
-        comes from a cache or from the automaton, and is recorded if it is
-        a deadlock (no edge) or a terminal self-loop.
+        rows are one gather from the per-projection table; a boundary row or
+        a terminal self-loop is one edge too, and a deadlock none.  Deadlock
+        and terminal rows are recorded.
         """
         # every projection interned so far belongs to a discovered state, so
         # each is stepped once, in id order
@@ -455,30 +454,29 @@ class _Builder:
         nq = np.frombuffer(self.tick_next, dtype=np.int64)[projection]
         # a tick keeps the context; other rows' keys are replaced below
         keys = frontier - projection + nq
+        lens = np.ones(frontier.size, dtype=np.int64)
         others = np.flatnonzero(nq < 0)
-        parts = []
+        draws = []
         for r, key, kind in zip(others.tolist(), frontier[others].tolist(), nq[others].tolist()):
             c, q = key >> 32, key & 0xFFFFFFFF
-            if kind == _DRAW:
+            if kind == _BOUNDARY:
+                keys[r] = self.boundary_row(c, q)
+            elif kind == _DRAW:
                 probs, qs = self.draw_row(lo + r, c, q)
-                succ = c << 32 | qs
-            elif kind == _BOUNDARY:
-                probs, succ = self.boundary_row(lo + r, c, q)
-            else:
-                probs, succ = self.stepped(lo + r, c, q)
-            if not probs.size:
-                self.deadlocks.append(lo + r)
-            elif probs.size == 1 and succ[0] == key:
+                lens[r] = probs.size
+                draws.append((probs, c << 32 | qs))
+            elif kind == _TERMINAL:
+                keys[r] = key
                 self.terminals.append(lo + r)
-            parts.append((probs, succ))
-        lens = np.ones(frontier.size, dtype=np.int64)
-        lens[others] = [p.size for p, _ in parts]
+            else:
+                lens[r] = 0
+                self.deadlocks.append(lo + r)
         keys = np.repeat(keys, lens)
         probs = np.ones(keys.size)
-        if parts:
-            at = np.repeat(nq < 0, lens)
-            keys[at] = np.concatenate([k for _, k in parts])
-            probs[at] = np.concatenate([p for p, _ in parts])
+        if draws:
+            at = np.repeat(nq == _DRAW, lens)
+            keys[at] = np.concatenate([k for _, k in draws])
+            probs[at] = np.concatenate([p for p, _ in draws])
         return keys, probs, np.cumsum(lens)
 
     def step(self, q: int) -> int:
@@ -488,13 +486,6 @@ class _Builder:
         if nxt is not None:
             return self.intern_projection(nxt)
         return -1 - self.auto.step_kind(projection)
-
-    def audited(self, src: int, probs: list[float]) -> np.ndarray:
-        total = math.fsum(probs)
-        if probs and abs(total - 1.0) > ROWSUM_TOL:
-            raise SolverError(
-                f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}")
-        return np.array(probs, dtype=np.float64)
 
     def draw_row(self, src: int, c: int, q: int) -> tuple:
         """``(probs, drawn projection ids)`` of the draw from projection `q`
@@ -512,9 +503,8 @@ class _Builder:
             return row
         probs, qs, fresh = [], [], set()
         room = self.max_states - len(self.index)
-        for p, nxt in self.auto.draw_branches(self.auto.join(self.contexts[c],
-                                                             self.projections[q])):
-            qn = self.intern_projection(self.auto.split(nxt)[1])
+        for p, drawn in self.auto.draw_branches(self.contexts[c], self.projections[q]):
+            qn = self.intern_projection(drawn)
             new = c << 32 | qn
             if new not in self.index and new not in fresh:
                 fresh.add(new)
@@ -523,28 +513,26 @@ class _Builder:
                         f"reachable state space exceeds {self.max_states} states")
             probs.append(p)
             qs.append(qn)
-        row = self.draw_rows[key] = (self.audited(src, probs), np.array(qs, dtype=np.int64))
+        total = math.fsum(probs)
+        if abs(total - 1.0) > ROWSUM_TOL:
+            raise SolverError(
+                f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}")
+        row = self.draw_rows[key] = (np.array(probs, dtype=np.float64),
+                                     np.array(qs, dtype=np.int64))
         return row
 
-    def boundary_row(self, src: int, c: int, q: int) -> tuple:
-        """``(probs, successor keys)`` of the round boundary from projection
-        `q` under context `c`."""
+    def boundary_row(self, c: int, q: int) -> int:
+        """The successor key of the round boundary from projection `q` under
+        context `c`."""
         self.counts["boundary"] += 1
         key = (c, tuple([sd[0] for sd in self.projections[q][0]]))
-        row = self.boundary_rows.get(key)
-        if row is not None:
+        succ = self.boundary_rows.get(key)
+        if succ is None:
+            succ = self.boundary_rows[key] = self.intern(
+                *self.auto.boundary(self.contexts[c], self.projections[q]))
+        else:
             self.counts["boundary_cached"] += 1
-            return row
-        row = self.boundary_rows[key] = self.stepped(src, c, q)
-        return row
-
-    def stepped(self, src: int, c: int, q: int) -> tuple:
-        """``(probs, successor keys)`` from ``successor_distribution``."""
-        self.counts["distributed"] += 1
-        branches = self.auto.successor_distribution(
-            self.auto.join(self.contexts[c], self.projections[q])).branches
-        return (self.audited(src, [p for p, _ in branches]),
-                np.array([self.intern(nxt) for _, nxt in branches], dtype=np.int64))
+        return succ
 
 
 def _extend(out: array, values: np.ndarray) -> None:
@@ -565,10 +553,10 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     value does not fit the int16 feature matrix.  A draw row's up to 7**n
     branches are taken from ``Automaton.draw_branches`` one at a time the
     first time the row is met, so the cap can stop a row halfway without
-    holding the rest.  Every row that is not a tick is audited to sum to 1
-    within 1e-12, with the sum correctly rounded by ``math.fsum`` (a naive
-    sum of the 7**6 branches of a 6-sender draw drifts past the
-    tolerance); a tick row is one edge of probability 1.
+    holding the rest.  Every draw row is audited to sum to 1 within 1e-12,
+    with the sum correctly rounded by ``math.fsum`` (a naive sum of the
+    7**6 branches of a 6-sender draw drifts past the tolerance); every
+    other row is one edge of probability 1, or none at a deadlock.
     """
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
@@ -579,7 +567,7 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
                               "value the exact engine stores per state")
     b = _Builder(cfg, max_states)
     index = b.index
-    new = [b.intern(b.auto.initial_state())]
+    new = [b.intern(*b.auto.split(b.auto.initial_state()))]
     index[new[0]] = 0
     state_context = array("i")
     state_projection = array("i")
@@ -617,11 +605,9 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     import logging
     logging.getLogger(__name__).debug(
         "build: %d states, %d edges, %d layers, %d contexts, %d projections, "
-        "%d draw rows (%d from cache), %d boundary rows (%d from cache), "
-        "%d successor_distribution calls",
+        "%d draw rows (%d from cache), %d boundary rows (%d from cache)",
         n, len(cols), n_layers, len(b.contexts), len(b.projections), b.counts["draw"],
-        b.counts["draw_cached"], b.counts["boundary"], b.counts["boundary_cached"],
-        b.counts["distributed"])
+        b.counts["draw_cached"], b.counts["boundary"], b.counts["boundary_cached"])
     return DTMC(
         cfg=cfg,
         n_states=n,
@@ -755,6 +741,13 @@ def _mask_columns(dtmc: DTMC, masks) -> np.ndarray:
     return masks.reshape(dtmc.n_states, -1)
 
 
+def _mask_vector(dtmc: DTMC, mask) -> np.ndarray:
+    """One (n_states,) mask as a bool vector."""
+    if np.ndim(mask) != 1:
+        raise ValueError(f"a state mask has shape ({dtmc.n_states},) here, got {np.shape(mask)}")
+    return _mask_columns(dtmc, mask)[:, 0]
+
+
 def prob_reach(dtmc: DTMC, target_mask: np.ndarray) -> np.ndarray:
     """Probability, per state, of eventually visiting the target set.
 
@@ -788,9 +781,7 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
     reward vector.  Defined only when the target is reached almost surely,
     which the same sweep checks in a second column.
     """
-    target = _mask_columns(dtmc, target_mask)
-    if target.shape[1] != 1:
-        raise ValueError("expected_reward takes one target mask")
+    target = _mask_vector(dtmc, target_mask)[:, None]
     # column 0 is the reach probability, column 1 the reward, both pinned
     # at the target; terminal and deadlocked states have no open successor,
     # so reaching one instead leaves the reach probability below 1
@@ -830,7 +821,7 @@ def _occupation(dtmc: DTMC) -> np.ndarray:
 
 def expected_visits(dtmc: DTMC, state_mask: np.ndarray) -> float:
     """Expected number of visits to the masked states (must be transient)."""
-    state_mask = np.asarray(state_mask, dtype=bool)
+    state_mask = _mask_vector(dtmc, state_mask)
     if (state_mask & dtmc.terminal_mask).any():
         raise ValueError("visit counts are finite only for transient states")
     return float(_occupation(dtmc)[state_mask].sum())
@@ -880,7 +871,7 @@ def check_invariant(dtmc: DTMC, good_mask: np.ndarray, name: str) -> PropertyRep
 
     The lowest violating BFS index gives a shortest counterexample trace.
     """
-    good_mask = np.asarray(good_mask, dtype=bool)
+    good_mask = _mask_vector(dtmc, good_mask)
     bad = np.flatnonzero(~good_mask)
     if bad.size == 0:
         return PropertyReport(name, True, f"all {dtmc.n_states} states satisfy the predicate")
@@ -945,8 +936,8 @@ def almost_sure_leads_to(dtmc: DTMC, trigger_mask: np.ndarray,
     Pure graph analysis: a trigger fails iff it can reach, without passing
     through the goal, some state from which the goal is unreachable.
     """
-    trigger_mask = np.asarray(trigger_mask, dtype=bool)
-    goal_mask = np.asarray(goal_mask, dtype=bool)
+    trigger_mask = _mask_vector(dtmc, trigger_mask)
+    goal_mask = _mask_vector(dtmc, goal_mask)
     n_triggers = int(trigger_mask.sum())
     if n_triggers == 0:
         return PropertyReport(name, True, "no reachable trigger state")
@@ -970,7 +961,9 @@ def almost_sure_leads_to(dtmc: DTMC, trigger_mask: np.ndarray,
 
 
 def find_deadlocks(dtmc: DTMC, limit: int | None = 10) -> list[Trace]:
-    """Shortest traces to deadlocked states, lowest BFS indices first."""
+    """Shortest traces to the first `limit` deadlocked states (all for None)."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or >= 0, got {limit}")
     picks = dtmc.deadlock_indices if limit is None else dtmc.deadlock_indices[:limit]
     return [dtmc.trace_to(int(i)) for i in picks]
 

@@ -139,6 +139,18 @@ def test_every_edge_leads_to_the_automaton_successor(two_sender_model):
             assert d.probs[lo:hi].tolist() == [p for p, _ in branches]
 
 
+def test_build_never_forms_a_whole_state():
+    # the builder steps (context, projection) pairs: stepping or joining a
+    # GlobalState anywhere in a build fails it
+    def refuse(*args, **kwargs):
+        raise AssertionError("build formed a GlobalState")
+
+    with patch.object(Automaton, "successor_distribution", refuse), \
+            patch.object(Automaton, "join", staticmethod(refuse)):
+        for cfg in _PINNED_CONFIGS.values():
+            build(cfg)
+
+
 def reference_build(cfg):
     """Plain BFS: one successor_distribution call per state, keyed on GlobalState."""
     auto = Automaton(cfg)
@@ -343,7 +355,7 @@ def test_build_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
     [record] = caplog.records
     assert record.getMessage().startswith(
         f"build: {d.n_states} states, {d.n_edges} edges, 178 layers, ")
-    assert record.getMessage().endswith(" successor_distribution calls")
+    assert record.getMessage().endswith(" from cache)")
 
 
 def test_plan_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
@@ -461,12 +473,24 @@ def test_level_solves_satisfy_the_fixed_point(n_senders, nmax_msg, robust, tcu, 
 
 def test_masks_of_the_wrong_shape_are_refused(lone_model):
     n = lone_model.n_states
-    for shape in [(), (n - 1,), (n + 1,), (1, n), (n + 1, 2), (n, 2, 1)]:
+    wrong = [(), (n - 1,), (n + 1,), (n + 5,), (1, n), (n + 1, 2), (n, 2, 1)]
+    for shape in wrong:
         mask = np.zeros(shape, dtype=bool)
         with pytest.raises(ValueError, match="state mask has shape"):
             prob_reach(lone_model, mask)
         with pytest.raises(ValueError, match="state mask has shape"):
             expected_entries(lone_model, mask)
+    # the queries that take one mask refuse a stack of them too
+    d, ok = lone_model, np.zeros(n, dtype=bool)
+    for shape in wrong + [(n, 1), (n, 2)]:
+        mask = np.zeros(shape, dtype=bool)
+        for query in (lambda: check_invariant(d, ~mask, "all"),
+                      lambda: almost_sure_leads_to(d, mask, ok, "leads"),
+                      lambda: almost_sure_leads_to(d, ok, ~mask, "leads"),
+                      lambda: expected_visits(d, mask),
+                      lambda: expected_reward(d, np.zeros(n), mask)):
+            with pytest.raises(ValueError, match="state mask has shape"):
+                query()
 
 
 def test_cyclic_model_is_refused():
@@ -686,6 +710,14 @@ def test_deadlock_traces_in_the_short_unit():
         labels = d.labels_of(tr.indices[-1])
         assert any(l.endswith("_send_rts") for l in labels)
         assert labels & {"r_switch_rt", "r_send_cts", "r_w_end"}
+
+
+def test_find_deadlocks_refuses_a_negative_limit():
+    d = build(ScenarioConfig(n_senders=2, tcu_ticks=3))
+    assert len(find_deadlocks(d, limit=None)) == len(d.deadlock_indices) == 26
+    assert find_deadlocks(d, limit=0) == []
+    with pytest.raises(ValueError, match="limit"):
+        find_deadlocks(d, limit=-1)
 
 
 def test_exact_engine_imports_no_scipy():

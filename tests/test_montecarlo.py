@@ -117,9 +117,10 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
          timing=_SLOW_SWITCH, seed=0)
 def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, timing,
                                            seed):
-    # traced runs step through successor_distribution, the exact builder's
-    # step function, so they check the round table and the boundary memo
-    # that batches read against the exact model
+    # traced runs step through successor_distribution, which joins the tick,
+    # draw and boundary rules the exact builder steps, so they check the
+    # round table and the boundary table that batches read against the
+    # exact model
     cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, table=table,
                          tcu_ticks=tcu, robust_mode=robust, **timing)
     agg = simulate(cfg, 30, seed)
