@@ -40,7 +40,6 @@ from .dtmc import (
     dump_statespace,
     expected_entries,
     expected_reward,
-    expected_visits,
     find_deadlocks,
     idle_listening_rewards,
     prob_reach,

@@ -100,16 +100,6 @@ class GlobalState(NamedTuple):
     receiver: ReceiverState
 
 
-class TransitionDistribution(NamedTuple):
-    """Branches of one DTMC step as (probability, next state) pairs.
-
-    Probabilities sum to 1 within 1e-12; an empty branch tuple marks a
-    deadlock state.
-    """
-
-    branches: tuple[tuple[float, GlobalState], ...]
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Model parameters for one contention scenario.
@@ -473,15 +463,20 @@ class Automaton:
             return StepKind.DRAW
         return StepKind.TICK
 
-    def successor_distribution(self, state: GlobalState) -> TransitionDistribution:
+    def successor_distribution(self, state: GlobalState) -> tuple[tuple[float, GlobalState], ...]:
+        """Branches of one DTMC step as (probability, next state) pairs.
+
+        Probabilities sum to 1 within 1e-12; an empty branch tuple marks a
+        deadlock state.
+        """
         return self._step(state, self.step_kind(state))
 
-    def _step(self, state: GlobalState, kind: StepKind) -> TransitionDistribution:
+    def _step(self, state: GlobalState, kind: StepKind) -> tuple[tuple[float, GlobalState], ...]:
         """The successor distribution of `state`, whose step kind is `kind`."""
         if kind == StepKind.TERMINAL:
-            return TransitionDistribution(((1.0, state),))
+            return ((1.0, state),)
         if kind == StepKind.DEADLOCK:
-            return TransitionDistribution(())
+            return ()
         context, projection = self.split(state)
         if kind == StepKind.BOUNDARY:
             branches = ((1.0, self.boundary(context, projection)),)
@@ -490,7 +485,7 @@ class Automaton:
                         for p, drawn in self.draw_branches(context, projection))
         else:
             branches = ((1.0, (context, self._tick(projection))),)
-        return TransitionDistribution(tuple((p, self.join(*nxt)) for p, nxt in branches))
+        return tuple((p, self.join(*nxt)) for p, nxt in branches)
 
     def _drawn(self, value: int) -> tuple:
         # (phase, rbc, ticks) right after drawing `value`; -1 is a done sender

@@ -14,7 +14,10 @@ run count), 3 state-space cap exceeded, 4 simulation hit a deadlock.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import dtmc as engine
@@ -162,14 +165,20 @@ def _write_trace_file(path: str, states, note: str) -> None:
             fh.write(f"{step:4d}  {label_text(state)}\n")
 
 
+def _check_finite(what: str, keys: str, *values) -> None:
+    """Refuse a result that left the float range before it is printed or
+    written.  Tick counts are finite integers, so only the configured
+    scales `keys` can take a result there."""
+    if not all(math.isfinite(v) for v in values if v is not None):
+        raise ConfigError(f"{what} exceeds the float range; {keys} is too large")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
 def _cmd_check(args) -> int:
     cfg, _run = load_config(args.config)
     d = engine.build(cfg, max_states=args.max_states)
-    if args.dump_statespace:
-        engine.dump_statespace(d, args.dump_statespace)
     reports = props.run_validity_battery(cfg, dtmc=d)
     mismatches = 0
     rows = []
@@ -191,9 +200,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, _run = load_config(args.config)
-    # a dump is of the initial variant, so the study reuses its model
-    d = engine.build(cfg, max_states=args.max_states) if args.dump_statespace else None
-    study = props.tcu_variation_study(cfg, max_states=args.max_states, dtmc=d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        study = props.tcu_variation_study(cfg, max_states=args.max_states)
+    for row in study.rows:
+        _check_finite("idle time", "seconds_per_tick", row.idle_seconds)
+        _check_finite("idle energy", "seconds_per_tick or idle_power_mw", row.energy_mj)
     rows = []
     for row in study.rows:
         print(f"{row.variant}: contention unit {row.tcu_ticks} ticks, "
@@ -209,8 +220,6 @@ def _cmd_sweep(args) -> int:
         _write_csv(args.out,
                    ["variant", "tcu_ticks", "n_states", "n_deadlocks",
                     "idle_seconds", "energy_mj"], rows)
-    if d is not None:
-        engine.dump_statespace(d, args.dump_statespace)
     return EXIT_OK
 
 
@@ -218,11 +227,12 @@ def _cmd_simulate(args) -> int:
     cfg, run = load_config(args.config)
     n_runs = args.runs if args.runs is not None else run["n_runs"]
     seed = args.seed if args.seed is not None else run["seed"]
-    if args.dump_statespace:
-        d = engine.build(cfg, max_states=args.max_states)
-        engine.dump_statespace(d, args.dump_statespace)
-        del d
     agg = mc.simulate(cfg, n_runs, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_idle, ci = mc.mean_ci95(agg.idle_seconds(0))
+    # the longest idle stretch of any sender bounds every row written
+    longest = float(agg.idle_ticks.max()) * cfg.seconds_per_tick
+    _check_finite("idle time", "seconds_per_tick", mean_idle, ci, longest)
 
     if args.out:
         header = ["run", "sender", "delivered", "rejected", "idle_ticks",
@@ -239,7 +249,6 @@ def _cmd_simulate(args) -> int:
                 rows.append(row)
         _write_csv(args.out, header, rows)
 
-    mean_idle, ci = mc.mean_ci95(agg.idle_seconds(0))
     delivered = agg.successes[:, 0, :].sum(axis=1).mean()
     print(f"{agg.n_runs} runs, seed {seed}: sender 0 idle {mean_idle:.12g} s "
           f"(+/- {ci:.12g}), delivered {delivered:.12g} of {cfg.nmax_msg} packets, "
@@ -277,26 +286,24 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="scenario file with 'key = value' lines")
-    common.add_argument("--max-states", type=int, default=engine.MAX_STATES_DEFAULT,
+    # simulate never builds a model, so only the other subcommands take a cap
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--max-states", type=int, default=engine.MAX_STATES_DEFAULT,
                         metavar="N", help="state-space cap (default %(default)s)")
-    # dump writes the state space anyway, so only the other subcommands take this
-    also_dump = argparse.ArgumentParser(add_help=False, parents=[common])
-    also_dump.add_argument("--dump-statespace", metavar="FILE",
-                           help="also write the reachable state space to FILE")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[also_dump],
+    p = sub.add_parser("check", parents=[capped],
                        help="run the validity battery against expected verdicts")
     p.add_argument("--out", metavar="CSV", help="write verdicts to CSV")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("sweep", parents=[also_dump],
+    p = sub.add_parser("sweep", parents=[capped],
                        help="contention-unit sizing study (one frame longer/shorter)")
     p.add_argument("--out", metavar="CSV", help="write study rows to CSV")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", parents=[also_dump], help="Monte Carlo batch")
+    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo batch")
     p.add_argument("--runs", type=int, metavar="N", help="number of runs")
     p.add_argument("--seed", type=int, metavar="S", help="stream seed")
     p.add_argument("--out", metavar="CSV", help="write per-run rows to CSV")
@@ -304,7 +311,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="trace file when a run deadlocks (default %(default)s)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("dump", parents=[common], help="write the state space")
+    p = sub.add_parser("dump", parents=[capped], help="write the state space")
     p.add_argument("--out", metavar="FILE", required=True)
     p.set_defaults(func=_cmd_dump)
     return parser

@@ -24,10 +24,10 @@ interned tables by id once the search ends.
 
 Apart from the self-loops of all-done terminal states the chain is a DAG
 (packets only get consumed, failure counters only grow, and every tick makes
-progress inside a round), so reachability probabilities, expected rewards,
-and expected visit counts are each solved exactly by one substitution sweep
-over topological levels (Kemeny & Snell, *Finite Markov Chains*).  A model
-with a proper cycle is refused with SolverError.
+progress inside a round), so reachability probabilities and expected rewards
+are each solved exactly by one substitution sweep over topological levels
+(Kemeny & Snell, *Finite Markov Chains*).  A model with a proper cycle is
+refused with SolverError.
 
 Almost every state has one successor, of probability 1, so the sweep runs
 over a contracted graph.  A *run* is a maximal chain of such states in which
@@ -62,7 +62,6 @@ from .automata import (
     SenderPhase,
     SenderState,
     StepKind,
-    label,
     label_order,
     label_text,
     receiver_label,
@@ -83,9 +82,10 @@ _TERMINAL = -1 - StepKind.TERMINAL
 N_SENDER_FIELDS = 5
 N_RECEIVER_FIELDS = 3
 _FEATURE_MAX = int(np.iinfo(np.int16).max)
-# config values bounding some feature column
-_FEATURE_BOUNDS = ("n_senders", "nmax_msg", "tcu_ticks", "d_switch", "d_frame",
-                   "cts_timeout", "e_max", "b_max")
+# config values bounding some feature column; the keys a user sets come
+# before the unit derived from them, so an overflow names the key set
+_FEATURE_BOUNDS = ("n_senders", "nmax_msg", "d_switch", "d_frame", "cts_timeout",
+                   "e_max", "b_max", "tcu_ticks")
 # states per write of dump_statespace; bounds the text held at once
 _DUMP_CHUNK = 4096
 
@@ -137,7 +137,6 @@ class DTMC:
     _runs: tuple | None = field(default=None, repr=False)
     _plan: tuple | None = field(default=None, repr=False)
     _rev: tuple | None = field(default=None, repr=False)
-    _rho: np.ndarray | None = field(default=None, repr=False)
 
     # -- state access --------------------------------------------------------
 
@@ -157,9 +156,6 @@ class DTMC:
         )
         base = self.n_senders * N_SENDER_FIELDS
         return GlobalState(senders, ReceiverState(*map(int, row[base:base + N_RECEIVER_FIELDS])))
-
-    def labels_of(self, idx: int) -> frozenset[str]:
-        return label(self.state_at(idx))
 
     def trace_to(self, idx: int) -> Trace:
         path = [idx]
@@ -184,11 +180,6 @@ class DTMC:
 
     def receiver_winner(self) -> np.ndarray:
         return self.features[:, self.n_senders * N_SENDER_FIELDS + 1]
-
-    def deadlock_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_states, dtype=bool)
-        mask[self.deadlock_indices] = True
-        return mask
 
     # -- derived structures ---------------------------------------------------
 
@@ -563,8 +554,10 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     for name in _FEATURE_BOUNDS:
         v = getattr(cfg, name)
         if v > _FEATURE_MAX:
+            unit = ("; unless set, it is 2*d_switch + d_frame + d_rssi"
+                    if name == "tcu_ticks" else "")
             raise ConfigError(f"{name}={v} exceeds {_FEATURE_MAX}, the largest "
-                              "value the exact engine stores per state")
+                              f"value the exact engine stores per state{unit}")
     b = _Builder(cfg, max_states)
     index = b.index
     new = [b.intern(*b.auto.split(b.auto.initial_state()))]
@@ -804,37 +797,27 @@ def _occupation(dtmc: DTMC) -> np.ndarray:
     most once and occupation equals visit probability.  The push runs over
     the contracted nodes; a state inside a run takes its head's value.
     """
-    if dtmc._rho is None:
-        plan = _plan(dtmc)
-        y = np.zeros(plan.states.size)
-        y[plan.start] = 1.0
-        for lo, elo, ehi in zip(plan.bounds[:-1], plan.edge_bounds[:-1], plan.edge_bounds[1:]):
-            flow = y[plan.order[lo + plan.seg[elo:ehi]]] * plan.probs[elo:ehi]
-            np.add.at(y, plan.succ[elo:ehi], flow)
-        rho = np.empty(dtmc.n_states)
-        rho[plan.states] = y
-        for states in plan.runs[1:]:
-            rho[states] = y[:states.size]
-        dtmc._rho = rho
-    return dtmc._rho
-
-
-def expected_visits(dtmc: DTMC, state_mask: np.ndarray) -> float:
-    """Expected number of visits to the masked states (must be transient)."""
-    state_mask = _mask_vector(dtmc, state_mask)
-    if (state_mask & dtmc.terminal_mask).any():
-        raise ValueError("visit counts are finite only for transient states")
-    return float(_occupation(dtmc)[state_mask].sum())
+    plan = _plan(dtmc)
+    y = np.zeros(plan.states.size)
+    y[plan.start] = 1.0
+    for lo, elo, ehi in zip(plan.bounds[:-1], plan.edge_bounds[:-1], plan.edge_bounds[1:]):
+        flow = y[plan.order[lo + plan.seg[elo:ehi]]] * plan.probs[elo:ehi]
+        np.add.at(y, plan.succ[elo:ehi], flow)
+    rho = np.empty(dtmc.n_states)
+    rho[plan.states] = y
+    for states in plan.runs[1:]:
+        rho[states] = y[:states.size]
+    return rho
 
 
 def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:
     """Expected number of transitions entering the masked set from outside.
 
-    Counts each maximal stay once, unlike expected_visits, so it measures
-    events (a delivery, a drop) even where an outcome phase persists for
-    several states.  Starting inside the set counts as one entry.  Like
-    prob_reach it takes one mask, answered as a float, or K stacked masks,
-    answered as an array of K counts.
+    Counts each maximal stay once, so it measures events (a delivery, a
+    drop) even where an outcome phase persists for several states.
+    Starting inside the set counts as one entry.  Like prob_reach it takes
+    one mask, answered as a float, or K stacked masks, answered as an array
+    of K counts.
     """
     masks = _mask_columns(dtmc, state_mask)
     if (masks & dtmc.terminal_mask[:, None]).any():
@@ -850,17 +833,14 @@ def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:
     return float(totals[0]) if np.ndim(state_mask) == 1 else totals
 
 
-def idle_listening_rewards(dtmc: DTMC, sender: int | None = None) -> np.ndarray:
-    """Seconds of carrier-sense listening accrued per state and tick.
+def idle_listening_rewards(dtmc: DTMC, sender: int) -> np.ndarray:
+    """Seconds of carrier-sense listening `sender` accrues per state and tick.
 
-    Counts senders sitting in their backoff countdown; zero-duration draw
-    and round-boundary states contain no countdown phase and accrue nothing.
+    A sender listens while it sits in its backoff countdown; zero-duration
+    draw and round-boundary states contain no countdown phase and accrue
+    nothing.
     """
-    senders = range(dtmc.n_senders) if sender is None else (sender,)
-    counting = np.zeros(dtmc.n_states, dtype=np.float64)
-    for i in senders:
-        counting += dtmc.sender_phase(i) == SenderPhase.COUNTDOWN
-    return counting * dtmc.cfg.seconds_per_tick
+    return (dtmc.sender_phase(sender) == SenderPhase.COUNTDOWN) * dtmc.cfg.seconds_per_tick
 
 
 # -- qualitative checks ---------------------------------------------------------

@@ -96,7 +96,7 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
                         successes[i, sd.e] += 1
                     elif sd.phase == SenderPhase.REJECT:
                         rejects[i] += 1
-            ((_, state),) = auto._step(state, kind).branches
+            ((_, state),) = auto._step(state, kind)
         trace.append(state)
         kind = auto.step_kind(state)
     deadlocked = kind == StepKind.DEADLOCK
@@ -256,10 +256,9 @@ class Aggregate:
     def n_deadlocked(self) -> int:
         return int(self.deadlocked.sum())
 
-    def idle_seconds(self, sender: int | None = None) -> np.ndarray:
-        """Idle listening seconds per run, one sender or all combined."""
-        t = self.idle_ticks.sum(axis=1) if sender is None else self.idle_ticks[:, sender]
-        return t * self.cfg.seconds_per_tick
+    def idle_seconds(self, sender: int) -> np.ndarray:
+        """Idle listening seconds of `sender`, per run."""
+        return self.idle_ticks[:, sender] * self.cfg.seconds_per_tick
 
 
 def mean_ci95(samples: np.ndarray) -> tuple[float, float]:

@@ -306,16 +306,14 @@ class StudyReport:
 
 
 def tcu_variation_study(cfg: ScenarioConfig | None = None, sender: int = 0,
-                        max_states: int = engine.MAX_STATES_DEFAULT,
-                        dtmc: DTMC | None = None) -> StudyReport:
+                        max_states: int = engine.MAX_STATES_DEFAULT) -> StudyReport:
     """Compare the scenario against contention units one frame longer and one
     frame shorter.
 
     A longer unit keeps the exchange deadlock free but pays more idle
     listening per backoff step; a shorter one opens timing windows in which
     a late transmission overlaps the grant, reported here as deadlocks with
-    a shortest witness trace.  A prebuilt `dtmc` of `cfg` serves the initial
-    variant.
+    a shortest witness trace.
     """
     cfg = cfg if cfg is not None else ScenarioConfig()
     variants = [("initial", cfg.tcu_ticks),
@@ -328,7 +326,7 @@ def tcu_variation_study(cfg: ScenarioConfig | None = None, sender: int = 0,
                 f"variant {name!r} needs tcu_ticks >= 1, got {tcu}"
             )
         vcfg = cfg if tcu == cfg.tcu_ticks else cfg.with_tcu(tcu)
-        d = _model(vcfg, dtmc if name == "initial" else None, max_states)
+        d = engine.build(vcfg, max_states=max_states)
         n_dead = len(d.deadlock_indices)
         if n_dead:
             witness = engine.find_deadlocks(d, limit=1)[0].render(d)

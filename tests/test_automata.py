@@ -26,7 +26,7 @@ from backoff_tables import REJECT_HEAVY
 
 
 def step1(auto, state):
-    branches = auto.successor_distribution(state).branches
+    branches = auto.successor_distribution(state)
     assert len(branches) == 1, state
     return branches[0][1]
 
@@ -40,7 +40,7 @@ def walk_until(auto, state, pred, limit=20_000):
 
 
 def branch_with_draws(auto, state, draws):
-    for p, t in auto.successor_distribution(state).branches:
+    for p, t in auto.successor_distribution(state):
         if tuple(sd.rbc for sd in t.senders) == draws:
             return t
     raise AssertionError(f"no branch with draws {draws}")
@@ -93,7 +93,7 @@ def test_no_packets_means_immediately_terminal():
     auto = Automaton(cfg)
     init = auto.initial_state()
     assert all(sd.phase == SenderPhase.DONE for sd in init.senders)
-    assert auto.successor_distribution(init).branches == ((1.0, init),)
+    assert auto.successor_distribution(init) == ((1.0, init),)
 
 
 # -- draw step ---------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_no_packets_means_immediately_terminal():
 
 def test_joint_draw_has_49_uniform_branches():
     auto = Automaton(ScenarioConfig())
-    branches = auto.successor_distribution(auto.initial_state()).branches
+    branches = auto.successor_distribution(auto.initial_state())
     assert len(branches) == 49
     assert all(abs(p - 1 / 49) < 1e-15 for p, _ in branches)
     seen = {tuple(sd.rbc for sd in t.senders) for _, t in branches}
@@ -127,7 +127,7 @@ def test_draw_probabilities_follow_the_window_widths():
     assert all(sd.e == 1 for sd in s.senders)
     s = collide_once(auto, s)
     assert all(sd.e == 2 for sd in s.senders)
-    branches = auto.successor_distribution(s).branches
+    branches = auto.successor_distribution(s)
     assert len(branches) == 64
     assert all(abs(p - 1 / 64) < 1e-15 for p, _ in branches)
 
@@ -137,7 +137,7 @@ def test_zero_draw_skips_the_countdown():
     auto = Automaton(ScenarioConfig())
     s = collide_once(auto, auto.initial_state())
     s = collide_once(auto, s)
-    zero = [t for _, t in auto.successor_distribution(s).branches
+    zero = [t for _, t in auto.successor_distribution(s)
             if t.senders[0].rbc == 0]
     assert zero and zero[0].senders[0].phase == SenderPhase.SWITCH_RT
 
@@ -229,7 +229,7 @@ def test_packets_are_dropped_only_at_the_failure_cap():
     s = auto.initial_state()
     e_seen = set()
     while not all(sd.phase == SenderPhase.DONE for sd in s.senders):
-        branches = auto.successor_distribution(s).branches
+        branches = auto.successor_distribution(s)
         assert len(branches) == 1
         if s.senders[0].phase == SenderPhase.REJECT:
             assert s.senders[0].e == 12
@@ -258,7 +258,7 @@ def test_short_unit_gap_two_deadlocks():
     auto = Automaton(ScenarioConfig().with_tcu(3))
     s = branch_with_draws(auto, auto.initial_state(), (1, 3))
     for _ in range(100):
-        branches = auto.successor_distribution(s).branches
+        branches = auto.successor_distribution(s)
         if not branches:
             break
         assert len(branches) == 1
@@ -331,7 +331,7 @@ def test_split_and_join_are_inverse_and_a_tick_moves_only_the_projection():
                 ReceiverPhase.SWITCH_RT, ReceiverPhase.SEND_CTS, ReceiverPhase.W_END
             ) and any(sd.phase == SenderPhase.SEND_RTS for sd in state.senders)
             nxt = auto.next_projection(projection)
-            branches = auto.successor_distribution(state).branches
+            branches = auto.successor_distribution(state)
             if kind == StepKind.TICK:
                 assert branches == ((1.0, auto.join(context, nxt)),)
             else:

@@ -122,13 +122,24 @@ def test_check_passes_with_a_longer_frame(capsys, tmp_path):
     assert "battery: 5/5 checks as expected" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key", ["cts_timeout", "nmax_msg"])
+# d_frame also sets the derived unit, so its own bound is checked first
+@pytest.mark.parametrize("key", ["cts_timeout", "nmax_msg", "d_frame"])
 def test_values_beyond_the_state_encoding_exit_2(capsys, tmp_path, key):
     conf = tmp_path / "huge.conf"
     conf.write_text(f"{key} = 40000\n")
     assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and f"{key}=40000" in err
+
+
+def test_derived_unit_beyond_the_state_encoding_exit_2(capsys, tmp_path):
+    # every timing fits, but the unit they sum to does not
+    conf = tmp_path / "unit.conf"
+    conf.write_text("d_switch = 20000\n")
+    assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
+    assert ("configuration error: tcu_ticks=40006 exceeds 32767, the largest value the "
+            "exact engine stores per state; unless set, it is 2*d_switch + d_frame + d_rssi"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -140,6 +151,23 @@ def test_non_finite_floats_exit_2(capsys, tmp_path, key, value):
         assert main(argv + ["--config", str(conf)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{key} must be finite" in err
+
+
+@pytest.mark.parametrize("text, argv, key", [
+    ("seconds_per_tick = 1e308", ["simulate", "--runs", "10"], "seconds_per_tick"),
+    ("seconds_per_tick = 1e308", ["sweep"], "seconds_per_tick"),
+    # the idle time fits, its energy does not
+    ("seconds_per_tick = 1\nidle_power_mw = 1e308", ["sweep"], "idle_power_mw"),
+], ids=["simulate", "sweep", "sweep_energy"])
+def test_results_past_the_float_range_exit_2(capsys, tmp_path, text, argv, key):
+    # finite scales whose products overflow: refused before anything is
+    # printed or written, and with no numpy warning
+    conf, out = tmp_path / "big.conf", tmp_path / "out.csv"
+    conf.write_text(text + "\n")
+    assert main(argv + ["--config", str(conf), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "exceeds the float range" in captured.err and key in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -244,7 +272,6 @@ def test_removed_exact_cap_key_is_unknown(capsys, tmp_path, key):
     ["dump", "--out"],
     ["check", "--out"],
     ["simulate", "--runs", "2", "--out"],
-    ["check", "--dump-statespace"],
 ])
 def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     target = tmp_path / "missing" / "x.csv"
@@ -253,13 +280,21 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert "cannot write output" in err and str(target) in err
 
 
-def test_dump_refuses_dump_statespace(capsys, tmp_path):
-    # dump writes the state space to --out, so a second target is refused
-    out, extra = tmp_path / "space.txt", tmp_path / "extra.txt"
+@pytest.mark.parametrize("command, option", [
+    ("check", "--dump-statespace"),
+    ("sweep", "--dump-statespace"),
+    ("simulate", "--dump-statespace"),
+    ("dump", "--dump-statespace"),
+    ("simulate", "--max-states"),
+], ids=["check", "sweep", "simulate", "dump", "simulate_max_states"])
+def test_removed_options_are_refused(capsys, tmp_path, command, option):
+    # dump --out is the one state-space writer, and simulate builds no model
+    # to cap
+    out, extra = tmp_path / "out.txt", tmp_path / "extra.txt"
     with pytest.raises(SystemExit) as exc:
-        main(["dump", "--out", str(out), "--dump-statespace", str(extra)])
+        main([command, "--out", str(out), option, str(extra)])
     assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: --dump-statespace" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not out.exists() and not extra.exists()
 
 
@@ -280,7 +315,7 @@ def test_sweep_prints_rows_and_witness(capsys, tmp_path):
     assert decreased[4] == "" and decreased[5] == ""
 
 
-def test_sweep_builds_the_model_it_dumps_once(capsys, tmp_path, monkeypatch):
+def test_sweep_builds_one_model_per_unit(capsys, monkeypatch):
     from ecomac_backoff import dtmc
     built = []
     build = dtmc.build
@@ -290,18 +325,8 @@ def test_sweep_builds_the_model_it_dumps_once(capsys, tmp_path, monkeypatch):
         return build(cfg, *args, **kwargs)
 
     monkeypatch.setattr(dtmc, "build", counted)
-    plain, dumped = tmp_path / "plain.csv", tmp_path / "dumped.csv"
-    space, alone = tmp_path / "space.txt", tmp_path / "alone.txt"
-    assert main(["sweep", "--out", str(plain)]) == EXIT_OK
-    stdout = capsys.readouterr().out
-    built.clear()
-    assert main(["sweep", "--out", str(dumped), "--dump-statespace", str(space)]) == EXIT_OK
-    # one model per contention unit: the initial one serves the dump too
+    assert main(["sweep"]) == EXIT_OK
     assert built == [8, 13, 3]
-    assert capsys.readouterr().out == stdout
-    assert dumped.read_bytes() == plain.read_bytes()
-    assert main(["dump", "--out", str(alone)]) == EXIT_OK
-    assert space.read_bytes() == alone.read_bytes()
 
 
 def test_version_flag(capsys):

@@ -32,7 +32,6 @@ from ecomac_backoff import (
     dump_statespace,
     expected_entries,
     expected_reward,
-    expected_visits,
     find_deadlocks,
     idle_listening_rewards,
     label,
@@ -121,9 +120,9 @@ def test_feature_columns_reconstruct_states(two_sender_model):
         assert d.sender_phase(0)[idx] == st.senders[0].phase
         assert d.sender_rbc(1)[idx] == st.senders[1].rbc
         assert d.receiver_phase()[idx] == st.receiver.phase
-    assert d.labels_of(0) == {"s0_choose", "s1_choose", "r_w_start",
-                              "s0_e_0", "s1_e_0", "s0_rbc_-1", "s1_rbc_-1",
-                              "s0_msgs_1", "s1_msgs_1"}
+    assert label(d.state_at(0)) == {"s0_choose", "s1_choose", "r_w_start",
+                                    "s0_e_0", "s1_e_0", "s0_rbc_-1", "s1_rbc_-1",
+                                    "s0_msgs_1", "s1_msgs_1"}
 
 
 def test_every_edge_leads_to_the_automaton_successor(two_sender_model):
@@ -134,7 +133,7 @@ def test_every_edge_leads_to_the_automaton_successor(two_sender_model):
         assert d.state_at(0) == auto.initial_state()
         for i in range(d.n_states):
             lo, hi = d.indptr[i], d.indptr[i + 1]
-            branches = auto.successor_distribution(d.state_at(i)).branches
+            branches = auto.successor_distribution(d.state_at(i))
             assert [d.state_at(j) for j in d.cols[lo:hi].tolist()] == [t for _, t in branches]
             assert d.probs[lo:hi].tolist() == [p for p, _ in branches]
 
@@ -158,7 +157,7 @@ def reference_build(cfg):
     index = {states[0]: 0}
     indptr, cols, probs, parent, deadlocks, terminal = [0], [], [], [-1], [], []
     for src, state in enumerate(states):
-        branches = auto.successor_distribution(state).branches
+        branches = auto.successor_distribution(state)
         if not branches:
             deadlocks.append(src)
         terminal.append(len(branches) == 1 and branches[0][1] == state)
@@ -414,13 +413,12 @@ def test_visits_and_entries_agree_with_reachability(two_sender_model):
     d = two_sender_model
     mask = np.asarray(d.sender_phase(0) == SenderPhase.SUCCESS)
     p = prob_reach(d, mask)[0]
-    assert abs(expected_visits(d, mask) - p) < 1e-9
     assert abs(expected_entries(d, mask) - p) < 1e-9
 
 
-def test_visit_counts_reject_terminal_states(two_sender_model):
-    with pytest.raises(ValueError):
-        expected_visits(two_sender_model, two_sender_model.terminal_mask)
+def test_entry_counts_reject_terminal_states(two_sender_model):
+    with pytest.raises(ValueError, match="finite only for transient states"):
+        expected_entries(two_sender_model, two_sender_model.terminal_mask)
 
 
 def _residual(d, x, pinned, rewards=None):
@@ -441,7 +439,8 @@ def test_level_solves_satisfy_the_fixed_point(n_senders, nmax_msg, robust, tcu, 
     d = build(ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
                              tcu_ticks=tcu, table=table))
     n = d.n_states
-    absorbing = d.terminal_mask | d.deadlock_mask()
+    stuck = np.isin(np.arange(n), d.deadlock_indices)
+    absorbing = d.terminal_mask | stuck
     phase, e = d.sender_phase(0), d.sender_e(0)
     success = phase == SenderPhase.SUCCESS
     targets = np.stack([success, success & (e == 1), phase == SenderPhase.REJECT,
@@ -457,7 +456,7 @@ def test_level_solves_satisfy_the_fixed_point(n_senders, nmax_msg, robust, tcu, 
         assert _residual(d, x, targets[:, k] | absorbing) <= 1e-12
         assert entries[k] == expected_entries(d, targets[:, k])
     # shortened units deadlock, so the reward runs until done or stuck
-    target = np.asarray(phase == SenderPhase.DONE) | d.deadlock_mask()
+    target = np.asarray(phase == SenderPhase.DONE) | stuck
     pinned = target | absorbing
     rewards = idle_listening_rewards(d, 0)
     x = _solve_fixed_point(d, pinned, np.zeros(n), rewards)
@@ -487,7 +486,6 @@ def test_masks_of_the_wrong_shape_are_refused(lone_model):
         for query in (lambda: check_invariant(d, ~mask, "all"),
                       lambda: almost_sure_leads_to(d, mask, ok, "leads"),
                       lambda: almost_sure_leads_to(d, ok, ~mask, "leads"),
-                      lambda: expected_visits(d, mask),
                       lambda: expected_reward(d, np.zeros(n), mask)):
             with pytest.raises(ValueError, match="state mask has shape"):
                 query()
@@ -509,7 +507,7 @@ def test_cyclic_model_is_refused():
     with pytest.raises(SolverError):
         prob_reach(d, np.array([False, False]))
     with pytest.raises(SolverError):
-        expected_visits(d, np.array([True, False]))
+        expected_entries(d, np.array([True, False]))
 
 
 def hand_built(rows):
@@ -630,7 +628,7 @@ def test_cycles_around_runs_are_refused(rows):
         assert d.topo_levels()[1] is False
         for solve in (lambda: prob_reach(d, mask), lambda: reach_from_start(d, mask),
                       lambda: expected_reward(d, np.ones(n), mask),
-                      lambda: expected_visits(d, np.arange(n) == 0)):
+                      lambda: expected_entries(d, np.arange(n) == 0)):
             with pytest.raises(SolverError):
                 solve()
 
@@ -707,7 +705,7 @@ def test_deadlock_traces_in_the_short_unit():
     assert len(d.deadlock_indices) > 0
     traces = find_deadlocks(d, limit=3)
     for tr in traces:
-        labels = d.labels_of(tr.indices[-1])
+        labels = label(d.state_at(tr.indices[-1]))
         assert any(l.endswith("_send_rts") for l in labels)
         assert labels & {"r_switch_rt", "r_send_cts", "r_w_end"}
 

@@ -130,13 +130,13 @@ def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, tab
     for r in range(agg.n_runs):
         trace = []
         runs.append(run_once(cfg, run_rng(seed, r), trace=trace))
-        assert (not auto.successor_distribution(trace[-1]).branches) == runs[-1].deadlocked
+        assert (not auto.successor_distribution(trace[-1])) == runs[-1].deadlocked
         # each traced draw is one of the exact model's draw branches
         for state, drawn in zip(trace, trace[1:]):
             if auto.step_kind(state) == StepKind.DRAW:
                 if state not in draw_branches:
                     draw_branches[state] = {
-                        nxt for p, nxt in auto.successor_distribution(state).branches if p > 0}
+                        nxt for p, nxt in auto.successor_distribution(state) if p > 0}
                 assert drawn in draw_branches[state]
     for field in ("successes", "rejects", "idle_ticks", "ticks", "rounds", "deadlocked"):
         sampled = getattr(agg, field)
@@ -222,7 +222,7 @@ def test_deadlocked_runs_are_flagged_and_replayable():
     stats = run_once(cfg, run_rng(4, r), trace=trace)
     assert stats.deadlocked
     final = trace[-1]
-    assert not Automaton(cfg).successor_distribution(final).branches
+    assert not Automaton(cfg).successor_distribution(final)
     assert any(sd.phase == SenderPhase.SEND_RTS for sd in final.senders)
 
 
