@@ -42,7 +42,6 @@ from .dtmc import (
     expected_reward,
     find_deadlocks,
     idle_listening_rewards,
-    prob_reach,
     reach_from_start,
 )
 from .errors import (

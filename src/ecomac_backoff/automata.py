@@ -170,6 +170,15 @@ class ScenarioConfig:
         return replace(self, tcu_ticks=tcu_ticks)
 
 
+# the largest count or timing a scenario may hold for either engine: the
+# exact engine stores each per state as int16, and the simulator plays the
+# same rounds tick by tick and tabulates crossings over (e, msgs).  The keys
+# a user sets come before the unit derived from them, so an overflow names
+# the key that was set
+_COUNT_MAX = 2**15 - 1
+_COUNT_BOUNDS = ("n_senders", "nmax_msg", "d_switch", "d_frame", "cts_timeout",
+                 "e_max", "b_max", "tcu_ticks")
+
 _DONE_SENDER = SenderState(SenderPhase.DONE, 0, -1, 0, 0)
 _IDLE_RECEIVER = ReceiverState(ReceiverPhase.W_START, -1, 0)
 # the receiver right after a joint draw, listening for a request
@@ -254,10 +263,20 @@ class Automaton:
     """
 
     def __init__(self, cfg: ScenarioConfig):
+        for name in _COUNT_BOUNDS:
+            v = getattr(cfg, name)
+            if v > _COUNT_MAX:
+                unit = ("; unless set, it is 2*d_switch + d_frame + d_rssi"
+                        if name == "tcu_ticks" else "")
+                raise ConfigError(f"{name}={v} exceeds {_COUNT_MAX}, the largest value the "
+                                  f"engines take (the exact engine stores it per state as "
+                                  f"a 16-bit integer){unit}")
         self.cfg = cfg
-        # draw branches per failure count: ((value, prob), ...) ascending
+        # draw branches per failure count: ((value, prob), ...) ascending;
+        # the counts of one table row share its tuple
         self._draws = tuple(
-            tuple(rbc_pmf(cfg.table, e).items()) for e in range(cfg.e_max + 1)
+            pmf for e_lo, e_hi, _ in cfg.table.rows
+            for pmf in (tuple(rbc_pmf(cfg.table, e_lo).items()),) * (e_hi - e_lo + 1)
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}

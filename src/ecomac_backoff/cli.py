@@ -14,7 +14,6 @@ run count), 3 state-space cap exceeded, 4 simulation hit a deadlock.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import montecarlo as mc
 from . import properties as props
 from .automata import ScenarioConfig, label_text
 from .backoff import BackoffTable, ContentionWindow
-from .errors import ConfigError, StateSpaceLimitError
+from .errors import ConfigError, StateSpaceLimitError, check_finite
 
 EXIT_OK = 0
 EXIT_BATTERY = 1
@@ -165,14 +164,6 @@ def _write_trace_file(path: str, states, note: str) -> None:
             fh.write(f"{step:4d}  {label_text(state)}\n")
 
 
-def _check_finite(what: str, keys: str, *values) -> None:
-    """Refuse a result that left the float range before it is printed or
-    written.  Tick counts are finite integers, so only the configured
-    scales `keys` can take a result there."""
-    if not all(math.isfinite(v) for v in values if v is not None):
-        raise ConfigError(f"{what} exceeds the float range; {keys} is too large")
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -200,11 +191,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, _run = load_config(args.config)
-    with np.errstate(over="ignore", invalid="ignore"):
-        study = props.tcu_variation_study(cfg, max_states=args.max_states)
+    # the study refuses an idle time past the float range itself
+    study = props.tcu_variation_study(cfg, max_states=args.max_states)
     for row in study.rows:
-        _check_finite("idle time", "seconds_per_tick", row.idle_seconds)
-        _check_finite("idle energy", "seconds_per_tick or idle_power_mw", row.energy_mj)
+        check_finite("idle energy", "seconds_per_tick or idle_power_mw", row.energy_mj)
     rows = []
     for row in study.rows:
         print(f"{row.variant}: contention unit {row.tcu_ticks} ticks, "
@@ -228,11 +218,12 @@ def _cmd_simulate(args) -> int:
     n_runs = args.runs if args.runs is not None else run["n_runs"]
     seed = args.seed if args.seed is not None else run["seed"]
     agg = mc.simulate(cfg, n_runs, seed)
+    # every sender's idle seconds, refused past the float range before any
+    # output; the mean and spread of finite ones can still overflow
+    idle = [agg.idle_seconds(s) for s in range(cfg.n_senders)]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_idle, ci = mc.mean_ci95(agg.idle_seconds(0))
-    # the longest idle stretch of any sender bounds every row written
-    longest = float(agg.idle_ticks.max()) * cfg.seconds_per_tick
-    _check_finite("idle time", "seconds_per_tick", mean_idle, ci, longest)
+        mean_idle, ci = mc.mean_ci95(idle[0])
+    check_finite("idle time", "seconds_per_tick", mean_idle, ci)
 
     if args.out:
         header = ["run", "sender", "delivered", "rejected", "idle_ticks",
@@ -242,8 +233,7 @@ def _cmd_simulate(args) -> int:
         for r in range(agg.n_runs):
             for s in range(cfg.n_senders):
                 row = [r, s, int(agg.successes[r, s].sum()), int(agg.rejects[r, s]),
-                       int(agg.idle_ticks[r, s]),
-                       float(agg.idle_ticks[r, s] * cfg.seconds_per_tick),
+                       int(agg.idle_ticks[r, s]), float(idle[s][r]),
                        int(agg.ticks[r]), int(agg.rounds[r]), bool(agg.deadlocked[r])]
                 row += [int(v) for v in agg.successes[r, s]]
                 rows.append(row)

@@ -37,10 +37,11 @@ sinks, and each run is one edge from its head to its exit.  Inside a run a
 state's value is the next pinned state's value, or the exit's, plus the
 rewards on the way, so solves keep values only at the nodes.  One plan over
 the nodes' levels, built on the first solve and cached on the model, serves
-every backward solve and the forward occupation push.  A backward solve
-takes K targets as the columns of an (n_states, K) array and answers them
-all in one sweep; ``prob_reach`` then fills in the states inside runs, while
-``reach_from_start`` and ``expected_reward`` read the initial state's node.
+the backward solve and the forward occupation push.  Every query is asked
+from the initial state, as PRISM asks them: the backward solve takes K
+targets as the columns of an (n_states, K) array, answers them all in one
+sweep and returns the initial state's K values, which ``reach_from_start``
+and ``expected_reward`` read.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ _TERMINAL = -1 - StepKind.TERMINAL
 # (phase, winner, ticks) for the receiver, stored as int16
 N_SENDER_FIELDS = 5
 N_RECEIVER_FIELDS = 3
-_FEATURE_MAX = int(np.iinfo(np.int16).max)
-# config values bounding some feature column; the keys a user sets come
-# before the unit derived from them, so an overflow names the key set
-_FEATURE_BOUNDS = ("n_senders", "nmax_msg", "d_switch", "d_frame", "cts_timeout",
-                   "e_max", "b_max", "tcu_ticks")
 # states per write of dump_statespace; bounds the text held at once
 _DUMP_CHUNK = 4096
 
@@ -133,7 +129,6 @@ class DTMC:
     terminal_mask: np.ndarray   # bool, all-senders-done self-loop states
 
     _open: tuple | None = field(default=None, repr=False)
-    _levels: tuple | None = field(default=None, repr=False)
     _runs: tuple | None = field(default=None, repr=False)
     _plan: tuple | None = field(default=None, repr=False)
     _rev: tuple | None = field(default=None, repr=False)
@@ -213,27 +208,26 @@ class DTMC:
         Its nodes are run heads, branching states and sinks (see
         :func:`_contract`); each level holds their state ids, and edges
         cross levels forward.  Returns (levels, acyclic); with a cyclic
-        model some states stay unlevelled and the solvers refuse it.
+        model some states stay unlevelled and the solvers refuse it.  Not
+        cached: the solve plan that reads it is.
         """
-        if self._levels is None:
-            indptr = self.open_csr()[0]
-            g = _contract(self)
-            cols = _contracted_cols(self, g)
-            in_deg = np.bincount(cols[g.is_node[_edge_rows(indptr)]], minlength=self.n_states)
-            frontier = np.flatnonzero((in_deg == 0) & g.is_node)
-            levels: list[np.ndarray] = []
-            seen = 0
-            while frontier.size:
-                levels.append(frontier)
-                seen += frontier.size
-                heads = cols[_row_gather(indptr, frontier)]
-                if heads.size == 0:
-                    break
-                np.subtract.at(in_deg, heads, 1)
-                cand = np.unique(heads)
-                frontier = cand[in_deg[cand] == 0]
-            self._levels = (levels, g.covered and seen == int(g.is_node.sum()))
-        return self._levels
+        indptr = self.open_csr()[0]
+        g = _contract(self)
+        cols = _contracted_cols(self, g)
+        in_deg = np.bincount(cols[g.is_node[_edge_rows(indptr)]], minlength=self.n_states)
+        frontier = np.flatnonzero((in_deg == 0) & g.is_node)
+        levels: list[np.ndarray] = []
+        seen = 0
+        while frontier.size:
+            levels.append(frontier)
+            seen += frontier.size
+            heads = cols[_row_gather(indptr, frontier)]
+            if heads.size == 0:
+                break
+            np.subtract.at(in_deg, heads, 1)
+            cand = np.unique(heads)
+            frontier = cand[in_deg[cand] == 0]
+        return levels, g.covered and seen == int(g.is_node.sum())
 
 
 class _Contraction(NamedTuple):
@@ -322,7 +316,6 @@ class _Plan(NamedTuple):
     succ: np.ndarray         # per edge, the successor node
     probs: np.ndarray        # per edge, the branch probability (1 for a run)
     runs: list[np.ndarray]   # as in _Contraction
-    exits: np.ndarray        # per run, its exit's node
 
 
 def _plan(dtmc: DTMC) -> _Plan:
@@ -351,7 +344,7 @@ def _plan(dtmc: DTMC) -> _Plan:
         seg = np.repeat(np.arange(ordered.size) - np.repeat(bounds[:-1], sizes), counts)
         dtmc._plan = _Plan(states, int(node_of[0]), node_of[ordered], bounds, firsts[bounds],
                            seg, node_of[_contracted_cols(dtmc, g)[flat]], probs[flat],
-                           g.runs, node_of[g.exits])
+                           g.runs)
         # imported here: logging is about a tenth of the package's cold import
         import logging
         logging.getLogger(__name__).debug(
@@ -403,8 +396,9 @@ class _Builder:
         self.tick_next = array("q")
         # per failure count its draw distribution's id, and per context id
         # each sender's: failure counts that share a window share draw rows
-        ids: dict[tuple, int] = {}
-        self.draw_ids = [ids.setdefault(d, len(ids)) for d in self.auto._draws]
+        ids: dict = {}
+        self.draw_ids = [ids.setdefault(cfg.table.window_for(e), len(ids))
+                         for e in range(cfg.e_max + 1)]
         self.context_draws: list[tuple] = []
         self.draw_rows: dict[tuple, tuple] = {}
         self.boundary_rows: dict[tuple, int] = {}
@@ -551,13 +545,7 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     """
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
-    for name in _FEATURE_BOUNDS:
-        v = getattr(cfg, name)
-        if v > _FEATURE_MAX:
-            unit = ("; unless set, it is 2*d_switch + d_frame + d_rssi"
-                    if name == "tcu_ticks" else "")
-            raise ConfigError(f"{name}={v} exceeds {_FEATURE_MAX}, the largest "
-                              f"value the exact engine stores per state{unit}")
+    # the automaton refuses a count or timing past the int16 range
     b = _Builder(cfg, max_states)
     index = b.index
     new = [b.intern(*b.auto.split(b.auto.initial_state()))]
@@ -634,41 +622,23 @@ def _features(n_senders: int, contexts: list[tuple], projections: list[tuple],
 # -- linear solves -------------------------------------------------------------
 
 
-def _columns(dtmc: DTMC, pinned, values, rewards):
-    # (n_states,) or (n_states, K) arguments as K columns
-    n = dtmc.n_states
-    return (np.reshape(pinned, (n, -1)), np.reshape(values, (n, -1)),
-            None if rewards is None else np.reshape(rewards, (n, -1)))
+def _solve(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
+           rewards: np.ndarray | None = None) -> np.ndarray:
+    """Least solutions of x = Px + r at the initial state, (K,).
 
-
-def _fold(fold: np.ndarray, states: np.ndarray, pinned: np.ndarray, values: np.ndarray,
-          rewards: np.ndarray | None) -> np.ndarray:
-    """One backward substitution step at the states of one run position.
-
-    `fold`'s rows are the values of the runs' next states; they become the
-    values at `states`.  Returns where `states` are pinned.
+    Arguments are (n_states, K), one solve per column, each pinned to
+    `values` where `pinned`.  Each run is first folded from its last state
+    to its head: a pinned state cuts the run off at its value, and
+    otherwise the run adds its rewards to its exit's value.  Then one
+    backward sweep over the contracted nodes' levels answers every column;
+    each node's successors lie on later levels, so it is exact.  Within a
+    run the rewards are summed before the exit's value is added, so a
+    reward solve can differ from state-by-state substitution in the last
+    bits.
     """
-    pin = pinned[states]
-    if rewards is not None:
-        fold += rewards[states]
-    np.copyto(fold, values[states], where=pin)
-    return pin
-
-
-def _sweep(plan: _Plan, pinned: np.ndarray, values: np.ndarray,
-           rewards: np.ndarray | None) -> np.ndarray:
-    """Least solutions of x = Px + r at the contracted nodes, (n_nodes, K).
-
-    Each run is first folded from its last state to its head: a pinned
-    state cuts the run off at its value, and otherwise the run adds its
-    rewards to its exit's value.  Then one backward sweep over the levels
-    answers every column; each node's successors lie on later levels, so
-    it is exact.  Within a run the rewards are summed before the exit's
-    value is added, so a reward solve can differ from state-by-state
-    substitution in the last bits.
-    """
+    plan = _plan(dtmc)
     k = pinned.shape[1]
-    n_runs = plan.exits.size
+    n_runs = plan.runs[0].size if plan.runs else 0
     others = plan.states[n_runs:]
     # y starts at a node's value if it is pinned (for a head: if its run is
     # cut off), else at what it adds to the sum over its edges
@@ -677,8 +647,14 @@ def _sweep(plan: _Plan, pinned: np.ndarray, values: np.ndarray,
     pin[n_runs:] = pinned[others]
     y[n_runs:] = np.where(pin[n_runs:], values[others],
                           0.0 if rewards is None else rewards[others])
+    # runs[p] lines up with the first heads: one substitution step per
+    # position, from the runs' next states back to their heads
     for states in reversed(plan.runs):
-        pin[:states.size] |= _fold(y[:states.size], states, pinned, values, rewards)
+        fold, cut = y[:states.size], pinned[states]
+        if rewards is not None:
+            fold += rewards[states]
+        np.copyto(fold, values[states], where=cut)
+        pin[:states.size] |= cut
     columns = np.arange(k)
     for lo, hi, elo, ehi in reversed(list(zip(plan.bounds[:-1], plan.bounds[1:],
                                               plan.edge_bounds[:-1], plan.edge_bounds[1:]))):
@@ -692,37 +668,7 @@ def _sweep(plan: _Plan, pinned: np.ndarray, values: np.ndarray,
         here = y[nodes]
         np.add(here, acc, out=here, where=~pin[nodes])
         y[nodes] = here
-    return y
-
-
-def _solve_fixed_point(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
-                       rewards: np.ndarray | None = None) -> np.ndarray:
-    """Least solutions of x = Px + r, each pinned to `values` where `pinned`.
-
-    Arguments are (n_states,) for one solve or (n_states, K) for K solves,
-    one per column, and the result has the shape of `pinned`.  The nodes
-    are solved by :func:`_sweep`; then every state inside a run takes the
-    value of the next pinned state of its run, or of its exit, plus the
-    rewards up to there, substituted state by state.
-    """
-    plan = _plan(dtmc)
-    shape = np.shape(pinned)
-    pinned, values, rewards = _columns(dtmc, pinned, values, rewards)
-    y = _sweep(plan, pinned, values, rewards)
-    x = np.empty((dtmc.n_states, y.shape[1]))
-    x[plan.states] = y
-    fold = y[plan.exits]
-    for states in reversed(plan.runs[1:]):
-        _fold(fold[:states.size], states, pinned, values, rewards)
-        x[states] = fold[:states.size]
-    return x.reshape(shape)
-
-
-def _solve_at_start(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
-                    rewards: np.ndarray | None = None) -> np.ndarray:
-    """Row 0 of :func:`_solve_fixed_point`, (K,), without the per-state array."""
-    plan = _plan(dtmc)
-    return _sweep(plan, *_columns(dtmc, pinned, values, rewards))[plan.start]
+    return y[plan.start]
 
 
 def _mask_columns(dtmc: DTMC, masks) -> np.ndarray:
@@ -741,27 +687,15 @@ def _mask_vector(dtmc: DTMC, mask) -> np.ndarray:
     return _mask_columns(dtmc, mask)[:, 0]
 
 
-def prob_reach(dtmc: DTMC, target_mask: np.ndarray) -> np.ndarray:
-    """Probability, per state, of eventually visiting the target set.
-
-    `target_mask` is one mask of shape (n_states,) or K masks stacked as
-    (n_states, K); all K are solved in one sweep and the result has the
-    mask's shape.
-    """
-    targets = _mask_columns(dtmc, target_mask)
-    x = _solve_fixed_point(dtmc, targets, targets)
-    return x.reshape(np.shape(target_mask))
-
-
 def reach_from_start(dtmc: DTMC, target_mask: np.ndarray) -> float | np.ndarray:
     """Probability of eventually visiting the target set from the initial state.
 
-    The initial state's entry of :func:`prob_reach`, without the per-state
-    array: one mask is answered as a float, and K masks stacked as
-    (n_states, K) as an array of K probabilities, all from one sweep.
+    One mask of shape (n_states,) is answered as a float, and K masks
+    stacked as (n_states, K) as an array of K probabilities, all from one
+    sweep.
     """
     targets = _mask_columns(dtmc, target_mask)
-    x = _solve_at_start(dtmc, targets, targets)
+    x = _solve(dtmc, targets, targets)
     return float(x[0]) if np.ndim(target_mask) == 1 else x
 
 
@@ -781,7 +715,7 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
     values = np.hstack((target, np.zeros_like(target)))
     rewards = np.zeros(values.shape)
     rewards[:, 1] = state_rewards
-    reach, reward = _solve_at_start(dtmc, np.repeat(target, 2, axis=1), values, rewards)
+    reach, reward = _solve(dtmc, np.repeat(target, 2, axis=1), values, rewards)
     if reach < 1.0 - 1e-9:
         raise RewardUndefinedError(
             f"target reached with probability {reach:.12g} < 1; "
@@ -815,9 +749,9 @@ def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:
 
     Counts each maximal stay once, so it measures events (a delivery, a
     drop) even where an outcome phase persists for several states.
-    Starting inside the set counts as one entry.  Like prob_reach it takes
-    one mask, answered as a float, or K stacked masks, answered as an array
-    of K counts.
+    Starting inside the set counts as one entry.  Like reach_from_start it
+    takes one mask, answered as a float, or K stacked masks, answered as an
+    array of K counts.
     """
     masks = _mask_columns(dtmc, state_mask)
     if (masks & dtmc.terminal_mask[:, None]).any():

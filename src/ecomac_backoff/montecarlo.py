@@ -40,7 +40,7 @@ from .automata import (
     StepKind,
 )
 from .backoff import sample_rbc
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 
 @dataclass
@@ -257,8 +257,15 @@ class Aggregate:
         return int(self.deadlocked.sum())
 
     def idle_seconds(self, sender: int) -> np.ndarray:
-        """Idle listening seconds of `sender`, per run."""
-        return self.idle_ticks[:, sender] * self.cfg.seconds_per_tick
+        """Idle listening seconds of `sender`, per run.
+
+        Raises ConfigError when `seconds_per_tick` takes one past the float
+        range.
+        """
+        with np.errstate(over="ignore"):
+            seconds = self.idle_ticks[:, sender] * self.cfg.seconds_per_tick
+        check_finite("idle time", "seconds_per_tick", float(seconds.max(initial=0.0)))
+        return seconds
 
 
 def mean_ci95(samples: np.ndarray) -> tuple[float, float]:
@@ -284,11 +291,14 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
         raise ConfigError("n_runs must be >= 2")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    if cfg.b_max >= 2**32:
-        raise ConfigError(f"simulation needs b_max < 2**32, got {cfg.b_max}")
     auto = Automaton(cfg)
     n = cfg.n_senders
-    successes = np.zeros((n_runs, n, cfg.e_max + 1), dtype=np.int64)
+    try:
+        successes = np.zeros((n_runs, n, cfg.e_max + 1), dtype=np.int64)
+    except ValueError:
+        # numpy refuses a size past its index range before it tries to
+        # allocate: a request too large to allocate all the same
+        raise MemoryError(f"{n_runs} runs of {n} senders exceed the largest array") from None
     rejects = np.zeros((n_runs, n), dtype=np.int64)
     idle = np.zeros((n_runs, n), dtype=np.int64)
     ticks = np.zeros(n_runs, dtype=np.int64)

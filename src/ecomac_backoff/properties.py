@@ -16,7 +16,7 @@ from . import dtmc as engine
 from . import montecarlo as mc
 from .automata import ReceiverPhase, ScenarioConfig, SenderPhase
 from .dtmc import DTMC, PropertyReport
-from .errors import ConfigError, StateSpaceLimitError
+from .errors import ConfigError, StateSpaceLimitError, check_finite
 
 EXACT_STATES_CAP_DEFAULT = 2_000_000
 
@@ -259,12 +259,19 @@ def _sampled_profile(agg: mc.Aggregate, sender: int, per_packet: bool) -> Profil
 def idle_listening_time(cfg: ScenarioConfig, sender: int = 0,
                         dtmc: DTMC | None = None) -> float:
     """Expected seconds a sender spends carrier sensing until all its packets
-    are resolved (delivered or dropped)."""
+    are resolved (delivered or dropped).
+
+    Raises ConfigError when `seconds_per_tick` takes the time past the
+    float range.
+    """
     _check_sender(cfg, sender)
     d = _model(cfg, dtmc)
     rewards = engine.idle_listening_rewards(d, sender)
     done = np.asarray(d.sender_phase(sender) == SenderPhase.DONE)
-    return engine.expected_reward(d, rewards, done)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seconds = engine.expected_reward(d, rewards, done)
+    check_finite("idle time", "seconds_per_tick", seconds)
+    return seconds
 
 
 @dataclass(frozen=True)

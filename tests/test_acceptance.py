@@ -136,12 +136,12 @@ def test_criterion_05_two_sender_enumeration(two_sender_model):
         d = two_sender_model
         first_win = np.asarray(
             (d.sender_phase(0) == SenderPhase.SUCCESS) & (d.sender_e(0) == 0))
-        assert engine.prob_reach(d, first_win)[0] == pytest.approx(
+        assert engine.reach_from_start(d, first_win) == pytest.approx(
             float(win), abs=1e-9)
         first_tie = np.asarray(
             (np.asarray(d.receiver_phase()) == ReceiverPhase.COLLISION)
             & (d.sender_e(0) == 0) & (d.sender_e(1) == 0))
-        assert engine.prob_reach(d, first_tie)[0] == pytest.approx(
+        assert engine.reach_from_start(d, first_tie) == pytest.approx(
             float(tie), abs=1e-9)
 
 

@@ -1,5 +1,6 @@
 """Tick-level semantics of the synchronized sender/receiver product."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,22 @@ def test_draw_probabilities_follow_the_window_widths():
     branches = auto.successor_distribution(s)
     assert len(branches) == 64
     assert all(abs(p - 1 / 64) < 1e-15 for p, _ in branches)
+
+
+def test_failure_counts_of_one_row_share_its_draw_distribution():
+    # one pmf per table row, not per failure count: at the largest table
+    # the engines take, 32768 counts x 32768 values would not fit in memory
+    table = BackoffTable(((0, 1023, ContentionWindow(0, 1023)),))
+    tracemalloc.start()
+    try:
+        auto = Automaton(ScenarioConfig(n_senders=1, table=table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    branches = auto.successor_distribution(auto.initial_state())
+    assert [t.senders[0].rbc for _, t in branches] == list(range(1024))
+    assert all(p == 1 / 1024 for p, _ in branches)
 
 
 def test_zero_draw_skips_the_countdown():

@@ -1,9 +1,18 @@
 """Config parsing and end-to-end subcommand behaviour, driven in process."""
 
+import io
+import re
+import signal
+import warnings
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import HealthCheck, event, given, reject, settings
+from hypothesis import strategies as st
 
 from ecomac_backoff.backoff import DEFAULT_TABLE, ContentionWindow
 from ecomac_backoff.cli import (
+    _ALL_KEYS,
     EXIT_BATTERY,
     EXIT_CONFIG,
     EXIT_DEADLOCK,
@@ -122,14 +131,16 @@ def test_check_passes_with_a_longer_frame(capsys, tmp_path):
     assert "battery: 5/5 checks as expected" in capsys.readouterr().out
 
 
-# d_frame also sets the derived unit, so its own bound is checked first
+# d_frame also sets the derived unit, so its own bound is checked first;
+# the simulator takes the same scenarios as the exact engine
 @pytest.mark.parametrize("key", ["cts_timeout", "nmax_msg", "d_frame"])
 def test_values_beyond_the_state_encoding_exit_2(capsys, tmp_path, key):
     conf = tmp_path / "huge.conf"
     conf.write_text(f"{key} = 40000\n")
-    assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "configuration error" in err and f"{key}=40000" in err
+    for argv in (["check"], ["simulate", "--runs", "2"]):
+        assert main(argv + ["--config", str(conf)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{key}=40000" in err
 
 
 def test_derived_unit_beyond_the_state_encoding_exit_2(capsys, tmp_path):
@@ -138,8 +149,8 @@ def test_derived_unit_beyond_the_state_encoding_exit_2(capsys, tmp_path):
     conf.write_text("d_switch = 20000\n")
     assert main(["check", "--config", str(conf)]) == EXIT_CONFIG
     assert ("configuration error: tcu_ticks=40006 exceeds 32767, the largest value the "
-            "exact engine stores per state; unless set, it is 2*d_switch + d_frame + d_rssi"
-            in capsys.readouterr().err)
+            "engines take (the exact engine stores it per state as a 16-bit integer); "
+            "unless set, it is 2*d_switch + d_frame + d_rssi" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -248,9 +259,11 @@ def test_state_cap_exits_3(capsys, tmp_path):
 
 def test_run_count_too_large_to_allocate_exits_2(capsys):
     # 10**13 runs ask for petabytes of per-run arrays, more than any
-    # address space holds, so numpy refuses before allocating
-    assert main(["simulate", "--runs", "10000000000000"]) == EXIT_CONFIG
-    assert "cannot allocate" in capsys.readouterr().err
+    # address space holds, so numpy refuses before allocating; 2**63 runs
+    # are past the largest array shape numpy takes at all
+    for runs in (10**13, 2**63):
+        assert main(["simulate", "--runs", str(runs)]) == EXIT_CONFIG
+        assert "cannot allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["-1", "0"])
@@ -346,3 +359,115 @@ def test_battery_mismatch_exits_1(capsys, monkeypatch):
     stdout = capsys.readouterr().out
     assert "[MISMATCH]" in stdout
     assert "battery: 4/5 checks as expected" in stdout
+
+
+# -- the exit-code contract under generated inputs -------------------------------------
+
+# spellings every key takes: zero and minus one, both sides of the int16
+# range, past int32 and int64, a float past any product, non-finite and
+# empty values, and bools
+_BOUNDARY = ("0", "-1", "1", str(2**15 - 1), str(2**15 + 1), str(2**31), str(2**63),
+             str(2**64), "1e308", "nan", "inf", "", "true", "off")
+_TABLE_ENDS = st.sampled_from(("0", "1", "3", "7", "-1", str(2**15 - 1), str(2**15 + 1),
+                               str(2**63), "", "x"))
+
+
+@st.composite
+def window_tables(draw):
+    """Window table texts of 0-3 rows, each well formed or malformed."""
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, c, d = (draw(_TABLE_ENDS) for _ in range(4))
+        rows.append(draw(st.sampled_from((f"{a}..{b}:{c}..{d}", f"{a}..{b}",
+                                          f"{a}..{b}:{c}..{d}:{a}", f"{a}..{b}:{c}-{d}"))))
+    return draw(st.sampled_from(("; ", ";;"))).join(rows) + draw(st.sampled_from(("", ";")))
+
+
+# a valid value per key, so that whole scenarios also pass and run
+_TYPICAL = {
+    "n_senders": ("1", "2", "3"), "nmax_msg": ("0", "2"), "tcu_ticks": ("3", "8", "13"),
+    "d_switch": ("0",), "d_frame": ("6",), "d_rssi": ("0",), "cts_timeout": ("5",),
+    "seed": ("7",), "n_runs": ("20",), "seconds_per_tick": ("0.5", "1e300"),
+    "idle_power_mw": ("1e300",), "robust_mode": ("yes", "false"),
+    "window_table": ("0..1:1..3; 2..6:0..3", "0..0:0..0", "0..2:0..1"),
+}
+
+
+@st.composite
+def configs(draw):
+    """Up to three keys, each with a boundary value, a malformed table or a
+    valid value."""
+    keys = draw(st.lists(st.sampled_from(sorted(_ALL_KEYS)), unique=True, max_size=3))
+    values = {}
+    for key in keys:
+        choices = [st.sampled_from(_BOUNDARY), st.sampled_from(_TYPICAL[key])]
+        if key == "window_table":
+            choices.append(window_tables())
+        values[key] = draw(st.one_of(choices))
+    return values
+
+
+# a float token that is not finite, standing alone
+_NON_FINITE = re.compile(r"(?<![A-Za-z0-9_])[-+]?(inf|nan)(?![A-Za-z0-9_])", re.I)
+# a valid scenario with 32767 senders, packets, ticks per unit or counter
+# values costs minutes to hours, which is no breach of the contract: such an
+# example gets a short budget and is discarded past it.  Any other call must
+# end within the long one.
+_SIZES = ("n_senders", "nmax_msg", "tcu_ticks", "window_table")
+_BUDGET_S, _SIZED_BUDGET_S = 30.0, 2.0
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@contextmanager
+def budget(seconds):
+    def expire(signum, frame):
+        raise _OverBudget
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(values=configs(), command=st.sampled_from(("check", "sweep", "simulate", "dump")),
+       cap=st.sampled_from(("-1", "0", "1", "2", "100", "5000")),
+       runs=st.sampled_from(("-1", "0", "1", "2", "10", "50")),
+       seed=st.sampled_from((None, "-1", "0", str(2**63), str(2**64 - 1), str(2**64))))
+def test_every_input_leaves_through_a_documented_exit_code(values, command, cap, runs, seed,
+                                                           tmp_path_factory):
+    work = tmp_path_factory.mktemp("contract")
+    conf = work / "scenario.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    argv = [command, "--config", str(conf), "--out", str(work / "out.txt")]
+    if command == "simulate":
+        argv += ["--runs", runs, "--deadlock-trace", str(work / "trace.txt")]
+        argv += [] if seed is None else ["--seed", seed]
+    else:
+        argv += ["--max-states", cap]
+    sized = any(str(2**15 - 1) in values.get(key, "") for key in _SIZES)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            with redirect_stdout(out), redirect_stderr(err), \
+                    budget(_SIZED_BUDGET_S if sized else _BUDGET_S):
+                code = main(argv)
+        except SystemExit as exc:
+            # only argparse exits
+            code = exc.code
+        except _OverBudget:
+            assert sized, f"{argv} with {values} still running after {_BUDGET_S} s"
+            event(f"{command} over budget")
+            reject()
+    event(f"{command} exit {code}")
+    assert code in (EXIT_OK, EXIT_BATTERY, EXIT_CONFIG, EXIT_STATE_CAP, EXIT_DEADLOCK), \
+        err.getvalue()
+    for text in [out.getvalue()] + [f.read_text() for f in work.iterdir() if f != conf]:
+        assert not _NON_FINITE.search(text), text[:500]

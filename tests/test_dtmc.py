@@ -35,11 +35,10 @@ from ecomac_backoff import (
     find_deadlocks,
     idle_listening_rewards,
     label,
-    prob_reach,
     reach_from_start,
 )
 from ecomac_backoff import dtmc as dtmc_module
-from ecomac_backoff.dtmc import _solve_at_start, _solve_fixed_point
+from ecomac_backoff.dtmc import _backward_closure, _solve
 from ecomac_backoff.errors import (
     RewardUndefinedError,
     SolverError,
@@ -365,7 +364,7 @@ def test_plan_reports_its_counts_at_debug_level_only(two_sender_cfg, caplog):
     d = build(two_sender_cfg)
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.dtmc"):
         reach_from_start(d, d.terminal_mask)
-        prob_reach(d, d.terminal_mask)
+        reach_from_start(d, d.terminal_mask)
     # built once: 677 runs of about ten states leave 95 levels, not 718
     [record] = caplog.records
     assert record.getMessage() == ("plan: 6664 states, 677 runs, "
@@ -385,7 +384,7 @@ def test_first_round_win_probability(two_sender_model):
     d = two_sender_model
     win1, _ = first_round_outcomes()
     mask = np.asarray((d.sender_phase(0) == SenderPhase.SUCCESS) & (d.sender_e(0) == 0))
-    assert abs(prob_reach(d, mask)[0] - float(win1)) < 1e-9
+    assert abs(reach_from_start(d, mask) - float(win1)) < 1e-9
 
 
 def test_first_round_collision_probability(two_sender_model):
@@ -395,7 +394,7 @@ def test_first_round_collision_probability(two_sender_model):
         (np.asarray(d.receiver_phase()) == ReceiverPhase.COLLISION)
         & (d.sender_e(0) == 0) & (d.sender_e(1) == 0)
     )
-    assert abs(prob_reach(d, mask)[0] - float(tie)) < 1e-9
+    assert abs(reach_from_start(d, mask) - float(tie)) < 1e-9
 
 
 def test_outcome_probabilities_partition(two_sender_model):
@@ -403,8 +402,8 @@ def test_outcome_probabilities_partition(two_sender_model):
     total = 0.0
     success = d.sender_phase(0) == SenderPhase.SUCCESS
     for k in range(13):
-        total += prob_reach(d, np.asarray(success & (d.sender_e(0) == k)))[0]
-    total += prob_reach(d, np.asarray(d.sender_phase(0) == SenderPhase.REJECT))[0]
+        total += reach_from_start(d, np.asarray(success & (d.sender_e(0) == k)))
+    total += reach_from_start(d, np.asarray(d.sender_phase(0) == SenderPhase.REJECT))
     assert abs(total - 1.0) < 1e-9
 
 
@@ -412,7 +411,7 @@ def test_visits_and_entries_agree_with_reachability(two_sender_model):
     # with one packet each, outcome states are hit at most once
     d = two_sender_model
     mask = np.asarray(d.sender_phase(0) == SenderPhase.SUCCESS)
-    p = prob_reach(d, mask)[0]
+    p = reach_from_start(d, mask)
     assert abs(expected_entries(d, mask) - p) < 1e-9
 
 
@@ -421,53 +420,66 @@ def test_entry_counts_reject_terminal_states(two_sender_model):
         expected_entries(two_sender_model, two_sender_model.terminal_mask)
 
 
-def _residual(d, x, pinned, rewards=None):
-    """Largest |Px + r - x| over unpinned states, by a plain CSR matvec."""
-    rows = np.repeat(np.arange(d.n_states), np.diff(d.indptr))
-    y = np.bincount(rows, weights=d.probs * x[d.cols], minlength=d.n_states)
-    if rewards is not None:
-        y += rewards
-    free = ~pinned
-    return np.abs(y[free] - x[free]).max() if free.any() else 0.0
+def reference_solve(d, pinned, values, rewards=None):
+    """Least solution of x = Px + r on the open chain (terminal self-loops
+    dropped), each state pinned to `values` where `pinned`, by one sparse
+    direct solve over all states."""
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import spsolve
+
+    n = d.n_states
+    rows = np.repeat(np.arange(n), np.diff(d.indptr))
+    keep = (d.cols != rows) & ~pinned[rows]
+    p = csc_matrix((d.probs[keep], (rows[keep], d.cols[keep])), shape=(n, n))
+    b = np.where(pinned, values, 0.0 if rewards is None else rewards)
+    return np.atleast_1d(spsolve((identity(n, format="csc") - p).tocsc(), b))
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @settings(max_examples=12, deadline=None)
-@given(n_senders=st.integers(1, 2), nmax_msg=st.integers(1, 2), robust=st.booleans(),
+@given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
        tcu=st.sampled_from([3, 8, 13]),
-       table=st.sampled_from([DEFAULT_TABLE, _NARROWED, _DRAW_ZERO]))
-def test_level_solves_satisfy_the_fixed_point(n_senders, nmax_msg, robust, tcu, table):
+       table=tables(DEFAULT_TABLE, REJECT_HEAVY, _NARROWED, _DRAW_ZERO))
+def test_start_queries_match_a_sparse_direct_solve(n_senders, nmax_msg, robust, tcu, table):
     d = build(ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
                              tcu_ticks=tcu, table=table))
     n = d.n_states
     stuck = np.isin(np.arange(n), d.deadlock_indices)
-    absorbing = d.terminal_mask | stuck
     phase, e = d.sender_phase(0), d.sender_e(0)
     success = phase == SenderPhase.SUCCESS
     targets = np.stack([success, success & (e == 1), phase == SenderPhase.REJECT,
                         phase == SenderPhase.SLEEP], axis=1)
     # stacked masks are solved in one sweep, column for column like one mask
-    stacked = prob_reach(d, targets)
+    reach = reach_from_start(d, targets)
     entries = expected_entries(d, targets)
-    assert stacked.shape == targets.shape and entries.shape == (targets.shape[1],)
-    assert (reach_from_start(d, targets) == stacked[0]).all()
-    for k in range(targets.shape[1]):
-        x = prob_reach(d, targets[:, k])
-        assert (stacked[:, k] == x).all()
-        assert _residual(d, x, targets[:, k] | absorbing) <= 1e-12
-        assert entries[k] == expected_entries(d, targets[:, k])
-    # shortened units deadlock, so the reward runs until done or stuck
-    target = np.asarray(phase == SenderPhase.DONE) | stuck
-    pinned = target | absorbing
+    assert reach.shape == entries.shape == (targets.shape[1],)
+    rows = np.repeat(np.arange(n), np.diff(d.indptr))
+    for k, m in enumerate(targets.T):
+        assert reach[k] == reach_from_start(d, m)
+        assert close(reach[k], reference_solve(d, m, m * 1.0)[0])
+        assert entries[k] == expected_entries(d, m)
+        # entries, backward: each edge into the set from outside adds its
+        # probability at its source; starting inside counts once
+        inflow = np.bincount(rows, weights=d.probs * (m[d.cols] & ~m[rows]), minlength=n)
+        want = reference_solve(d, np.zeros(n, dtype=bool), np.zeros(n), inflow)[0] + m[0]
+        assert close(entries[k], want)
     rewards = idle_listening_rewards(d, 0)
-    x = _solve_fixed_point(d, pinned, np.zeros(n), rewards)
-    assert _residual(d, x, pinned, rewards) <= 1e-12
-    # expected_reward's sweep: reach and reward as two columns, pinned alike
-    both = _solve_fixed_point(d, np.stack([pinned, pinned], axis=1),
-                              np.stack([target, np.zeros(n, dtype=bool)], axis=1),
-                              np.stack([np.zeros(n), rewards], axis=1))
-    assert (both[:, 1] == x).all()
-    assert _residual(d, both[:, 0], pinned) <= 1e-12
-    assert expected_reward(d, rewards, target) == x[0]
+    done = np.asarray(phase == SenderPhase.DONE)
+    # idle time until done is defined only where done is reached almost
+    # surely; until done or stuck, it always is
+    if reference_solve(d, done, done * 1.0)[0] < 1.0 - 1e-9:
+        with pytest.raises(RewardUndefinedError):
+            expected_reward(d, rewards, done)
+    else:
+        assert close(expected_reward(d, rewards, done),
+                     reference_solve(d, done, np.zeros(n), rewards)[0])
+    # idle rewards lie on runs only; one per state also reaches the nodes
+    target = done | stuck
+    for r in (rewards, np.ones(n)):
+        assert close(expected_reward(d, r, target), reference_solve(d, target, np.zeros(n), r)[0])
 
 
 def test_masks_of_the_wrong_shape_are_refused(lone_model):
@@ -476,7 +488,7 @@ def test_masks_of_the_wrong_shape_are_refused(lone_model):
     for shape in wrong:
         mask = np.zeros(shape, dtype=bool)
         with pytest.raises(ValueError, match="state mask has shape"):
-            prob_reach(lone_model, mask)
+            reach_from_start(lone_model, mask)
         with pytest.raises(ValueError, match="state mask has shape"):
             expected_entries(lone_model, mask)
     # the queries that take one mask refuse a stack of them too
@@ -505,7 +517,7 @@ def test_cyclic_model_is_refused():
     )
     assert d.topo_levels()[1] is False
     with pytest.raises(SolverError):
-        prob_reach(d, np.array([False, False]))
+        reach_from_start(d, np.array([False, False]))
     with pytest.raises(SolverError):
         expected_entries(d, np.array([True, False]))
 
@@ -527,15 +539,16 @@ def hand_built(rows):
     )
 
 
-def solve_every_state(d, pinned, values, rewards=None):
-    """The contracted solve, checked at every state against x = Px + r."""
-    x = _solve_fixed_point(d, pinned, values, rewards)
-    xs, ps, vs = (np.reshape(a, (d.n_states, -1)) for a in (x, pinned, values))
-    for k in range(xs.shape[1]):
-        r = None if rewards is None else np.reshape(rewards, (d.n_states, -1))[:, k]
-        assert _residual(d, xs[:, k], ps[:, k], r) <= 1e-12
-        assert (xs[ps[:, k], k] == vs[ps[:, k], k]).all()
-    assert (_solve_at_start(d, pinned, values, rewards) == xs[0]).all()
+def solve_at_start(d, pinned, values, rewards=None):
+    """The contracted solve's start values, checked against the sparse
+    direct solve of every column."""
+    pinned, values = np.reshape(pinned, (d.n_states, -1)), np.reshape(values, (d.n_states, -1))
+    if rewards is not None:
+        rewards = np.reshape(rewards, (d.n_states, -1))
+    x = _solve(d, pinned, values, rewards)
+    for k in range(x.size):
+        r = None if rewards is None else rewards[:, k]
+        assert close(x[k], reference_solve(d, pinned[:, k], values[:, k], r)[0])
     return x
 
 
@@ -551,10 +564,10 @@ def test_a_merge_into_the_middle_of_a_run_starts_a_new_run():
     assert contracted_nodes(d) == [0, 1, 2, 4, 6]
     pinned = np.arange(7) == 6
     rewards = np.arange(1, 8) * 0.25
-    x = solve_every_state(d, pinned, pinned * 1.0, rewards)
     x2 = 0.75 + (1.0 + 1.0)
-    assert x[2] == x2 and x[1] == 0.5 + x2 and x[4] == 1.25 + (1.5 + x2)
-    assert (prob_reach(d, pinned) == 1.0).all()
+    x1, x4 = 0.5 + x2, 1.25 + (1.5 + x2)
+    assert solve_at_start(d, pinned, pinned * 1.0, rewards).tolist() == [0.25 + 0.5 * (x1 + x4)]
+    assert reach_from_start(d, pinned) == 1.0
 
 
 def test_a_pinned_state_cuts_its_run_with_rewards_on_both_sides():
@@ -566,10 +579,8 @@ def test_a_pinned_state_cuts_its_run_with_rewards_on_both_sides():
     values = np.zeros((6, 2))
     values[2, 0], values[4, 1] = 7.0, -1.0
     rewards = np.repeat(np.arange(1.0, 7.0)[:, None], 2, axis=1)
-    x = solve_every_state(d, pinned, values, rewards)
-    # an unpinned sink keeps its own reward
-    assert x[:, 0].tolist() == [10.0, 9.0, 7.0, 15.0, 11.0, 6.0]
-    assert x[:, 1].tolist() == [9.0, 8.0, 6.0, 3.0, -1.0, 6.0]
+    # the start takes the rewards before the pin, then the pinned value
+    assert solve_at_start(d, pinned, values, rewards).tolist() == [1 + 2 + 7.0, 1 + 2 + 3 + 4 - 1.0]
 
 
 def test_the_initial_state_can_head_a_run():
@@ -577,24 +588,23 @@ def test_the_initial_state_can_head_a_run():
                     [(5, 1.0)], [(5, 1.0)], []])
     assert contracted_nodes(d) == [0, 2, 3, 4, 5]
     target = np.arange(6) == 3
-    solve_every_state(d, target, target)
-    assert prob_reach(d, target)[0] == 0.25 and reach_from_start(d, target) == 0.25
+    assert solve_at_start(d, target, target).tolist() == [0.25] and reach_from_start(d, target) == 0.25
     done = np.arange(6) == 5
     assert expected_reward(d, np.ones(6), done) == 4.0
-    solve_every_state(d, done, np.zeros(6), np.ones(6))
+    assert solve_at_start(d, done, np.zeros(6), np.ones(6)).tolist() == [4.0]
     # an unreachable state stepping into the initial state does not make
     # it part of its run
     d = hand_built([[(2, 1.0)], [(0, 1.0)], []])
     assert contracted_nodes(d) == [0, 1, 2]
     done = np.arange(3) == 2
-    solve_every_state(d, done, done, np.ones(3))
+    assert solve_at_start(d, done, done, np.ones(3)).tolist() == [2.0]
     assert reach_from_start(d, done) == 1.0 and expected_reward(d, np.ones(3), done) == 1.0
 
 
 def test_an_unpinned_sink_takes_its_reward():
     d = hand_built([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(3, 1.0)], []])
-    x = solve_every_state(d, np.zeros(4, dtype=bool), np.zeros(4), np.arange(1.0, 5.0))
-    assert x.tolist() == [7.5, 6.0, 7.0, 4.0]
+    x = solve_at_start(d, np.zeros(4, dtype=bool), np.zeros(4), np.arange(1.0, 5.0))
+    assert x.tolist() == [1.0 + 0.5 * (2.0 + 4.0) + 0.5 * (3.0 + 4.0)]
 
 
 @contextmanager
@@ -626,7 +636,7 @@ def test_cycles_around_runs_are_refused(rows):
     mask = np.arange(n) == n - 1
     with deadline(30):
         assert d.topo_levels()[1] is False
-        for solve in (lambda: prob_reach(d, mask), lambda: reach_from_start(d, mask),
+        for solve in (lambda: reach_from_start(d, mask),
                       lambda: expected_reward(d, np.ones(n), mask),
                       lambda: expected_entries(d, np.arange(n) == 0)):
             with pytest.raises(SolverError):
@@ -695,7 +705,7 @@ def test_leads_to_fails_with_a_witness(two_sender_model):
     trace = report.counterexample.indices
     assert trace[0] == 0
     # the witness ends where a zero-failure win is out of reach
-    assert prob_reach(d, goal)[trace[-1]] == 0.0
+    assert not _backward_closure(d, goal)[trace[-1]]
     for u, v in zip(trace, trace[1:]):
         assert v in d.cols[d.indptr[u]:d.indptr[u + 1]]
 

@@ -207,10 +207,24 @@ def test_lane_chunks_do_not_change_the_batch(monkeypatch, cfg):
 
 def test_windows_beyond_32_bits_are_refused():
     # the batch draws a counter from one 32-bit word, as numpy does for
-    # windows of at most 2**32 values
+    # windows of at most 2**32 values; the engines take counters up to
+    # 32767 in any case
     table = BackoffTable(((0, 0, ContentionWindow(0, 2**32)),))
     with pytest.raises(ConfigError, match="b_max"):
         simulate(ScenarioConfig(table=table), 2, seed=0)
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (ScenarioConfig(nmax_msg=2**63), "nmax_msg"),
+    (ScenarioConfig(n_senders=2**63), "n_senders"),
+    (ScenarioConfig(table=BackoffTable(((0, 40000, ContentionWindow(0, 3)),))), "e_max"),
+], ids=["nmax_msg", "n_senders", "e_max"])
+def test_simulation_takes_the_exact_engines_count_bounds(cfg, key):
+    # counts past int64 escaped as numpy errors, and larger tables were
+    # tabulated in full; the simulator now refuses what build refuses
+    for run in (lambda: simulate(cfg, 2, seed=0), lambda: run_once(cfg, run_rng(0, 0), [])):
+        with pytest.raises(ConfigError, match=f"{key}=.* exceeds 32767"):
+            run()
 
 
 def test_deadlocked_runs_are_flagged_and_replayable():

@@ -248,6 +248,20 @@ def test_idle_listening_rejects_an_out_of_range_sender(two_sender_cfg, two_sende
         idle_listening_energy(two_sender_cfg, sender, dtmc=two_sender_model)
 
 
+def test_idle_times_past_the_float_range_are_refused():
+    # a finite scale whose products overflow: refused by name, with no
+    # numpy warning, by the exact and the sampled idle time alike
+    cfg = ScenarioConfig(seconds_per_tick=1e308)
+    with pytest.raises(ConfigError, match="exceeds the float range; seconds_per_tick"):
+        idle_listening_time(cfg)
+    agg = mc.simulate(cfg, 10, 1)
+    with pytest.raises(ConfigError, match="exceeds the float range; seconds_per_tick"):
+        agg.idle_seconds(0)
+    # a scale that fits keeps every value
+    assert (mc.simulate(ScenarioConfig(seconds_per_tick=1e300), 10, 1).idle_seconds(1)
+            == agg.idle_ticks[:, 1] * 1e300).all()
+
+
 def test_prebuilt_model_must_match_scenario(lone_cfg, two_sender_model):
     with pytest.raises(ValueError):
         idle_listening_time(lone_cfg, dtmc=two_sender_model)
