@@ -36,8 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Iterator
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -243,6 +245,80 @@ def label_text(state: GlobalState) -> str:
     return ",".join(parts)
 
 
+# a tick count no stretch reaches: each count is at most b_max*tcu_ticks
+# plus a few timings, all below 2**15, so far below this
+_NEVER = 2**62
+
+
+class _SoloPaths:
+    """Each sender state's path under one fixed tick context, stored once.
+
+    A sender whose context stays fixed steps alone: from any state it
+    passes a fixed sequence of states until it holds an outcome phase.  The
+    paths are runs in one flat list.  A run ends at a state that holds, or
+    at the last state before one an earlier run holds, to which it links.
+    Per flat index, ``hold`` is the ticks until the path holds, ``countdown``
+    the countdown ticks among them, and ``to_rts`` the ticks until the path
+    is first in SEND_RTS, 0 if it is now and ``_NEVER`` if it never is.
+    """
+
+    def __init__(self, step: Callable[[tuple], tuple]):
+        self._step = step
+        self._at: dict[tuple, int] = {}
+        self.states: list[tuple] = []
+        self.hold = array("q")
+        self.countdown = array("q")
+        self.to_rts = array("q")
+        self._end = array("q")         # the last flat index of each index's run
+        self._link: dict[int, int] = {}  # a linked run's end -> its successor
+
+    def index(self, sd: tuple) -> int:
+        """The flat index of sender state `sd`."""
+        i = self._at.get(sd)
+        if i is None:
+            i = self._add(sd)
+        return i
+
+    def _add(self, sd: tuple) -> int:
+        at, run = self._at, [sd]
+        nxt = self._step(sd)
+        while nxt != run[-1] and nxt not in at:
+            run.append(nxt)
+            nxt = self._step(nxt)
+        base, end = len(self.states), len(self.states) + len(run) - 1
+        if nxt == run[-1]:
+            # the last state holds; seeded one tick beyond it, the loop gives
+            # it hold 0, no countdown tick and no request ahead
+            hold, countdown, to_rts = -1, 0, _NEVER
+        else:
+            j = self._link[end] = at[nxt]
+            hold, countdown, to_rts = self.hold[j], self.countdown[j], self.to_rts[j]
+        rows = []
+        for s in reversed(run):
+            hold, countdown = hold + 1, countdown + (s[0] == SenderPhase.COUNTDOWN)
+            to_rts = 0 if s[0] == SenderPhase.SEND_RTS else min(to_rts + 1, _NEVER)
+            rows.append((hold, countdown, to_rts))
+        for column, values in zip((self.hold, self.countdown, self.to_rts), zip(*rows)):
+            column.extend(reversed(values))
+        self._end.extend([end] * len(run))
+        for i, s in enumerate(run, base):
+            at[s] = i
+        self.states.extend(run)
+        return base
+
+    def advance(self, i: int, k: int) -> int:
+        """The flat index `k` ticks after flat index `i`; a path that holds
+        stays where it holds."""
+        end = self._end[i]
+        while i + k > end:
+            j = self._link.get(end)
+            if j is None:
+                return end
+            k -= end + 1 - i
+            i, end = j, self._end[j]
+        return i + k
+
+
 class Automaton:
     """Successor-rule engine for one scenario; the single source of semantics.
 
@@ -256,7 +332,10 @@ class Automaton:
     itself.  A batch draws a round for all its live runs at once, reads the
     rest of the round from :meth:`round_outcome` once per distinct draw
     vector, and crosses the round boundary through a table it fills from
-    :meth:`settle`.  A traced run builds the drawn state with
+    :meth:`settle`.  The table's rows are played by :meth:`_play`, which
+    jumps the stretches in which each sender steps alone under the context
+    :meth:`_contexts` reads from the receiver, and takes every other tick
+    through :meth:`_tick`.  A traced run builds the drawn state with
     :meth:`drawn_state` and takes every other step from
     :meth:`successor_distribution`.  Neither engine re-implements any
     protocol rule.
@@ -280,10 +359,17 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
+        # per tick context, the sender paths a stretch jumps along; per
+        # receiver state, its run while it hears no request (_quiet_receiver)
+        self._solo = tuple(_SoloPaths(partial(self._sender_next, ctx=ctx)) for ctx in range(4))
+        self._quiet: dict = {}
         # step kinds, keyed on (sender phases, receiver phase)
         self._kinds: dict = {}
         # the canonical round table, keyed on the sorted drawn counter vector
         self._rounds: dict = {}
+        # its rows filled, and the plain ticks and jumped stretches that
+        # filled them
+        self.round_counts = dict.fromkeys(("rows", "ticks", "stretches"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -568,13 +654,16 @@ class Automaton:
         senders apart.  So the outcome is a function of the drawn counters
         alone, and permuting them permutes it.  One table keyed on the
         sorted counters serves every order: a miss plays the sorted round
-        once through :meth:`_play`, and a lookup maps the row back through
-        the sort permutation, the receiver's ``winner`` included.
+        once through :meth:`_play`, stretch by stretch, and a lookup maps
+        the row back through the sort permutation, the receiver's
+        ``winner`` included.  ``round_counts`` counts the rows filled and
+        the plain ticks and stretches that filled them.
         """
         order = sorted(range(len(draws)), key=draws.__getitem__)
         key = tuple(draws[i] for i in order)
         row = self._rounds.get(key)
         if row is None:
+            self.round_counts["rows"] += 1
             row = self._rounds[key] = self._play(
                 (tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
         (ends, receiver), ticks, idle, deadlocked = row
@@ -607,18 +696,76 @@ class Automaton:
         """Tick `projection` until the next step is not a tick.
 
         Returns ``(end projection, ticks, idle ticks per sender,
-        deadlocked)``.
+        deadlocked)``.  The ticks go stretch by stretch.  While the receiver
+        hears no request, or is in COLLISION and hears nothing more this
+        round, the tick rule feeds it no frame start or end.  While its
+        phase also holds, so does each sender's context, and each sender
+        steps alone along its path in ``_solo``.  So a stretch jumps every
+        sender and the receiver at once, as far as the first of three
+        events: the receiver's phase changes, a sender would start a
+        request the receiver hears, or every sender holds an outcome.
+        Within it no state is a boundary or a deadlock.  Where no tick can
+        be jumped, :meth:`_tick` takes one.
         """
-        ticks, idle = 0, [0] * len(projection[0])
+        senders, receiver = projection
+        ticks, idle = 0, [0] * len(senders)
+        plain = stretches = 0
         kind = self.step_kind(projection)
         while kind == StepKind.TICK:
-            for i, sd in enumerate(projection[0]):
-                if sd[0] == SenderPhase.COUNTDOWN:
-                    idle[i] += 1
-            projection = self._tick(projection)
-            ticks += 1
-            kind = self.step_kind(projection)
-        return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
+            hears = receiver.phase != ReceiverPhase.COLLISION
+            run, j, k = self._quiet_receiver(receiver)
+            context, cts_to = self._contexts(receiver)
+            hold, paths = 0, []
+            for i, sd in enumerate(senders):
+                solo = self._solo[2 if i == cts_to else context]
+                p = solo.index(sd)
+                paths.append((solo, p))
+                hold = max(hold, solo.hold[p])
+                if hears:
+                    k = min(k, solo.to_rts[p] - 1)
+            k = min(k, hold)
+            if k > 0:
+                stretched = []
+                for i, (solo, p) in enumerate(paths):
+                    q = solo.advance(p, k)
+                    idle[i] += solo.countdown[p] - solo.countdown[q]
+                    stretched.append(solo.states[q])
+                senders, receiver = tuple(stretched), run[min(j + k, len(run) - 1)]
+                ticks += k
+                stretches += 1
+            else:
+                for i, sd in enumerate(senders):
+                    if sd[0] == SenderPhase.COUNTDOWN:
+                        idle[i] += 1
+                senders, receiver = self._tick((senders, receiver))
+                ticks += 1
+                plain += 1
+            kind = self.step_kind((senders, receiver))
+        self.round_counts["ticks"] += plain
+        self.round_counts["stretches"] += stretches
+        return (senders, receiver), ticks, tuple(idle), kind == StepKind.DEADLOCK
+
+    def _quiet_receiver(self, rc: ReceiverState) -> tuple:
+        """The receiver's run from `rc` while it hears no request.
+
+        Returns ``(run, j, limit)``: t ticks later, for t up to `limit`, the
+        receiver is ``run[min(j + t, len(run) - 1)]``, and its phase holds
+        for the first `limit` of those ticks, ``_NEVER`` when it holds for
+        good.  A run is one phase's states, and the first state of the next
+        phase when it changes, so each state is stored once.
+        """
+        hit = self._quiet.get(rc)
+        if hit is None:
+            run = [rc]
+            while (nxt := self._receiver_next(run[-1], (), ())) != run[-1]:
+                run.append(nxt)
+                if nxt.phase != rc.phase:
+                    break
+            run, changes = tuple(run), run[-1].phase != rc.phase
+            for j, r in enumerate(run[:-1] if changes else run):
+                self._quiet[r] = (run, j, len(run) - 1 - j if changes else _NEVER)
+            hit = self._quiet[rc]
+        return hit
 
     def draw_branches(self, context: tuple, projection: tuple) -> Iterator[tuple[float, tuple]]:
         """The draw state ``(context, projection)``'s branches as (probability,
@@ -642,18 +789,22 @@ class Automaton:
                 base[i] = nxt
             yield prob, (tuple(base), _DRAWN_RECEIVER)
 
+    def _contexts(self, receiver: ReceiverState) -> tuple[int, int]:
+        """The tick contexts the receiver sets its senders, as ``(context,
+        cts_to)``: every sender hears `context` (see :meth:`_sender_next`)
+        except sender `cts_to`, the one a CTS is sent to, which hears 2;
+        -1 when there is none."""
+        if receiver.phase == ReceiverPhase.SEND_CTS:
+            return 1, receiver.winner
+        if self.cfg.robust_mode and receiver.phase == ReceiverPhase.COLLISION:
+            return 3, -1
+        return 0, -1
+
     def _tick(self, projection: tuple) -> tuple:
         """The tick rule: the projection one synchronized tick later."""
         senders, receiver = projection
         rphase = receiver.phase
-
-        if rphase == ReceiverPhase.SEND_CTS:
-            base_ctx, cts_to = 1, receiver.winner
-        elif self.cfg.robust_mode and rphase == ReceiverPhase.COLLISION:
-            base_ctx, cts_to = 3, -1
-        else:
-            base_ctx, cts_to = 0, -1
-
+        base_ctx, cts_to = self._contexts(receiver)
         next_senders = tuple(
             self._sender_next(sd, 2 if i == cts_to else base_ctx)
             for i, sd in enumerate(senders)

@@ -431,10 +431,11 @@ class _Builder:
         a terminal self-loop is one edge too, and a deadlock none.  Deadlock
         and terminal rows are recorded.
         """
-        # every projection interned so far belongs to a discovered state, so
-        # each is stepped once, in id order
-        while len(self.tick_next) < len(self.projections):
-            self.tick_next.append(self.step(len(self.tick_next)))
+        # every projection interned before this layer belongs to a discovered
+        # state, so each is stepped once, in id order; one that `step`
+        # interns here waits for the layer its states are found in
+        for q in range(len(self.tick_next), len(self.projections)):
+            self.tick_next.append(self.step(q))
         projection = frontier & 0xFFFFFFFF
         nq = np.frombuffer(self.tick_next, dtype=np.int64)[projection]
         # a tick keeps the context; other rows' keys are replaced below

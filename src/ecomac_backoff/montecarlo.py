@@ -355,4 +355,10 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             e, msgs = cross[..., 0], cross[..., 1]
             going = msgs.any(axis=1)
             lane, e, msgs = lane[going], e[going], msgs[going]
+    # imported here: logging is about a tenth of the package's cold import
+    import logging
+    counts = auto.round_counts
+    logging.getLogger(__name__).debug(
+        "simulate: %d runs, %d rounds, %d rows filled, %d plain ticks, %d stretches jumped",
+        n_runs, rounds.sum(), counts["rows"], counts["ticks"], counts["stretches"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

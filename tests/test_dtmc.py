@@ -112,6 +112,23 @@ def test_state_cap_stops_a_draw_row_halfway():
     assert peak < 5_000_000
 
 
+def test_state_cap_bounds_the_tick_steps():
+    # a long unit makes long countdown chains; a build steps only the
+    # projections of states it has found, so the cap bounds its steps too
+    calls = 0
+    next_projection = Automaton.next_projection
+
+    def counted(self, projection):
+        nonlocal calls
+        calls += 1
+        return next_projection(self, projection)
+
+    with patch.object(Automaton, "next_projection", counted):
+        with pytest.raises(StateSpaceLimitError):
+            build(ScenarioConfig(tcu_ticks=4000), max_states=5000)
+    assert calls <= 5000
+
+
 def test_feature_columns_reconstruct_states(two_sender_model):
     d = two_sender_model
     for idx in (0, 1, d.n_states // 2, d.n_states - 1):

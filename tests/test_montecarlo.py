@@ -1,5 +1,7 @@
 """Monte Carlo runs: conservation, determinism, and agreement with the exact engine."""
 
+import itertools
+import logging
 import warnings
 
 import numpy as np
@@ -145,6 +147,50 @@ def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, tab
         assert (traced == sampled).all(), field
 
 
+def _plain_round(auto, projection):
+    """The reference round: the tick rule, one tick at a time."""
+    tick, step_kind = auto._tick, auto.step_kind
+    ticks, idle = 0, [0] * len(projection[0])
+    while (kind := step_kind(projection)) == StepKind.TICK:
+        idle = [t + (sd[0] == SenderPhase.COUNTDOWN) for t, sd in zip(idle, projection[0])]
+        projection = tick(projection)
+        ticks += 1
+    return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
+
+
+def _check_every_round(cfg):
+    # every sorted draw vector, a done sender's -1 included; the table
+    # fills each row, a miss, with _play
+    auto = Automaton(cfg)
+    for draws in itertools.combinations_with_replacement(range(-1, cfg.b_max + 1),
+                                                         cfg.n_senders):
+        _, projection = auto.split(auto.drawn_state(auto.initial_state(), draws))
+        assert auto.round_outcome(draws) == _plain_round(auto, projection), (cfg, draws)
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("timing", [{}, _SLOW_SWITCH, {"d_switch": 0}],
+                         ids=["default", "slow_switch", "no_switch"])
+def test_round_table_matches_plain_ticks(timing, robust):
+    # the table plays its rows stretch by stretch; each must equal the
+    # tick rule taken one tick at a time, deadlocks and collisions included
+    for n, tcu in itertools.product((1, 2, 3), (1, 2, 3, 4, 8, 13)):
+        _check_every_round(ScenarioConfig(n_senders=n, tcu_ticks=tcu, robust_mode=robust,
+                                          **timing))
+    if not (timing or robust):
+        _check_every_round(ScenarioConfig(n_senders=4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_senders=st.integers(1, 3), robust=st.booleans(), tcu=st.sampled_from([1, 2, 3, 8]),
+       table=tables(DEFAULT_TABLE, REJECT_HEAVY),
+       timing=st.sampled_from([{}, _SLOW_SWITCH, {"d_switch": 0}]))
+def test_round_table_matches_plain_ticks_on_generated_tables(n_senders, robust, tcu, table,
+                                                             timing):
+    _check_every_round(ScenarioConfig(n_senders=n_senders, table=table, tcu_ticks=tcu,
+                                      robust_mode=robust, **timing))
+
+
 @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 12345, 2**64 - 1])
 def test_stream_draws_match_generator_integers(seed):
     # windows of 3 * 2**30 and 2**31 + 1 values redraw a word with
@@ -254,6 +300,20 @@ def test_traced_runs_classify_each_state_once(monkeypatch):
             trace, calls[:] = [], []
             run_once(cfg, run_rng(4, r), trace)
             assert calls == trace
+
+
+def test_simulate_reports_its_counts_at_debug_level_only(caplog):
+    cfg = ScenarioConfig(n_senders=3)
+    with caplog.at_level(logging.WARNING):
+        simulate(cfg, 50, seed=1)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
+        agg = simulate(cfg, 50, seed=1)
+    # 74 table rows take 637 steps: 374 plain ticks and 263 jumped stretches
+    [record] = caplog.records
+    assert agg.rounds.sum() == 168
+    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 74 rows filled, "
+                                   "374 plain ticks, 263 stretches jumped")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
