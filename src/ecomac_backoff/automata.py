@@ -767,6 +767,13 @@ class Automaton:
             hit = self._quiet[rc]
         return hit
 
+    def draw_count(self, context: tuple, projection: tuple) -> int:
+        """The number of branches :meth:`draw_branches` yields: the product
+        of the choosing senders' draw sizes.  Each branch draws a different
+        value vector, so each is a distinct drawn projection."""
+        return math.prod(len(self._draws[context[i][0]])
+                         for i, sd in enumerate(projection[0]) if sd[0] == SenderPhase.CHOOSE)
+
     def draw_branches(self, context: tuple, projection: tuple) -> Iterator[tuple[float, tuple]]:
         """The draw state ``(context, projection)``'s branches as (probability,
         drawn projection), one at a time, in :meth:`successor_distribution`'s

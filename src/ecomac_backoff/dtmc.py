@@ -3,9 +3,9 @@
 States are discovered breadth first from the initial state, so indices are
 replay stable for a fixed scenario and non-decreasing in distance from the
 start: the smallest index violating a predicate yields a shortest
-counterexample trace through the BFS parent tree.  Transitions live in a CSR
-triple; full state tuples are reconstructed on demand from a compact int16
-feature matrix.
+counterexample trace through the BFS parent tree.  A model holds its graph,
+a CSR triple, and an int16 feature matrix that full states are rebuilt from
+on demand; its state count, deadlocks, terminals and parents are read off it.
 
 The builder splits every state into its round context and its tick
 projection (:meth:`Automaton.split`), interns both to ids, and keys its BFS
@@ -119,14 +119,10 @@ class DTMC:
     """Explicit reachable state space of one scenario in BFS order."""
 
     cfg: ScenarioConfig
-    n_states: int
     features: np.ndarray        # int16, one row per state
     indptr: np.ndarray          # int64, CSR row pointers
     cols: np.ndarray            # int32, CSR successor indices
     probs: np.ndarray           # float64, CSR branch probabilities
-    parent: np.ndarray          # int32, BFS tree parent (-1 for the root)
-    deadlock_indices: np.ndarray
-    terminal_mask: np.ndarray   # bool, all-senders-done self-loop states
 
     _open: tuple | None = field(default=None, repr=False)
     _runs: tuple | None = field(default=None, repr=False)
@@ -134,6 +130,10 @@ class DTMC:
     _rev: tuple | None = field(default=None, repr=False)
 
     # -- state access --------------------------------------------------------
+
+    @property
+    def n_states(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def n_edges(self) -> int:
@@ -153,9 +153,10 @@ class DTMC:
         return GlobalState(senders, ReceiverState(*map(int, row[base:base + N_RECEIVER_FIELDS])))
 
     def trace_to(self, idx: int) -> Trace:
+        parent = self.parent
         path = [idx]
-        while self.parent[path[-1]] >= 0:
-            path.append(int(self.parent[path[-1]]))
+        while parent[path[-1]] >= 0:
+            path.append(int(parent[path[-1]]))
         path.reverse()
         return Trace(path)
 
@@ -177,6 +178,32 @@ class DTMC:
         return self.features[:, self.n_senders * N_SENDER_FIELDS + 1]
 
     # -- derived structures ---------------------------------------------------
+
+    @property
+    def deadlock_indices(self) -> np.ndarray:
+        """States with no successor at all, ascending."""
+        return np.flatnonzero(np.diff(self.indptr) == 0)
+
+    @property
+    def terminal_mask(self) -> np.ndarray:
+        """The states `open_csr` drops a self-loop from: only all-done
+        states loop to themselves."""
+        return np.diff(self.open_csr()[0]) != np.diff(self.indptr)
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Each state's BFS tree parent, -1 for the initial state: its
+        smallest predecessor, the row a layered BFS reading rows in index
+        order first finds it in.  Only a smaller one counts, so a hand-built
+        cycle leaves no cycle in the tree."""
+        rev_indptr, rev_cols = self.reverse_csr()
+        # the stable sort lists each state's predecessors in ascending order
+        fed = np.flatnonzero(np.diff(rev_indptr))
+        first = rev_cols[rev_indptr[fed]]
+        earlier = first < fed
+        parent = np.full(self.n_states, -1, dtype=np.int32)
+        parent[fed[earlier]] = first[earlier]
+        return parent
 
     def open_csr(self):
         """CSR triple with self-loops removed (only terminals have them)."""
@@ -403,8 +430,6 @@ class _Builder:
         self.draw_rows: dict[tuple, tuple] = {}
         self.boundary_rows: dict[tuple, int] = {}
         self.index: dict[int, int] = {}
-        self.deadlocks = array("q")
-        self.terminals = array("q")
         self.counts = dict.fromkeys(("draw", "draw_cached", "boundary", "boundary_cached"), 0)
 
     def intern_projection(self, projection: tuple) -> int:
@@ -428,8 +453,7 @@ class _Builder:
         Returns ``(keys, probs, ends)``: every row's successor keys and
         probabilities, rows in order, and each row's end in them.  The tick
         rows are one gather from the per-projection table; a boundary row or
-        a terminal self-loop is one edge too, and a deadlock none.  Deadlock
-        and terminal rows are recorded.
+        a terminal self-loop is one edge too, and a deadlock none.
         """
         # every projection interned before this layer belongs to a discovered
         # state, so each is stepped once, in id order; one that `step`
@@ -453,10 +477,8 @@ class _Builder:
                 draws.append((probs, c << 32 | qs))
             elif kind == _TERMINAL:
                 keys[r] = key
-                self.terminals.append(lo + r)
             else:
                 lens[r] = 0
-                self.deadlocks.append(lo + r)
         keys = np.repeat(keys, lens)
         probs = np.ones(keys.size)
         if draws:
@@ -477,9 +499,8 @@ class _Builder:
         """``(probs, drawn projection ids)`` of the draw from projection `q`
         under context `c`.
 
-        A miss takes the row's up to 7**n branches one at a time, and
-        raises as soon as the row alone holds more states missing from the
-        index than the cap has room for: then its layer does too.
+        Each branch is a distinct drawn state, so a miss raises before its
+        first branch when the row alone has more than the cap.
         """
         self.counts["draw"] += 1
         key = (q, self.context_draws[c])
@@ -487,18 +508,13 @@ class _Builder:
         if row is not None:
             self.counts["draw_cached"] += 1
             return row
-        probs, qs, fresh = [], [], set()
-        room = self.max_states - len(self.index)
-        for p, drawn in self.auto.draw_branches(self.contexts[c], self.projections[q]):
-            qn = self.intern_projection(drawn)
-            new = c << 32 | qn
-            if new not in self.index and new not in fresh:
-                fresh.add(new)
-                if len(fresh) > room:
-                    raise StateSpaceLimitError(
-                        f"reachable state space exceeds {self.max_states} states")
+        context, projection = self.contexts[c], self.projections[q]
+        if self.auto.draw_count(context, projection) > self.max_states:
+            raise StateSpaceLimitError(f"reachable state space exceeds {self.max_states} states")
+        probs, qs = [], []
+        for p, drawn in self.auto.draw_branches(context, projection):
             probs.append(p)
-            qs.append(qn)
+            qs.append(self.intern_projection(drawn))
         total = math.fsum(probs)
         if abs(total - 1.0) > ROWSUM_TOL:
             raise SolverError(
@@ -531,18 +547,18 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     A layer is the states discovered from the layer before.  Its successor
     keys are looked up in the index in one batch, and the keys not found
     are numbered in order of first occurrence, exactly as a state-by-state
-    BFS numbers them; each new state's parent is the row it first occurs
-    in.
+    BFS numbers them.  A layer records only its rows of the graph.
 
     Raises StateSpaceLimitError when more than `max_states` states are
     reachable, and ConfigError when `max_states` is below 1 or a config
     value does not fit the int16 feature matrix.  A draw row's up to 7**n
-    branches are taken from ``Automaton.draw_branches`` one at a time the
-    first time the row is met, so the cap can stop a row halfway without
-    holding the rest.  Every draw row is audited to sum to 1 within 1e-12,
-    with the sum correctly rounded by ``math.fsum`` (a naive sum of the
-    7**6 branches of a 6-sender draw drifts past the tolerance); every
-    other row is one edge of probability 1, or none at a deadlock.
+    branches are taken from ``Automaton.draw_branches`` the first time the
+    row is met, and a row with more branches (``Automaton.draw_count``)
+    than the cap is refused before its first.  Every draw row is audited to
+    sum to 1 within 1e-12, with the sum correctly rounded by ``math.fsum``
+    (a naive sum of the 7**6 branches of a 6-sender draw drifts past the
+    tolerance); every other row is one edge of probability 1, or none at a
+    deadlock.
     """
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
@@ -553,7 +569,6 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     index[new[0]] = 0
     state_context = array("i")
     state_projection = array("i")
-    parent = array("i", (-1,))
     indptr = array("q", (0,))
     cols = array("i")
     probs = array("d")
@@ -571,11 +586,6 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
         if n + len(new) > max_states:
             raise StateSpaceLimitError(f"reachable state space exceeds {max_states} states")
         index.update(zip(new, count(n)))
-        if new:
-            # each new state's parent is the row of its first occurrence
-            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-            _extend(parent, lo + np.searchsorted(ends, list(map(first.__getitem__, new)),
-                                                 side="right"))
         _extend(indptr, len(cols) + ends)
         cols.extend(map(index.__getitem__, keys))
         probs.frombytes(row_probs.tobytes())
@@ -592,17 +602,12 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
         b.counts["draw_cached"], b.counts["boundary"], b.counts["boundary_cached"])
     return DTMC(
         cfg=cfg,
-        n_states=n,
         features=_features(cfg.n_senders, b.contexts, b.projections,
                            np.frombuffer(state_context, dtype=np.int32),
                            np.frombuffer(state_projection, dtype=np.int32)),
         indptr=np.frombuffer(indptr, dtype=np.int64),
         cols=np.frombuffer(cols, dtype=np.int32) if cols else np.empty(0, np.int32),
         probs=np.frombuffer(probs, dtype=np.float64) if probs else np.empty(0, np.float64),
-        parent=np.frombuffer(parent, dtype=np.int32),
-        deadlock_indices=(np.frombuffer(b.deadlocks, dtype=np.int64) if b.deadlocks
-                          else np.empty(0, np.int64)),
-        terminal_mask=np.isin(np.arange(n), b.terminals),
     )
 
 

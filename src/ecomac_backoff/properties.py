@@ -287,9 +287,11 @@ class EnergyResult:
 
 def idle_listening_energy(cfg: ScenarioConfig, sender: int = 0,
                           dtmc: DTMC | None = None) -> EnergyResult:
-    """Idle-listening energy at the configured radio idle power."""
-    seconds = idle_listening_time(cfg, sender, dtmc)
-    return EnergyResult(sender, seconds, cfg.idle_power_mw)
+    """Idle-listening energy at the configured radio idle power; raises
+    ConfigError when the time or the energy leaves the float range."""
+    result = EnergyResult(sender, idle_listening_time(cfg, sender, dtmc), cfg.idle_power_mw)
+    check_finite("idle energy", "seconds_per_tick or idle_power_mw", result.energy_mj)
+    return result
 
 
 # -- contention-unit sizing study --------------------------------------------------
@@ -312,7 +314,7 @@ class StudyReport:
     rows: list[StudyRow]
 
 
-def tcu_variation_study(cfg: ScenarioConfig | None = None, sender: int = 0,
+def tcu_variation_study(cfg: ScenarioConfig | None = None,
                         max_states: int = engine.MAX_STATES_DEFAULT) -> StudyReport:
     """Compare the scenario against contention units one frame longer and one
     frame shorter.
@@ -320,7 +322,8 @@ def tcu_variation_study(cfg: ScenarioConfig | None = None, sender: int = 0,
     A longer unit keeps the exchange deadlock free but pays more idle
     listening per backoff step; a shorter one opens timing windows in which
     a late transmission overlaps the grant, reported here as deadlocks with
-    a shortest witness trace.
+    a shortest witness trace.  Idle time and energy are sender 0's, from
+    :func:`idle_listening_energy`.
     """
     cfg = cfg if cfg is not None else ScenarioConfig()
     variants = [("initial", cfg.tcu_ticks),
@@ -339,10 +342,8 @@ def tcu_variation_study(cfg: ScenarioConfig | None = None, sender: int = 0,
             witness = engine.find_deadlocks(d, limit=1)[0].render(d)
             rows.append(StudyRow(name, tcu, d.n_states, n_dead, None, None, witness))
         else:
-            seconds = idle_listening_time(vcfg, sender, dtmc=d)
-            rows.append(StudyRow(
-                name, tcu, d.n_states, 0, seconds,
-                seconds * vcfg.idle_power_mw, None,
-            ))
+            energy = idle_listening_energy(vcfg, dtmc=d)
+            rows.append(StudyRow(name, tcu, d.n_states, 0, energy.idle_seconds,
+                                 energy.energy_mj, None))
         del d
     return StudyReport(cfg, rows)

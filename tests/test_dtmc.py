@@ -112,6 +112,24 @@ def test_state_cap_stops_a_draw_row_halfway():
     assert peak < 5_000_000
 
 
+def test_a_draw_row_past_the_cap_is_refused_before_its_first_branch():
+    # 2 000 choosing senders make 7**2000 joint branches, each a distinct
+    # drawn state, so the row's count alone refuses it
+    taken = 0
+    draw_branches = Automaton.draw_branches
+
+    def counted(self, context, projection):
+        nonlocal taken
+        for branch in draw_branches(self, context, projection):
+            taken += 1
+            yield branch
+
+    with patch.object(Automaton, "draw_branches", counted):
+        with pytest.raises(StateSpaceLimitError):
+            build(ScenarioConfig(n_senders=2000), max_states=5000)
+    assert taken == 0
+
+
 def test_state_cap_bounds_the_tick_steps():
     # a long unit makes long countdown chains; a build steps only the
     # projections of states it has found, so the cap bounds its steps too
@@ -523,14 +541,11 @@ def test_masks_of_the_wrong_shape_are_refused(lone_model):
 def test_cyclic_model_is_refused():
     # two states feeding each other: no level order exists
     d = DTMC(
-        cfg=ScenarioConfig(n_senders=1), n_states=2,
+        cfg=ScenarioConfig(n_senders=1),
         features=np.zeros((2, 8), dtype=np.int16),
         indptr=np.array([0, 1, 2], dtype=np.int64),
         cols=np.array([1, 0], dtype=np.int32),
         probs=np.array([1.0, 1.0]),
-        parent=np.array([-1, 0], dtype=np.int32),
-        deadlock_indices=np.empty(0, dtype=np.int64),
-        terminal_mask=np.zeros(2, dtype=bool),
     )
     assert d.topo_levels()[1] is False
     with pytest.raises(SolverError):
@@ -541,19 +556,32 @@ def test_cyclic_model_is_refused():
 
 def hand_built(rows):
     """A one-sender DTMC whose row i lists state i's (successor, probability)
-    pairs; no state is marked terminal or deadlocked."""
+    pairs."""
     n = len(rows)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=indptr[1:])
     return DTMC(
-        cfg=ScenarioConfig(n_senders=1), n_states=n,
+        cfg=ScenarioConfig(n_senders=1),
         features=np.zeros((n, 8), dtype=np.int16), indptr=indptr,
         cols=np.array([j for row in rows for j, _ in row], dtype=np.int32),
         probs=np.array([p for row in rows for _, p in row], dtype=np.float64),
-        parent=np.full(n, -1, dtype=np.int32),
-        deadlock_indices=np.empty(0, dtype=np.int64),
-        terminal_mask=np.zeros(n, dtype=bool),
     )
+
+
+def test_deadlocks_terminals_and_parents_are_read_off_the_graph():
+    # 3 has no edge, and 2 has only a self-loop
+    d = hand_built([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(2, 1.0)], []])
+    assert d.n_states == 4
+    assert d.deadlock_indices.tolist() == [3]
+    assert d.terminal_mask.tolist() == [False, False, True, False]
+    assert d.parent.tolist() == [-1, 0, 0, 1]
+    assert d.trace_to(3).indices == [0, 1, 3]
+    # the cycle 1-2 has no way in: only a smaller predecessor is a parent,
+    # so the tree has no cycle and every trace ends
+    d = hand_built([[(3, 1.0)], [(2, 1.0)], [(1, 1.0)], []])
+    assert d.parent.tolist() == [-1, -1, 1, 0]
+    assert d.trace_to(1).indices == [1]
+    assert d.trace_to(2).indices == [1, 2]
 
 
 def solve_at_start(d, pinned, values, rewards=None):

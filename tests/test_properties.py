@@ -1,6 +1,7 @@
 """Validity battery, delivery profiles, energy figures, unit-sizing study."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -260,6 +261,18 @@ def test_idle_times_past_the_float_range_are_refused():
     # a scale that fits keeps every value
     assert (mc.simulate(ScenarioConfig(seconds_per_tick=1e300), 10, 1).idle_seconds(1)
             == agg.idle_ticks[:, 1] * 1e300).all()
+
+
+def test_energies_past_the_float_range_are_refused():
+    # the idle time fits and its energy does not: refused by name, by the
+    # energy query and by the study, which reads each row's energy from it
+    cfg = ScenarioConfig(n_senders=1, seconds_per_tick=1e300, idle_power_mw=1e10)
+    assert math.isfinite(idle_listening_time(cfg))
+    match = "idle energy exceeds the float range; seconds_per_tick or idle_power_mw"
+    with pytest.raises(ConfigError, match=match):
+        idle_listening_energy(cfg)
+    with pytest.raises(ConfigError, match=match):
+        tcu_variation_study(cfg)
 
 
 def test_prebuilt_model_must_match_scenario(lone_cfg, two_sender_model):
