@@ -8,19 +8,21 @@ a CSR triple, and an int16 feature matrix that full states are rebuilt from
 on demand; its state count, deadlocks, terminals and parents are read off it.
 
 The builder splits every state into its round context and its tick
-projection (:meth:`Automaton.split`), interns both to ids, and keys its BFS
-index on the pair packed into one int, ``c << 32 | q``.  It takes the search
-one layer at a time: the states found from one layer are the next, numbered
-in order of first occurrence, exactly as a state-by-state BFS numbers them.
-Every step is taken on the pair.  A tick moves only the projection, so the
-tick rows of a layer are one gather from a per-projection table of the
-successors that :meth:`Automaton.next_projection` computes once, or of the
-step kind when it is no tick.  Draw rows (:meth:`Automaton.draw_branches`)
-are cached on the projection and each sender's draw distribution, and
-boundary rows (:meth:`Automaton.boundary`), one edge like a tick, on the
-context and the sender phases.  Each layer's successor keys are then looked
-up in the index in one batch.  The feature matrix is gathered from the
-interned tables by id once the search ends.
+projection (:meth:`Automaton.split`) and interns both to ids.  A round is
+entered with the receiver idle, at the initial state or at a round
+boundary's successor, and no step inside it changes the context or idles
+the receiver again.  So the states entered at ``(c, q0)`` are c paired with
+the projections reachable from q0, and those read c only through each
+sender's draw distribution.  Each distinct round is explored once, over
+projection ids: a tick moves only the projection, through a per-projection
+table of the successors that :meth:`Automaton.next_projection` computes
+once, the round's one draw row (:meth:`Automaton.draw_branches`) is its
+entry's, and each distinct set of sender phases at a round boundary is an
+exit.  Each round is then stamped with numpy for every context that enters
+it, each exit led to the entry that :meth:`Automaton.boundary` gives for
+that context, and one pass over the stamped graph numbers the states level
+by level, exactly as a state-by-state BFS numbers them.  The feature matrix
+is gathered from the interned tables by id at the end.
 
 Apart from the self-loops of all-done terminal states the chain is a DAG
 (packets only get consumed, failure counters only grow, and every tick makes
@@ -47,10 +49,10 @@ and ``expected_reward`` read.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, filterfalse
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +79,8 @@ MAX_STATES_DEFAULT = 10_000_000
 _DRAW = -1 - StepKind.DRAW
 _BOUNDARY = -1 - StepKind.BOUNDARY
 _TERMINAL = -1 - StepKind.TERMINAL
+# the most states int32 CSR columns can index; a larger cap is cut to it
+_INDEX_MAX = 2**31 - 1
 
 # one feature row per state: (phase, e, rbc, msgs, ticks) per sender, then
 # (phase, winner, ticks) for the receiver, stored as int16
@@ -397,46 +401,64 @@ def _row_gather(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - seg, counts) + np.arange(total, dtype=np.int64)
 
 
+class _Round(NamedTuple):
+    """One round's graph over local state ids, its entry state first.
+
+    An edge to a local id stays in the round; an edge ``-1 - x`` leaves it
+    through exit x, a round boundary whose successor the entering context
+    decides.
+    """
+
+    lens: np.ndarray         # int32, per local state its edge count
+    cols: np.ndarray         # int32, per edge its local successor, or -1 - its exit
+    probs: np.ndarray        # float64, per edge its probability
+    projections: np.ndarray  # int32, per local state its projection id
+    exits: list[int]         # per exit, a boundary projection id with its sender phases
+
+
 class _Builder:
-    """The interned tables and the row caches of one build.
+    """The interned tables, the explored rounds and the state count of one build.
 
     Contexts and projections are interned to ids, and a state is the id
-    pair packed into one int key, ``c << 32 | q``.  A draw keeps the
-    context and its branches read only the projection and each choosing
-    sender's draw distribution, so draw rows are cached on (projection id,
-    each sender's distribution id) as probabilities and drawn projection
-    ids, and each is audited once when it is filled.  A boundary step reads
-    only each sender's phase, ``e`` and ``msgs`` and resets the receiver,
-    so it is one edge of probability 1, cached on (context id, sender
-    phases) as its successor key.
+    pair packed into one int key, ``c << 32 | q``.  A round is entered with
+    the receiver idle and left through round boundaries, and no step inside
+    it changes the context or idles the receiver again.  So the states
+    entered at ``(c, q0)`` are c paired with the projections reachable from
+    q0, and those read c only through each sender's draw distribution: a
+    round is explored once per (q0, each sender's distribution id) and
+    serves every context that enters it.  Its one draw row is its entry's,
+    audited when it is taken.  A boundary step reads only each sender's
+    phase, ``e`` and ``msgs`` and resets the receiver, so a round's exits
+    are its distinct sender phases at a boundary, and each entry steps each
+    exit once.
     """
 
     def __init__(self, cfg: ScenarioConfig, max_states: int):
         self.auto = Automaton(cfg)
         self.max_states = max_states
+        self.n_states = 0
         self.contexts: list[tuple] = []
         self.context_ids: dict[tuple, int] = {}
         self.projections: list[tuple] = []
         self.projection_ids: dict[tuple, int] = {}
-        # per projection id: its tick successor's id, or -1 - the kind of a
-        # step that is not a tick
-        self.tick_next = array("q")
+        # per projection id: its tick successor's id, -1 - the kind of a
+        # step that is not a tick, or None before it is stepped
+        self.tick_next: list[int | None] = []
         # per failure count its draw distribution's id, and per context id
-        # each sender's: failure counts that share a window share draw rows
+        # each sender's: failure counts that share a window share rounds
         ids: dict = {}
         self.draw_ids = [ids.setdefault(cfg.table.window_for(e), len(ids))
                          for e in range(cfg.e_max + 1)]
         self.context_draws: list[tuple] = []
-        self.draw_rows: dict[tuple, tuple] = {}
-        self.boundary_rows: dict[tuple, int] = {}
-        self.index: dict[int, int] = {}
-        self.counts = dict.fromkeys(("draw", "draw_cached", "boundary", "boundary_cached"), 0)
+        self.rounds: list[_Round] = []
+        self.round_ids: dict[tuple, int] = {}
 
     def intern_projection(self, projection: tuple) -> int:
         q = self.projection_ids.get(projection)
         if q is None:
             q = self.projection_ids[projection] = len(self.projections)
             self.projections.append(projection)
+            self.tick_next.append(None)
         return q
 
     def intern(self, context: tuple, projection: tuple) -> int:
@@ -447,67 +469,89 @@ class _Builder:
             self.context_draws.append(tuple(self.draw_ids[e] for e, _ in context))
         return c << 32 | self.intern_projection(projection)
 
-    def rows(self, lo: int, frontier: np.ndarray) -> tuple:
-        """The rows of the layer of states ``lo, lo + 1, ...`` keyed `frontier`.
+    def grow(self, n: int) -> None:
+        """Count `n` more reachable states, refusing a count past the cap."""
+        self.n_states += n
+        if self.n_states > self.max_states:
+            raise StateSpaceLimitError(f"reachable state space exceeds {self.max_states} states")
 
-        Returns ``(keys, probs, ends)``: every row's successor keys and
-        probabilities, rows in order, and each row's end in them.  The tick
-        rows are one gather from the per-projection table; a boundary row or
-        a terminal self-loop is one edge too, and a deadlock none.
+    def round_of(self, c: int, q0: int) -> int:
+        """The id of the round entered at projection `q0` under context `c`,
+        whose states are counted."""
+        key = (q0, self.context_draws[c])
+        r = self.round_ids.get(key)
+        if r is None:
+            r = self.round_ids[key] = len(self.rounds)
+            self.rounds.append(self.explore(c, q0))
+        else:
+            self.grow(self.rounds[r].lens.size)
+        return r
+
+    def explore(self, c: int, q0: int) -> _Round:
+        """The round entered at projection `q0` under context `c`.
+
+        Each local state is counted when it is found and stepped after, so
+        the cap bounds the tick steps too.  A boundary row is one edge to
+        its exit, a terminal state loops to itself, and a deadlock has no
+        edge.
         """
-        # every projection interned before this layer belongs to a discovered
-        # state, so each is stepped once, in id order; one that `step`
-        # interns here waits for the layer its states are found in
-        for q in range(len(self.tick_next), len(self.projections)):
-            self.tick_next.append(self.step(q))
-        projection = frontier & 0xFFFFFFFF
-        nq = np.frombuffer(self.tick_next, dtype=np.int64)[projection]
-        # a tick keeps the context; other rows' keys are replaced below
-        keys = frontier - projection + nq
-        lens = np.ones(frontier.size, dtype=np.int64)
-        others = np.flatnonzero(nq < 0)
-        draws = []
-        for r, key, kind in zip(others.tolist(), frontier[others].tolist(), nq[others].tolist()):
-            c, q = key >> 32, key & 0xFFFFFFFF
-            if kind == _BOUNDARY:
-                keys[r] = self.boundary_row(c, q)
-            elif kind == _DRAW:
-                probs, qs = self.draw_row(lo + r, c, q)
-                lens[r] = probs.size
-                draws.append((probs, c << 32 | qs))
-            elif kind == _TERMINAL:
-                keys[r] = key
+        self.grow(1)
+        local = {q0: 0}
+        qs, lens, cols, probs = [q0], [], [], []
+        exits: dict[tuple, int] = {}
+        exit_qs: list[int] = []
+        # qs grows as states are found, so the loop walks them breadth first
+        for q in qs:
+            nxt = self.tick_next[q]
+            if nxt is None:
+                nxt = self.tick_next[q] = self.step(q)
+            if nxt >= 0:
+                succ, row = (nxt,), (1.0,)
+            elif nxt == _DRAW:
+                row, succ = self.draw_row(c, q)
+            elif nxt == _TERMINAL:
+                succ, row = (q,), (1.0,)
+            elif nxt == _BOUNDARY:
+                phases = tuple([sd[0] for sd in self.projections[q][0]])
+                x = exits.get(phases)
+                if x is None:
+                    x = exits[phases] = len(exit_qs)
+                    exit_qs.append(q)
+                lens.append(1)
+                cols.append(-1 - x)
+                probs.append(1.0)
+                continue
             else:
-                lens[r] = 0
-        keys = np.repeat(keys, lens)
-        probs = np.ones(keys.size)
-        if draws:
-            at = np.repeat(nq == _DRAW, lens)
-            keys[at] = np.concatenate([k for _, k in draws])
-            probs[at] = np.concatenate([p for p, _ in draws])
-        return keys, probs, np.cumsum(lens)
+                lens.append(0)
+                continue
+            lens.append(len(succ))
+            probs.extend(row)
+            for s in succ:
+                i = local.get(s)
+                if i is None:
+                    self.grow(1)
+                    i = local[s] = len(qs)
+                    qs.append(s)
+                cols.append(i)
+        return _Round(np.array(lens, dtype=np.int32), np.array(cols, dtype=np.int32),
+                      np.array(probs, dtype=np.float64), np.array(qs, dtype=np.int32),
+                      exit_qs)
 
     def step(self, q: int) -> int:
-        """The table entry of projection `q`."""
+        """The tick table entry of projection `q`."""
         projection = self.projections[q]
         nxt = self.auto.next_projection(projection)
         if nxt is not None:
             return self.intern_projection(nxt)
         return -1 - self.auto.step_kind(projection)
 
-    def draw_row(self, src: int, c: int, q: int) -> tuple:
+    def draw_row(self, c: int, q: int) -> tuple:
         """``(probs, drawn projection ids)`` of the draw from projection `q`
         under context `c`.
 
-        Each branch is a distinct drawn state, so a miss raises before its
-        first branch when the row alone has more than the cap.
+        Each branch is a distinct drawn state, so the row raises before its
+        first branch when it alone has more than the cap.
         """
-        self.counts["draw"] += 1
-        key = (q, self.context_draws[c])
-        row = self.draw_rows.get(key)
-        if row is not None:
-            self.counts["draw_cached"] += 1
-            return row
         context, projection = self.contexts[c], self.projections[q]
         if self.auto.draw_count(context, projection) > self.max_states:
             raise StateSpaceLimitError(f"reachable state space exceeds {self.max_states} states")
@@ -517,43 +561,29 @@ class _Builder:
             qs.append(self.intern_projection(drawn))
         total = math.fsum(probs)
         if abs(total - 1.0) > ROWSUM_TOL:
-            raise SolverError(
-                f"transition row {src} sums to {total!r}, off by more than {ROWSUM_TOL}")
-        row = self.draw_rows[key] = (np.array(probs, dtype=np.float64),
-                                     np.array(qs, dtype=np.int64))
-        return row
-
-    def boundary_row(self, c: int, q: int) -> int:
-        """The successor key of the round boundary from projection `q` under
-        context `c`."""
-        self.counts["boundary"] += 1
-        key = (c, tuple([sd[0] for sd in self.projections[q][0]]))
-        succ = self.boundary_rows.get(key)
-        if succ is None:
-            succ = self.boundary_rows[key] = self.intern(
-                *self.auto.boundary(self.contexts[c], self.projections[q]))
-        else:
-            self.counts["boundary_cached"] += 1
-        return succ
-
-
-def _extend(out: array, values: np.ndarray) -> None:
-    out.frombytes(values.astype(out.typecode).tobytes())
+            raise SolverError(f"the draw row of context {context} and projection {projection} "
+                              f"sums to {total!r}, off by more than {ROWSUM_TOL}")
+        return probs, qs
 
 
 def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
-    """Enumerate the reachable state space breadth first, one layer at a time.
+    """Enumerate the reachable state space in breadth-first order.
 
-    A layer is the states discovered from the layer before.  Its successor
-    keys are looked up in the index in one batch, and the keys not found
-    are numbered in order of first occurrence, exactly as a state-by-state
-    BFS numbers them.  A layer records only its rows of the graph.
+    The search runs round by round.  A round is entered at the initial
+    state or at a round boundary's successor, and its successor entries are
+    queued in order of discovery.  Each distinct round is explored once,
+    and its graph is then stamped with numpy for every entry that uses it:
+    its rows tiled, its internal edges moved to the entry's block and its
+    exits led to the roots of their successor entries.  One pass over the
+    stamped graph then numbers the states level by level from the initial
+    state, each level's new states in order of first occurrence, exactly as
+    a state-by-state BFS numbers them.
 
     Raises StateSpaceLimitError when more than `max_states` states are
     reachable, and ConfigError when `max_states` is below 1 or a config
     value does not fit the int16 feature matrix.  A draw row's up to 7**n
-    branches are taken from ``Automaton.draw_branches`` the first time the
-    row is met, and a row with more branches (``Automaton.draw_count``)
+    branches are taken from ``Automaton.draw_branches`` the first time its
+    round is met, and a row with more branches (``Automaton.draw_count``)
     than the cap is refused before its first.  Every draw row is audited to
     sum to 1 within 1e-12, with the sum correctly rounded by ``math.fsum``
     (a naive sum of the 7**6 branches of a 6-sender draw drifts past the
@@ -563,66 +593,153 @@ def build(cfg: ScenarioConfig, max_states: int = MAX_STATES_DEFAULT) -> DTMC:
     if max_states < 1:
         raise ConfigError(f"max_states must be >= 1, got {max_states}")
     # the automaton refuses a count or timing past the int16 range
-    b = _Builder(cfg, max_states)
-    index = b.index
-    new = [b.intern(*b.auto.split(b.auto.initial_state()))]
-    index[new[0]] = 0
-    state_context = array("i")
-    state_projection = array("i")
-    indptr = array("q", (0,))
-    cols = array("i")
-    probs = array("d")
+    b = _Builder(cfg, min(max_states, _INDEX_MAX))
+    keys = [b.intern(*b.auto.split(b.auto.initial_state()))]
+    entries = {keys[0]: 0}
+    # per round, the entries that use it and each one's exit entries
+    users: list[list[int]] = []
+    exit_entries: list[list[list[int]]] = []
+    for e, key in enumerate(keys):
+        c, q0 = key >> 32, key & 0xFFFFFFFF
+        r = b.round_of(c, q0)
+        if r == len(users):
+            users.append([])
+            exit_entries.append([])
+        succ = []
+        for q in b.rounds[r].exits:
+            nxt = b.intern(*b.auto.boundary(b.contexts[c], b.projections[q]))
+            if nxt not in entries:
+                entries[nxt] = len(keys)
+                keys.append(nxt)
+            succ.append(entries[nxt])
+        users[r].append(e)
+        exit_entries[r].append(succ)
 
-    lo = n_layers = 0
-    while new:
-        n_layers += 1
-        frontier = np.array(new, dtype=np.int64)
-        _extend(state_context, frontier >> 32)
-        _extend(state_projection, frontier & 0xFFFFFFFF)
-        keys, row_probs, ends = b.rows(lo, frontier)
-        n = len(index)
-        keys = keys.tolist()
-        new = list(filterfalse(index.__contains__, dict.fromkeys(keys)))
-        if n + len(new) > max_states:
-            raise StateSpaceLimitError(f"reachable state space exceeds {max_states} states")
-        index.update(zip(new, count(n)))
-        _extend(indptr, len(cols) + ends)
-        cols.extend(map(index.__getitem__, keys))
-        probs.frombytes(row_probs.tobytes())
-        lo = n
-
-    n = len(index)
-    index.clear()
+    indptr, cols, probs, state_context, state_projection, n_layers = _stamp_and_number(
+        b.rounds, users, exit_entries, np.array(keys, dtype=np.int64) >> 32, b.n_states)
     # imported here: logging is about a tenth of the package's cold import
     import logging
     logging.getLogger(__name__).debug(
         "build: %d states, %d edges, %d layers, %d contexts, %d projections, "
-        "%d draw rows (%d from cache), %d boundary rows (%d from cache)",
-        n, len(cols), n_layers, len(b.contexts), len(b.projections), b.counts["draw"],
-        b.counts["draw_cached"], b.counts["boundary"], b.counts["boundary_cached"])
-    return DTMC(
-        cfg=cfg,
-        features=_features(cfg.n_senders, b.contexts, b.projections,
-                           np.frombuffer(state_context, dtype=np.int32),
-                           np.frombuffer(state_projection, dtype=np.int32)),
-        indptr=np.frombuffer(indptr, dtype=np.int64),
-        cols=np.frombuffer(cols, dtype=np.int32) if cols else np.empty(0, np.int32),
-        probs=np.frombuffer(probs, dtype=np.float64) if probs else np.empty(0, np.float64),
-    )
+        "%d round entries (%d rounds explored, %d from cache)",
+        b.n_states, cols.size, n_layers, len(b.contexts), len(b.projections), len(keys),
+        len(b.rounds), len(keys) - len(b.rounds))
+    return DTMC(cfg=cfg,
+                features=_features(cfg.n_senders, b.contexts, b.projections,
+                                   state_context, state_projection),
+                indptr=indptr, cols=cols, probs=probs)
+
+
+def _stamp_and_number(rounds: list[_Round], users: list[list[int]],
+                      exit_entries: list[list[list[int]]], entry_context: np.ndarray,
+                      n: int) -> tuple:
+    """Stamp every round for the entries that use it, then number the states.
+
+    The stamped states lie round by round, each round's entries one block
+    each in entry order, so the initial state is at position 0.  Returns
+    the CSR triple in BFS order, each state's context and projection id,
+    and the number of BFS levels.  The stamped index arrays are int32, and
+    all stamped arrays go once the numbering has read them.
+    """
+    roots = np.empty(entry_context.size, dtype=np.int32)
+    n_edges = at = 0
+    for rd, ids in zip(rounds, users):
+        roots[ids] = at + rd.lens.size * np.arange(len(ids), dtype=np.int32)
+        at += rd.lens.size * len(ids)
+        n_edges += rd.cols.size * len(ids)
+    lens = np.empty(n, dtype=np.int32)
+    context = np.empty(n, dtype=np.int32)
+    projection = np.empty(n, dtype=np.int32)
+    cols = np.empty(n_edges, dtype=np.int32)
+    probs = np.empty(n_edges, dtype=np.float64)
+    at = edge_at = 0
+    for rd, ids, succ in zip(rounds, users, exit_entries):
+        k, size, m = len(ids), rd.lens.size, rd.cols.size
+        states, edges = slice(at, at + k * size), slice(edge_at, edge_at + k * m)
+        lens[states] = np.tile(rd.lens, k)
+        context[states] = np.repeat(entry_context[ids], size)
+        projection[states] = np.tile(rd.projections, k)
+        block = cols[edges].reshape(k, m)
+        np.add(rd.cols, roots[ids, None], out=block)
+        out = np.flatnonzero(rd.cols < 0)
+        if out.size:
+            block[:, out] = roots[np.array(succ, dtype=np.int64)[:, -1 - rd.cols[out]]]
+        probs[edges] = np.tile(rd.probs, k)
+        at, edge_at = at + k * size, edge_at + k * m
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    order, n_layers = _bfs_order(indptr, cols)
+    number = np.empty(n, dtype=np.int32)
+    number[order] = np.arange(n, dtype=np.int32)
+    flat = _row_gather(indptr, order)
+    bfs_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens[order], out=bfs_indptr[1:])
+    return (bfs_indptr, number[cols[flat]], probs[flat], context[order], projection[order],
+            n_layers)
+
+
+def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """The states of a CSR graph in the order a layered BFS from state 0
+    numbers them, and the number of layers.
+
+    A layer's successors are read row by row, each row's edges in order,
+    and the ones not yet numbered form the next layer in order of first
+    occurrence.
+    """
+    n = len(indptr) - 1
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    # each successor writes its position here; whichever of two equal ones
+    # wins, the other reads back a position not its own, so a layer's
+    # successors are distinct iff every one reads back its own
+    slot = np.empty(n, dtype=np.int32)
+    layer = np.zeros(1, dtype=cols.dtype)
+    layers = []
+    while layer.size:
+        layers.append(layer)
+        succ = cols[_row_gather(indptr, layer)]
+        succ = succ[~seen[succ]]
+        at = np.arange(succ.size, dtype=np.int32)
+        slot[succ] = at
+        if not (slot[succ] == at).all():
+            # np.unique sorts stably for return_index, so `first` is each
+            # state's first occurrence
+            first = np.unique(succ, return_index=True)[1]
+            first.sort()
+            succ = succ[first]
+        seen[succ] = True
+        layer = succ
+    return np.concatenate(layers), len(layers)
 
 
 def _features(n_senders: int, contexts: list[tuple], projections: list[tuple],
               state_context: np.ndarray, state_projection: np.ndarray) -> np.ndarray:
-    """The int16 feature matrix, gathered from the interned tables by id."""
-    # per sender (e, msgs) and (phase, rbc, ticks); the receiver's three
-    ctx = np.array(contexts, dtype=np.int16).reshape(-1, n_senders, 2)
-    snd = np.array([p[0] for p in projections], dtype=np.int16).reshape(-1, n_senders, 3)
-    rcv = np.array([p[1] for p in projections], dtype=np.int16).reshape(-1, N_RECEIVER_FIELDS)
-    n = len(state_context)
-    senders = np.empty((n, n_senders, N_SENDER_FIELDS), dtype=np.int16)
-    senders[:, :, [0, 2, 4]] = snd[state_projection]
-    senders[:, :, [1, 3]] = ctx[state_context]
-    return np.hstack((senders.reshape(n, -1), rcv[state_projection]))
+    """The int16 feature matrix, gathered from the interned tables by id.
+
+    Each table is read from its flattened tuples into full-width rows that
+    are zero outside its own columns, so a state's row is the sum of its
+    context's row and its projection's.
+    """
+    flat = chain.from_iterable
+    n_contexts, n_projections = len(contexts), len(projections)
+    # per sender (e, msgs) in a context's row, and per sender (phase, rbc,
+    # ticks) and the receiver's three in a projection's
+    senders = np.zeros((n_contexts, n_senders, N_SENDER_FIELDS), dtype=np.int16)
+    senders[:, :, [1, 3]] = np.fromiter(flat(flat(contexts)), dtype=np.int16,
+                                        count=n_contexts * n_senders * 2).reshape(-1, n_senders, 2)
+    by_context = np.hstack((senders.reshape(n_contexts, -1),
+                            np.zeros((n_contexts, N_RECEIVER_FIELDS), dtype=np.int16)))
+    senders = np.zeros((n_projections, n_senders, N_SENDER_FIELDS), dtype=np.int16)
+    senders[:, :, [0, 2, 4]] = np.fromiter(
+        flat(flat(map(itemgetter(0), projections))), dtype=np.int16,
+        count=n_projections * n_senders * 3).reshape(-1, n_senders, 3)
+    by_projection = np.hstack((senders.reshape(n_projections, -1), np.fromiter(
+        flat(map(itemgetter(1), projections)), dtype=np.int16,
+        count=n_projections * N_RECEIVER_FIELDS).reshape(-1, N_RECEIVER_FIELDS)))
+    features = by_projection.take(state_projection, axis=0)
+    features += by_context.take(state_context, axis=0)
+    return features
 
 
 # -- linear solves -------------------------------------------------------------
@@ -823,6 +940,37 @@ def _backward_closure(dtmc: DTMC, seed_mask: np.ndarray,
     return reached
 
 
+def _backward_closures(dtmc: DTMC, seeds: np.ndarray,
+                       blocked: np.ndarray | None = None) -> np.ndarray:
+    """Up to 64 backward closures at once, column j in bit j of each state's
+    uint64 word: per column, the states that can reach its seed set,
+    optionally not through its blocked ones, as `_backward_closure`.
+
+    Each level ORs the new bits of the frontier into its predecessors, so
+    the columns share one level loop.
+    """
+    rev_indptr, rev_cols = dtmc.reverse_csr()
+    reached = seeds.copy()
+    frontier = np.flatnonzero(seeds)
+    bits = seeds[frontier]
+    while frontier.size:
+        preds = rev_cols[_row_gather(rev_indptr, frontier)]
+        if preds.size == 0:
+            break
+        spread = np.repeat(bits, rev_indptr[frontier + 1] - rev_indptr[frontier])
+        order = np.argsort(preds)
+        preds = preds[order]
+        heads = np.flatnonzero(np.concatenate(([True], preds[1:] != preds[:-1])))
+        frontier = preds[heads]
+        bits = np.bitwise_or.reduceat(spread[order], heads) & ~reached[frontier]
+        if blocked is not None:
+            bits &= ~blocked[frontier]
+        fresh = bits != 0
+        frontier, bits = frontier[fresh], bits[fresh]
+        reached[frontier] |= bits
+    return reached
+
+
 def _forward_path(dtmc: DTMC, start: int, target_mask: np.ndarray,
                   blocked_mask: np.ndarray | None = None) -> list[int]:
     """Shortest edge path start -> target avoiding blocked states (BFS)."""
@@ -878,6 +1026,15 @@ def almost_sure_leads_to(dtmc: DTMC, trigger_mask: np.ndarray,
         f"witness continues to a state from which the goal is unreachable",
         Trace(prefix[:-1] + suffix),
     )
+
+
+def almost_sure_leads_to_words(dtmc: DTMC, triggers: np.ndarray,
+                               goals: np.ndarray) -> np.ndarray:
+    """Up to 64 `almost_sure_leads_to` checks at once, column j in bit j of
+    each state's uint64 word: per column, the trigger states that can evade
+    the goal.  A column holds iff its bit is clear in every word."""
+    doomed = ~_backward_closures(dtmc, goals)
+    return triggers & _backward_closures(dtmc, doomed, blocked=goals)
 
 
 def find_deadlocks(dtmc: DTMC, limit: int | None = 10) -> list[Trace]:

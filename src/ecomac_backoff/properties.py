@@ -101,39 +101,50 @@ def run_validity_battery(cfg: ScenarioConfig | None = None,
 
 def _cts_preempts_rival_countdown(d: DTMC) -> PropertyReport:
     """A sender counting down when a grant goes out must end the round asleep
-    with its remaining backoff intact, for every remaining count."""
-    cfg = d.cfg
-    receiver_granting = np.asarray(d.receiver_phase()) == ReceiverPhase.SEND_CTS
-    winner = np.asarray(d.receiver_winner())
+    with its remaining backoff intact, for every remaining count.
+
+    Each (sender, count) is one leads-to check; they are answered 64 at a
+    time as the bits of packed words, and the first failing one, in sender
+    then count order, is checked again alone for its witness."""
+    name = "cts_preempts_rival_countdown"
     total_triggers = 0
     ks_seen = set()
-    for i in range(cfg.n_senders):
-        rival_grant = receiver_granting & (winner != i) & (winner >= 0)
-        counting = d.sender_phase(i) == SenderPhase.COUNTDOWN
-        for k in range(1, cfg.b_max + 1):
-            trigger = rival_grant & counting & (d.sender_rbc(i) == k)
+    columns = [(i, k) for i in range(d.cfg.n_senders) for k in range(1, d.cfg.b_max + 1)]
+    for lo in range(0, len(columns), 64):
+        chunk = columns[lo:lo + 64]
+        triggers = np.zeros(d.n_states, dtype=np.uint64)
+        goals = np.zeros(d.n_states, dtype=np.uint64)
+        for j, (i, k) in enumerate(chunk):
+            trigger, goal = _rival_countdown(d, i, k)
             n_trig = int(trigger.sum())
-            if n_trig == 0:
-                continue
-            total_triggers += n_trig
-            ks_seen.add(k)
-            goal = (d.sender_phase(i) == SenderPhase.SLEEP) & (d.sender_rbc(i) == k)
-            sub = engine.almost_sure_leads_to(
-                d, trigger, np.asarray(goal), "cts_preempts_rival_countdown"
-            )
-            if not sub.holds:
-                sub.detail = f"sender {i} with {k} units left: " + sub.detail
-                return sub
+            if n_trig:
+                total_triggers += n_trig
+                ks_seen.add(k)
+                triggers[trigger] |= np.uint64(1 << j)
+                goals[goal] |= np.uint64(1 << j)
+        failing = int(np.bitwise_or.reduce(engine.almost_sure_leads_to_words(d, triggers, goals)))
+        if failing:
+            i, k = chunk[(failing & -failing).bit_length() - 1]
+            sub = engine.almost_sure_leads_to(d, *_rival_countdown(d, i, k), name)
+            sub.detail = f"sender {i} with {k} units left: " + sub.detail
+            return sub
     if total_triggers == 0:
-        return PropertyReport(
-            "cts_preempts_rival_countdown", True,
-            "vacuous: no reachable grant overlaps a rival countdown",
-        )
+        return PropertyReport(name, True, "vacuous: no reachable grant overlaps a rival countdown")
     return PropertyReport(
-        "cts_preempts_rival_countdown", True,
+        name, True,
         f"{total_triggers} trigger states, remaining counts "
         f"{{{min(ks_seen)}..{max(ks_seen)}}} all park the rival with its counter intact",
     )
+
+
+def _rival_countdown(d: DTMC, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trigger and goal of sender `i` with `k` units left: it counts down
+    while the receiver grants a rival, and it sleeps."""
+    winner = d.receiver_winner()
+    left = d.sender_rbc(i) == k
+    rival_grant = (d.receiver_phase() == ReceiverPhase.SEND_CTS) & (winner != i) & (winner >= 0)
+    return (rival_grant & (d.sender_phase(i) == SenderPhase.COUNTDOWN) & left,
+            (d.sender_phase(i) == SenderPhase.SLEEP) & left)
 
 
 # -- delivery profile ------------------------------------------------------------

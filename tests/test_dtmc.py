@@ -38,7 +38,7 @@ from ecomac_backoff import (
     reach_from_start,
 )
 from ecomac_backoff import dtmc as dtmc_module
-from ecomac_backoff.dtmc import _backward_closure, _solve
+from ecomac_backoff.dtmc import _backward_closure, _backward_closures, _solve
 from ecomac_backoff.errors import (
     RewardUndefinedError,
     SolverError,
@@ -99,9 +99,9 @@ def test_state_cap_is_enforced(two_sender_cfg):
         build(ScenarioConfig(n_senders=6), max_states=100)
 
 
-def test_state_cap_stops_a_draw_row_halfway():
-    # the first draw row of six senders has 7**6 = 117 649 branches; the
-    # cap must stop it before they are all held
+def test_state_cap_refuses_a_draw_row_before_holding_it():
+    # the first draw row of six senders has 7**6 = 117 649 branches, more
+    # than the cap, so it is refused before its first branch is held
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceLimitError):
@@ -236,6 +236,21 @@ def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_swi
     assert_matches_reference(ScenarioConfig(
         n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust, tcu_ticks=tcu,
         d_switch=d_switch, table=table))
+
+
+def test_shared_round_build_matches_the_reference_bfs():
+    # 45 172 states: failure counts 0-1 and 2-6 share their windows, so each
+    # explored round is stamped for many contexts
+    assert_matches_reference(ScenarioConfig(nmax_msg=3, table=_NARROWED))
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(nmax_msg=2, table=_NARROWED)],
+                         ids=["defaults", "shared_rounds"])
+def test_state_cap_admits_exactly_the_reachable_states(cfg):
+    n = build(cfg).n_states
+    assert build(cfg, max_states=n).n_states == n
+    with pytest.raises(StateSpaceLimitError):
+        build(cfg, max_states=n - 1)
 
 
 def test_three_sender_build_matches_the_reference_bfs():
@@ -731,6 +746,26 @@ def test_invariant_violation_yields_a_shortest_trace(two_sender_model):
         assert v in d.cols[d.indptr[u]:d.indptr[u + 1]]
     # BFS index order bounds the distance from the start
     assert all(np.asarray(d.sender_phase(0))[: trace[-1]] != SenderPhase.SLEEP)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64),
+       density=st.sampled_from([0.0005, 0.01, 0.2]), blocked=st.booleans())
+def test_packed_closures_match_the_single_column_closure(two_sender_model, seed, k, density,
+                                                          blocked):
+    d = two_sender_model
+    rng = np.random.default_rng(seed)
+    seeds = rng.random((d.n_states, k)) < density
+    blocks = rng.random((d.n_states, k)) < 0.05 if blocked else None
+    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+
+    def pack(masks):
+        return np.bitwise_or.reduce(np.where(masks, bits, np.uint64(0)), axis=1)
+
+    got = _backward_closures(d, pack(seeds), None if blocks is None else pack(blocks))
+    for j in range(k):
+        want = _backward_closure(d, seeds[:, j], None if blocks is None else blocks[:, j])
+        assert ((got & bits[j]) != 0).tolist() == want.tolist(), j
 
 
 def test_leads_to_holds_for_countdown_exhaustion(two_sender_model):
