@@ -359,9 +359,10 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
-        # per tick context, the sender paths a stretch jumps along; per
+        # per tick context, the sender paths a stretch jumps along, stepped
+        # by the uncached rule since a path holds each state it passes; per
         # receiver state, its run while it hears no request (_quiet_receiver)
-        self._solo = tuple(_SoloPaths(partial(self._sender_next, ctx=ctx)) for ctx in range(4))
+        self._solo = tuple(_SoloPaths(partial(self._sender_rule, ctx=ctx)) for ctx in range(4))
         self._quiet: dict = {}
         # step kinds, keyed on (sender phases, receiver phase)
         self._kinds: dict = {}
@@ -383,15 +384,19 @@ class Automaton:
         return SenderPhase.SEND_RTS, self.cfg.d_frame
 
     def _sender_next(self, sd: tuple, ctx: int) -> tuple:
+        """:meth:`_sender_rule`, cached for :meth:`_tick`."""
+        nxt = self._sender_step.get((sd, ctx))
+        if nxt is None:
+            nxt = self._sender_step[(sd, ctx)] = self._sender_rule(sd, ctx)
+        return nxt
+
+    def _sender_rule(self, sd: tuple, ctx: int) -> tuple:
         """One tick of a single sender's ``(phase, rbc, ticks)``.
 
         ctx: 0 = receiver silent, 1 = receiver transmitting a CTS to someone
         else, 2 = receiver transmitting a CTS to this sender, 3 = receiver
         latched in COLLISION (consulted only in robust mode).
         """
-        cached = self._sender_step.get((sd, ctx))
-        if cached is not None:
-            return cached
         cfg = self.cfg
         phase, rbc, ticks = sd
         if phase == SenderPhase.COUNTDOWN:
@@ -444,7 +449,6 @@ class Automaton:
             nxt = sd
         else:
             raise AssertionError(f"sender phase {phase} has no tick rule")
-        self._sender_step[(sd, ctx)] = nxt
         return nxt
 
     # -- receiver micro-step -----------------------------------------------
@@ -798,7 +802,7 @@ class Automaton:
 
     def _contexts(self, receiver: ReceiverState) -> tuple[int, int]:
         """The tick contexts the receiver sets its senders, as ``(context,
-        cts_to)``: every sender hears `context` (see :meth:`_sender_next`)
+        cts_to)``: every sender hears `context` (see :meth:`_sender_rule`)
         except sender `cts_to`, the one a CTS is sent to, which hears 2;
         -1 when there is none."""
         if receiver.phase == ReceiverPhase.SEND_CTS:

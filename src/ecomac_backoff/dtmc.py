@@ -39,11 +39,15 @@ sinks, and each run is one edge from its head to its exit.  Inside a run a
 state's value is the next pinned state's value, or the exit's, plus the
 rewards on the way, so solves keep values only at the nodes.  One plan over
 the nodes' levels, built on the first solve and cached on the model, serves
-the backward solve and the forward occupation push.  Every query is asked
-from the initial state, as PRISM asks them: the backward solve takes K
-targets as the columns of an (n_states, K) array, answers them all in one
-sweep and returns the initial state's K values, which ``reach_from_start``
-and ``expected_reward`` read.
+the backward sweep and the forward occupation push, and maps each state to
+the node a pin there decides.  Every query is asked from the initial
+state, as PRISM asks them.  Masks stay the public input; inside, a reach
+or entry-count query reads each of its K targets as an index set.  A reach
+query seeds its targets' nodes and sweeps the contracted levels once for
+all K columns; an entry count sums the flow on the edges into each set.
+So a query costs its targets plus the nodes times K, not the states times
+K.  Only ``expected_reward`` folds dense (n_states, K) pins and rewards
+along the runs before the same sweep.
 """
 
 from __future__ import annotations
@@ -347,6 +351,7 @@ class _Plan(NamedTuple):
     succ: np.ndarray         # per edge, the successor node
     probs: np.ndarray        # per edge, the branch probability (1 for a run)
     runs: list[np.ndarray]   # as in _Contraction
+    node: np.ndarray         # per state, the node a pin there decides: its own, or its run's head
 
 
 def _plan(dtmc: DTMC) -> _Plan:
@@ -364,6 +369,8 @@ def _plan(dtmc: DTMC) -> _Plan:
         states = np.concatenate(g.runs[:1] + [ordered[~is_head[ordered]]])
         node_of = np.empty(dtmc.n_states, dtype=np.int64)
         node_of[states] = np.arange(states.size)
+        for run in g.runs[1:]:
+            node_of[run] = np.arange(run.size)
         sizes = np.array([lvl.size for lvl in levels])
         bounds = np.zeros(len(levels) + 1, dtype=np.int64)
         np.cumsum(sizes, out=bounds[1:])
@@ -375,7 +382,7 @@ def _plan(dtmc: DTMC) -> _Plan:
         seg = np.repeat(np.arange(ordered.size) - np.repeat(bounds[:-1], sizes), counts)
         dtmc._plan = _Plan(states, int(node_of[0]), node_of[ordered], bounds, firsts[bounds],
                            seg, node_of[_contracted_cols(dtmc, g)[flat]], probs[flat],
-                           g.runs)
+                           g.runs, node_of)
         # imported here: logging is about a tenth of the package's cold import
         import logging
         logging.getLogger(__name__).debug(
@@ -752,12 +759,10 @@ def _solve(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
     Arguments are (n_states, K), one solve per column, each pinned to
     `values` where `pinned`.  Each run is first folded from its last state
     to its head: a pinned state cuts the run off at its value, and
-    otherwise the run adds its rewards to its exit's value.  Then one
-    backward sweep over the contracted nodes' levels answers every column;
-    each node's successors lie on later levels, so it is exact.  Within a
-    run the rewards are summed before the exit's value is added, so a
-    reward solve can differ from state-by-state substitution in the last
-    bits.
+    otherwise the run adds its rewards to its exit's value.  Then
+    :func:`_sweep` answers every column.  Within a run the rewards are
+    summed before the exit's value is added, so a reward solve can differ
+    from state-by-state substitution in the last bits.
     """
     plan = _plan(dtmc)
     k = pinned.shape[1]
@@ -778,6 +783,18 @@ def _solve(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
             fold += rewards[states]
         np.copyto(fold, values[states], where=cut)
         pin[:states.size] |= cut
+    return _sweep(plan, y, pin)
+
+
+def _sweep(plan: _Plan, y: np.ndarray, pin: np.ndarray) -> np.ndarray:
+    """One backward sweep over the contracted nodes' levels, (K,) values
+    at the initial state.
+
+    `y` (nodes, K) holds each pinned node's value and what every other
+    node adds to the sum over its edges; the sweep fills in the sums in
+    place.  Each node's successors lie on later levels, so it is exact.
+    """
+    k = y.shape[1]
     columns = np.arange(k)
     for lo, hi, elo, ehi in reversed(list(zip(plan.bounds[:-1], plan.bounds[1:],
                                               plan.edge_bounds[:-1], plan.edge_bounds[1:]))):
@@ -785,7 +802,7 @@ def _solve(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
         # one bin per (node, column), each summed in edge order
         bins = (plan.seg[elo:ehi, None] * k + columns).ravel()
         acc = np.bincount(bins, weights=(plan.probs[elo:ehi, None] * y[plan.succ[elo:ehi]]).ravel(),
-                          minlength=(hi - lo) * k).reshape(-1, k)
+                          minlength=(hi - lo) * k).reshape(hi - lo, k)
         # 0.0 + a == a, so a node without reward takes its sum unchanged;
         # a sink's empty sum leaves it at its reward
         here = y[nodes]
@@ -810,6 +827,27 @@ def _mask_vector(dtmc: DTMC, mask) -> np.ndarray:
     return _mask_columns(dtmc, mask)[:, 0]
 
 
+def _index_sets(dtmc: DTMC, masks) -> list[np.ndarray]:
+    """One mask or K stacked masks as K arrays of state indices."""
+    return [np.flatnonzero(m) for m in _mask_columns(dtmc, masks).T]
+
+
+def _reach(dtmc: DTMC, targets: list[np.ndarray]) -> np.ndarray:
+    """Probability of eventually visiting each of K target sets from the
+    initial state, (K,); `targets` holds K arrays of state indices.
+
+    A reach column has no rewards and pins its targets at 1, so a node is
+    pinned exactly when a target decides it (``_Plan.node``): a branching
+    state or sink that is a target, or a run head with a target on its
+    run.  One sweep answers every column.
+    """
+    plan = _plan(dtmc)
+    pin = np.zeros((plan.states.size, len(targets)), dtype=bool)
+    for k, states in enumerate(targets):
+        pin[plan.node[states], k] = True
+    return _sweep(plan, pin.astype(np.float64), pin)
+
+
 def reach_from_start(dtmc: DTMC, target_mask: np.ndarray) -> float | np.ndarray:
     """Probability of eventually visiting the target set from the initial state.
 
@@ -817,8 +855,7 @@ def reach_from_start(dtmc: DTMC, target_mask: np.ndarray) -> float | np.ndarray:
     stacked as (n_states, K) as an array of K probabilities, all from one
     sweep.
     """
-    targets = _mask_columns(dtmc, target_mask)
-    x = _solve(dtmc, targets, targets)
+    x = _reach(dtmc, _index_sets(dtmc, target_mask))
     return float(x[0]) if np.ndim(target_mask) == 1 else x
 
 
@@ -848,11 +885,12 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
 
 
 def _occupation(dtmc: DTMC) -> np.ndarray:
-    """Visit probability of every state, pushed forward level by level.
+    """Visit probability of every contracted node, pushed forward level by
+    level.
 
     Off-terminal parts of the chain are acyclic, so each state is visited at
-    most once and occupation equals visit probability.  The push runs over
-    the contracted nodes; a state inside a run takes its head's value.
+    most once and occupation equals visit probability.  A state inside a
+    run takes its head's value, so state s reads ``y[plan.node[s]]``.
     """
     plan = _plan(dtmc)
     y = np.zeros(plan.states.size)
@@ -860,11 +898,36 @@ def _occupation(dtmc: DTMC) -> np.ndarray:
     for lo, elo, ehi in zip(plan.bounds[:-1], plan.edge_bounds[:-1], plan.edge_bounds[1:]):
         flow = y[plan.order[lo + plan.seg[elo:ehi]]] * plan.probs[elo:ehi]
         np.add.at(y, plan.succ[elo:ehi], flow)
-    rho = np.empty(dtmc.n_states)
-    rho[plan.states] = y
-    for states in plan.runs[1:]:
-        rho[states] = y[:states.size]
-    return rho
+    return y
+
+
+def _entries(dtmc: DTMC, targets: list[np.ndarray]) -> np.ndarray:
+    """Expected number of transitions entering each of K target sets from
+    outside, (K,); `targets` holds K arrays of state indices.
+
+    Only the edges into some target set can count, so they are gathered
+    once, each with its flow (its source's occupation times its
+    probability).  A column sums its entering edges in edge order.
+    """
+    indptr, cols, probs = dtmc.open_csr()
+    every = np.concatenate([np.empty(0, dtype=np.int64), *targets])
+    if dtmc.terminal_mask[every].any():
+        raise ValueError("entry counts are finite only for transient states")
+    plan = _plan(dtmc)
+    mark = np.zeros(dtmc.n_states, dtype=bool)
+    mark[every] = True
+    edges = np.flatnonzero(mark[cols])
+    mark[every] = False
+    sources = np.searchsorted(indptr, edges, side="right") - 1
+    heads = cols[edges]
+    flow = _occupation(dtmc)[plan.node[sources]] * probs[edges]
+    totals = np.empty(len(targets))
+    for k, states in enumerate(targets):
+        mark[states] = True
+        # starting inside the set counts as one entry
+        totals[k] = float(flow[mark[heads] & ~mark[sources]].sum()) + (1.0 if mark[0] else 0.0)
+        mark[states] = False
+    return totals
 
 
 def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:
@@ -876,17 +939,7 @@ def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:
     takes one mask, answered as a float, or K stacked masks, answered as an
     array of K counts.
     """
-    masks = _mask_columns(dtmc, state_mask)
-    if (masks & dtmc.terminal_mask[:, None]).any():
-        raise ValueError("entry counts are finite only for transient states")
-    rho = _occupation(dtmc)
-    indptr, cols, probs = dtmc.open_csr()
-    rows = _edge_rows(indptr)
-    flow = rho[rows] * probs
-    totals = np.array([
-        float(flow[m[cols] & ~m[rows]].sum()) + (1.0 if m[0] else 0.0)
-        for m in masks.T
-    ])
+    totals = _entries(dtmc, _index_sets(dtmc, state_mask))
     return float(totals[0]) if np.ndim(state_mask) == 1 else totals
 
 

@@ -211,27 +211,23 @@ def _exact_profile(d: DTMC, sender: int, per_packet: bool) -> ProfileResult:
     cfg = d.cfg
     e_max = cfg.e_max
     phase = d.sender_phase(sender)
-    e = d.sender_e(sender)
-    success = phase == SenderPhase.SUCCESS
-    reject_mask = phase == SenderPhase.REJECT
+    succ = np.flatnonzero(phase == SenderPhase.SUCCESS)
+    e_s = d.sender_e(sender)[succ]
+    exactly = [succ[e_s == k] for k in range(e_max + 1)]
+    rejected = np.flatnonzero(phase == SenderPhase.REJECT)
     if per_packet:
         nmax = cfg.nmax_msg
         if nmax == 0:
             success_at = np.zeros(e_max + 1)
             reject = 0.0
         else:
-            masks = [success & (e == k) for k in range(e_max + 1)] + [reject_mask]
-            entries = engine.expected_entries(d, np.stack(masks, axis=1)) / nmax
+            entries = engine._entries(d, exactly + [rejected]) / nmax
             success_at, reject = entries[:-1], entries[-1]
         cumulative = np.cumsum(success_at)
     else:
         # columns: delivered after exactly k failures, after at most k, dropped
-        masks = np.empty((d.n_states, 2 * e_max + 3), dtype=bool)
-        for k in range(e_max + 1):
-            masks[:, k] = success & (e == k)
-            masks[:, e_max + 1 + k] = success & (e <= k)
-        masks[:, -1] = reject_mask
-        reach = engine.reach_from_start(d, masks)
+        reach = engine._reach(d, exactly + [succ[e_s <= k] for k in range(e_max + 1)]
+                              + [rejected])
         success_at, cumulative, reject = reach[:e_max + 1], reach[e_max + 1:-1], reach[-1]
     return ProfileResult(
         cfg, sender, "exact", per_packet, success_at, cumulative, float(reject),

@@ -36,6 +36,7 @@ from ecomac_backoff import (
     idle_listening_rewards,
     label,
     reach_from_start,
+    success_profile,
 )
 from ecomac_backoff import dtmc as dtmc_module
 from ecomac_backoff.dtmc import _backward_closure, _backward_closures, _solve
@@ -530,6 +531,47 @@ def test_start_queries_match_a_sparse_direct_solve(n_senders, nmax_msg, robust, 
     target = done | stuck
     for r in (rewards, np.ones(n)):
         assert close(expected_reward(d, r, target), reference_solve(d, target, np.zeros(n), r)[0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
+       tcu=st.sampled_from([3, 8, 13]),
+       table=tables(DEFAULT_TABLE, REJECT_HEAVY, _NARROWED, _DRAW_ZERO))
+def test_index_set_profiles_equal_the_dense_mask_solves(n_senders, nmax_msg, robust, tcu, table):
+    cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
+                         tcu_ticks=tcu, table=table)
+    d = build(cfg)
+    e_max = cfg.e_max
+    phase, e = d.sender_phase(0), d.sender_e(0)
+    success = phase == SenderPhase.SUCCESS
+    exactly = [success & (e == k) for k in range(e_max + 1)]
+    reject = phase == SenderPhase.REJECT
+    # per sender: the dense fold and sweep over the old 2*e_max + 3 columns
+    masks = np.stack(exactly + [success & (e <= k) for k in range(e_max + 1)] + [reject], axis=1)
+    want = _solve(d, masks, masks)
+    got = success_profile(cfg, mode="exact", dtmc=d)
+    assert got.success_at.tolist() == want[:e_max + 1].tolist()
+    assert got.cumulative.tolist() == want[e_max + 1:-1].tolist()
+    assert got.reject_prob == want[-1]
+    # per packet: each column's entering edges selected from every edge
+    got = success_profile(cfg, mode="exact", per_packet=True, dtmc=d)
+    if nmax_msg == 0:
+        assert not got.success_at.any() and got.reject_prob == 0.0
+        return
+    indptr, cols, probs = d.open_csr()
+    rows = np.repeat(np.arange(d.n_states), np.diff(indptr))
+    flow = dtmc_module._occupation(d)[dtmc_module._plan(d).node[rows]] * probs
+    want = np.array([float(flow[m[cols] & ~m[rows]].sum()) + (1.0 if m[0] else 0.0)
+                     for m in exactly + [reject]]) / nmax_msg
+    assert got.success_at.tolist() == want[:-1].tolist()
+    assert got.reject_prob == want[-1]
+
+
+def test_no_stacked_masks_get_no_answers(lone_model):
+    none = np.zeros((lone_model.n_states, 0), dtype=bool)
+    for query in (reach_from_start, expected_entries):
+        x = query(lone_model, none)
+        assert x.dtype == np.float64 and x.shape == (0,)
 
 
 def test_masks_of_the_wrong_shape_are_refused(lone_model):
