@@ -332,7 +332,8 @@ class Automaton:
     itself.  A batch draws a round for all its live runs at once, reads the
     rest of the round from :meth:`round_outcome` once per distinct draw
     vector, and crosses the round boundary through a table it fills from
-    :meth:`settle`.  The table's rows are played by :meth:`_play`, which
+    :meth:`settle`.  The table's rows are folded (:meth:`_fill`) or played
+    by :meth:`_play`, which
     jumps the stretches in which each sender steps alone under the context
     :meth:`_contexts` reads from the receiver, and takes every other tick
     through :meth:`_tick`.  A traced run builds the drawn state with
@@ -368,9 +369,11 @@ class Automaton:
         self._kinds: dict = {}
         # the canonical round table, keyed on the sorted drawn counter vector
         self._rounds: dict = {}
-        # its rows filled, and the plain ticks and jumped stretches that
-        # filled them
-        self.round_counts = dict.fromkeys(("rows", "ticks", "stretches"), 0)
+        # the fold's parking horizon, read at the first miss that may fold
+        self._horizon: int | None = None
+        # its rows played, the plain ticks and jumped stretches that played
+        # them, and the keys answered from a folded row without a play
+        self.round_counts = dict.fromkeys(("rows", "ticks", "stretches", "folded"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -657,19 +660,24 @@ class Automaton:
         fresh from its draw, and no tick reads ``e`` or ``msgs`` or tells
         senders apart.  So the outcome is a function of the drawn counters
         alone, and permuting them permutes it.  One table keyed on the
-        sorted counters serves every order: a miss plays the sorted round
-        once through :meth:`_play`, stretch by stretch, and a lookup maps
-        the row back through the sort permutation, the receiver's
-        ``winner`` included.  ``round_counts`` counts the rows filled and
-        the plain ticks and stretches that filled them.
+        sorted counters serves every order, and a lookup maps the row back
+        through the sort permutation, the receiver's ``winner`` included.
+
+        A miss is filled by :meth:`_fill`, which caps every draw above the
+        smallest active draw plus the parking horizon h
+        (:meth:`_parking_horizon`, read off the rounds) and answers the key
+        from the folded key's row when that row passes the parking check:
+        every sender at the cap ends in SLEEP with ``rbc >= 1``, parked by
+        the winner's CTS while it counted down.  The capped senders'
+        ``rbc`` are then rebuilt, so the row is exactly the played one.
+        Any other miss plays the sorted round once through :meth:`_play`,
+        stretch by stretch.  ``round_counts`` counts the rows played, the
+        plain ticks and stretches that played them, and the keys answered
+        from a folded row without a play.
         """
         order = sorted(range(len(draws)), key=draws.__getitem__)
         key = tuple(draws[i] for i in order)
-        row = self._rounds.get(key)
-        if row is None:
-            self.round_counts["rows"] += 1
-            row = self._rounds[key] = self._play(
-                (tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
+        row = self._row(key)
         (ends, receiver), ticks, idle, deadlocked = row
         if key == draws:
             return row
@@ -680,6 +688,74 @@ class Automaton:
         if receiver.winner >= 0:
             receiver = receiver._replace(winner=order[receiver.winner])
         return (tuple(senders), receiver), ticks, tuple(spent), deadlocked
+
+    def _fill(self, key: tuple) -> tuple:
+        """The row of the sorted draw vector `key`, a table miss.
+
+        A sender still in COUNTDOWN feeds neither the receiver nor the other
+        senders, and a larger draw stays in COUNTDOWN at least as long.  So
+        if the winner's CTS parks a sender while it counts down, any larger
+        draw in its place is parked at the same tick, with its counter
+        higher by the difference, and the round is otherwise unchanged.
+        The fold caps every draw above ``d1 + h`` at that value, where d1
+        is the smallest active draw and h is :meth:`_parking_horizon`.  The
+        folded key's row answers `key` when it passes the parking check:
+        every sender at the cap ends in SLEEP with ``rbc >= 1``, which only
+        a CTS heard in COUNTDOWN gives.  Each capped sender's ``rbc`` is
+        then rebuilt as the folded one plus its draw minus the cap, so the
+        row equals what :meth:`_play` gives for `key`.  Any other key,
+        collision rounds among them, is played in full.
+        """
+        done = key.count(-1)
+        if (len(key) - done >= 2 and (h := self._parking_horizon())
+                and key[-1] > key[done] + h):
+            cap = key[done] + h
+            folded = tuple([min(v, cap) for v in key])
+            (ends, receiver), ticks, idle, deadlocked = self._row(folded)
+            if all(self._parked(sd) for sd, v in zip(ends, folded) if v == cap):
+                self.round_counts["folded"] += 1
+                ends = tuple(sd if v <= cap else (sd[0], sd[1] + v - cap, sd[2])
+                             for sd, v in zip(ends, key))
+                return (ends, receiver), ticks, idle, deadlocked
+        self.round_counts["rows"] += 1
+        return self._play((tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
+
+    def _row(self, key: tuple) -> tuple:
+        """The table's row of the sorted draw vector `key`, filled on a miss."""
+        row = self._rounds.get(key)
+        if row is None:
+            row = self._rounds[key] = self._fill(key)
+        return row
+
+    @staticmethod
+    def _parked(sd: tuple) -> bool:
+        # SLEEP keeps the counter it was entered with, and only a sender in
+        # COUNTDOWN holds one above 0: a request's pipeline starts at 0
+        return sd[0] == SenderPhase.SLEEP and sd[1] >= 1
+
+    def _parking_horizon(self) -> int:
+        """The fold's horizon h, read from the rounds themselves.
+
+        h is the smallest rival draw c such that in the round of draws
+        ``(0, c)``, every other sender done, the winner's CTS parks the
+        rival (:meth:`_parked`); 0, no fold, when no c up to ``b_max``
+        does.  A larger c stays in COUNTDOWN at least as long, so parking
+        is monotone in c and a bisection finds h.  A tie collides, so c = 0
+        never parks.  Its rounds are rows of the table, played unfolded.
+        """
+        if self._horizon is None:
+            self._horizon = 0  # no key folds while h is read
+            pad = (-1,) * (self.cfg.n_senders - 2)
+            lo, hi = 0, self.cfg.b_max + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                (ends, _), *_ = self._row(pad + (0, mid))
+                if self._parked(ends[-1]):
+                    hi = mid
+                else:
+                    lo = mid
+            self._horizon = hi if hi <= self.cfg.b_max else 0
+        return self._horizon
 
     def settle(self, phase: int, e: int, msgs: int) -> tuple:
         """A sender's round-boundary crossing from end phase `phase`.

@@ -117,6 +117,9 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
          seed=12345)
 @example(n_senders=2, nmax_msg=1, robust=False, tcu=1, table=DEFAULT_TABLE,
          timing=_SLOW_SWITCH, seed=0)
+# unit 4 parks a rival two draws above the winner, so rows fold at horizon 2
+@example(n_senders=3, nmax_msg=2, robust=False, tcu=4, table=DEFAULT_TABLE, timing={},
+         seed=12345)
 def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, timing,
                                            seed):
     # traced runs step through successor_distribution, which joins the tick,
@@ -160,12 +163,14 @@ def _plain_round(auto, projection):
 
 def _check_every_round(cfg):
     # every sorted draw vector, a done sender's -1 included; the table
-    # fills each row, a miss, with _play
+    # fills each row, a miss, from a folded row or with _play; returns the
+    # automaton, whose round_counts say how
     auto = Automaton(cfg)
     for draws in itertools.combinations_with_replacement(range(-1, cfg.b_max + 1),
                                                          cfg.n_senders):
         _, projection = auto.split(auto.drawn_state(auto.initial_state(), draws))
         assert auto.round_outcome(draws) == _plain_round(auto, projection), (cfg, draws)
+    return auto
 
 
 @pytest.mark.parametrize("robust", [False, True])
@@ -179,6 +184,31 @@ def test_round_table_matches_plain_ticks(timing, robust):
                                           **timing))
     if not (timing or robust):
         _check_every_round(ScenarioConfig(n_senders=4))
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(n_senders=5),
+                                 ScenarioConfig(n_senders=5, robust_mode=True),
+                                 ScenarioConfig(n_senders=5, tcu_ticks=4),
+                                 ScenarioConfig(n_senders=5, tcu_ticks=3)],
+                         ids=["default", "robust", "unit_4", "unit_3"])
+def test_folded_rows_match_plain_ticks_at_five_senders(cfg):
+    # at parking horizons 1, 1, 2 and 3, every draw above the smallest plus
+    # the horizon is capped; each folded row, its parked senders' counters
+    # rebuilt, must equal the tick rule, and some row must come from a fold
+    auto = _check_every_round(cfg)
+    assert auto.round_counts["folded"] > 0
+
+
+@pytest.mark.parametrize("tcu, horizon", [(8, 1), (4, 2), (3, 3), (1, 0)])
+def test_parking_horizon_is_read_off_the_rounds(tcu, horizon):
+    # the smallest rival draw the winner of draw 0 parks, whatever the
+    # number of done senders; at unit 1 no draw in the window is parked,
+    # so no key folds
+    for n in (2, 3):
+        assert Automaton(ScenarioConfig(n_senders=n, tcu_ticks=tcu))._parking_horizon() == horizon
+    if not horizon:
+        assert _check_every_round(ScenarioConfig(n_senders=3, tcu_ticks=tcu)).round_counts[
+            "folded"] == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -309,11 +339,12 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
-    # 74 table rows take 637 steps: 374 plain ticks and 263 jumped stretches
+    # 40 rows played take 276 steps: 155 plain ticks and 121 jumped
+    # stretches; 42 more keys are answered from folded rows
     [record] = caplog.records
     assert agg.rounds.sum() == 168
-    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 74 rows filled, "
-                                   "374 plain ticks, 263 stretches jumped")
+    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 40 rows played, "
+                                   "155 plain ticks, 121 stretches jumped, 42 keys folded")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
