@@ -332,11 +332,11 @@ class Automaton:
     itself.  A batch draws a round for all its live runs at once, reads the
     rest of the round from :meth:`round_outcome` once per distinct draw
     vector, and crosses the round boundary through a table it fills from
-    :meth:`settle`.  The table's rows are folded (:meth:`_fill`) or played
-    by :meth:`_play`, which
-    jumps the stretches in which each sender steps alone under the context
-    :meth:`_contexts` reads from the receiver, and takes every other tick
-    through :meth:`_tick`.  A traced run builds the drawn state with
+    :meth:`settle`.  The table's rows are answered from a representative
+    (:meth:`_fill`) or played by :meth:`_play`, which jumps the stretches
+    in which each sender steps alone under the context :meth:`_contexts`
+    reads from the receiver, and takes every other tick through
+    :meth:`_tick`.  A traced run builds the drawn state with
     :meth:`drawn_state` and takes every other step from
     :meth:`successor_distribution`.  Neither engine re-implements any
     protocol rule.
@@ -371,9 +371,14 @@ class Automaton:
         self._rounds: dict = {}
         # the fold's parking horizon, read at the first miss that may fold
         self._horizon: int | None = None
+        # per drawn senders of a played round whose receiver entered
+        # COLLISION, its projection, ticks and idle ticks at that tick
+        self._latches: dict = {}
         # its rows played, the plain ticks and jumped stretches that played
-        # them, and the keys answered from a folded row without a play
-        self.round_counts = dict.fromkeys(("rows", "ticks", "stretches", "folded"), 0)
+        # them, and the keys answered without a play from a representative
+        # that was parked or counted down into the latch
+        self.round_counts = dict.fromkeys(
+            ("rows", "ticks", "stretches", "folded", "latched"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -663,17 +668,18 @@ class Automaton:
         sorted counters serves every order, and a lookup maps the row back
         through the sort permutation, the receiver's ``winner`` included.
 
-        A miss is filled by :meth:`_fill`, which caps every draw above the
-        smallest active draw plus the parking horizon h
-        (:meth:`_parking_horizon`, read off the rounds) and answers the key
-        from the folded key's row when that row passes the parking check:
-        every sender at the cap ends in SLEEP with ``rbc >= 1``, parked by
-        the winner's CTS while it counted down.  The capped senders'
-        ``rbc`` are then rebuilt, so the row is exactly the played one.
-        Any other miss plays the sorted round once through :meth:`_play`,
-        stretch by stretch.  ``round_counts`` counts the rows played, the
-        plain ticks and stretches that played them, and the keys answered
-        from a folded row without a play.
+        A miss is filled by :meth:`_fill`.  Every draw at or above the cap,
+        the smallest active draw plus the parking horizon h
+        (:meth:`_parking_horizon`, read off the rounds), is answered from
+        one representative at the cap, the others marked done, when that
+        canonical key's row shows the representative parked by the
+        winner's CTS while it counted down, or still counting down when the
+        receiver latched in COLLISION.  The capped senders are then
+        rebuilt, so the row is exactly the played one.  Any other miss
+        plays the sorted round once through :meth:`_play`, stretch by
+        stretch.  ``round_counts`` counts the rows played, the plain ticks
+        and stretches that played them, and the keys answered from a parked
+        (``folded``) or a latched (``latched``) representative.
         """
         order = sorted(range(len(draws)), key=draws.__getitem__)
         key = tuple(draws[i] for i in order)
@@ -694,29 +700,65 @@ class Automaton:
 
         A sender still in COUNTDOWN feeds neither the receiver nor the other
         senders, and a larger draw stays in COUNTDOWN at least as long.  So
-        if the winner's CTS parks a sender while it counts down, any larger
-        draw in its place is parked at the same tick, with its counter
-        higher by the difference, and the round is otherwise unchanged.
-        The fold caps every draw above ``d1 + h`` at that value, where d1
-        is the smallest active draw and h is :meth:`_parking_horizon`.  The
-        folded key's row answers `key` when it passes the parking check:
-        every sender at the cap ends in SLEEP with ``rbc >= 1``, which only
-        a CTS heard in COUNTDOWN gives.  Each capped sender's ``rbc`` is
-        then rebuilt as the folded one plus its draw minus the cap, so the
-        row equals what :meth:`_play` gives for `key`.  Any other key,
-        collision rounds among them, is played in full.
+        the senders at or above the cap ``d1 + h``, where d1 is the smallest
+        active draw and h is :meth:`_parking_horizon`, step alike while the
+        one that drew least of them, the representative, counts down.  The
+        canonical key keeps every draw below the cap and the representative
+        at the cap, and marks the other capped senders done.  Its row
+        answers `key` in two cases:
+
+        - parked: the representative passes the parking check, ending in
+          SLEEP with ``rbc >= 1``, which only a CTS heard in COUNTDOWN
+          gives.  Each capped sender is parked at the same tick with the
+          same idle ticks, and its counter is higher by its draw minus the
+          cap.
+        - latched: the receiver entered COLLISION while the representative
+          still counted down.  The receiver then stays in COLLISION for the
+          rest of the round, which so cannot deadlock, and each sender
+          steps alone, so each capped sender goes on from the
+          representative's latched state, its counter raised by its draw
+          minus the cap, along its solo path under the latched receiver's
+          context.  Its end, its idle ticks and its share of the round's
+          ticks are read off that path.
+
+        Either way the row equals what :meth:`_play` gives for `key`, and
+        both checks read the played canonical round, so the fold is exact
+        at any horizon h >= 1; h only sets how often it applies.  Any other
+        key is played in full.
         """
         done = key.count(-1)
         if (len(key) - done >= 2 and (h := self._parking_horizon())
-                and key[-1] > key[done] + h):
+                and (key[-1] > key[done] + h or key[-2] >= key[done] + h)):
             cap = key[done] + h
-            folded = tuple([min(v, cap) for v in key])
-            (ends, receiver), ticks, idle, deadlocked = self._row(folded)
-            if all(self._parked(sd) for sd, v in zip(ends, folded) if v == cap):
+            a = len(key) - 1
+            while key[a - 1] >= cap:
+                a -= 1
+            m = len(key) - a  # the capped senders, the representative first
+            canon = (-1,) * (m - 1) + key[:a] + (cap,)
+            (ends, receiver), ticks, idle, deadlocked = self._row(canon)
+            rep, tail = ends[-1], None
+            if self._parked(rep):
                 self.round_counts["folded"] += 1
-                ends = tuple(sd if v <= cap else (sd[0], sd[1] + v - cap, sd[2])
-                             for sd, v in zip(ends, key))
-                return (ends, receiver), ticks, idle, deadlocked
+                tail = [(rep[0], rep[1] + v - cap, rep[2]) for v in key[a:]]
+                spent = [idle[-1]] * m
+            elif latch := self._latches.get(tuple([self._drawn(v) for v in canon])):
+                (senders, at), latched_ticks, latched_idle = latch
+                rep = senders[-1]
+                if rep[0] == SenderPhase.COUNTDOWN:
+                    self.round_counts["latched"] += 1
+                    solo = self._solo[self._contexts(at)[0]]
+                    tail, spent = [], []
+                    for v in key[a:]:
+                        p = solo.index((rep[0], rep[1] + v - cap, rep[2]))
+                        tail.append(solo.states[solo.advance(p, solo.hold[p])])
+                        spent.append(latched_idle[-1] + solo.countdown[p])
+                        ticks = max(ticks, latched_ticks + solo.hold[p])
+            if tail is not None:
+                # the canonical key's extra done senders lead it
+                if receiver.winner >= 0:
+                    receiver = receiver._replace(winner=receiver.winner - (m - 1))
+                return ((ends[m - 1:-1] + tuple(tail), receiver), ticks,
+                        idle[m - 1:-1] + tuple(spent), deadlocked)
         self.round_counts["rows"] += 1
         return self._play((tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
 
@@ -785,9 +827,11 @@ class Automaton:
         events: the receiver's phase changes, a sender would start a
         request the receiver hears, or every sender holds an outcome.
         Within it no state is a boundary or a deadlock.  Where no tick can
-        be jumped, :meth:`_tick` takes one.
+        be jumped, :meth:`_tick` takes one.  A round whose receiver enters
+        COLLISION leaves its projection, ticks and idle ticks at that tick
+        in ``_latches``, keyed on its drawn senders, for :meth:`_fill`.
         """
-        senders, receiver = projection
+        drawn, (senders, receiver) = projection[0], projection
         ticks, idle = 0, [0] * len(senders)
         plain = stretches = 0
         kind = self.step_kind(projection)
@@ -820,6 +864,10 @@ class Automaton:
                 senders, receiver = self._tick((senders, receiver))
                 ticks += 1
                 plain += 1
+                # a receiver that hears no request never enters COLLISION,
+                # so only a plain tick latches it
+                if receiver.phase == ReceiverPhase.COLLISION and drawn not in self._latches:
+                    self._latches[drawn] = (senders, receiver), ticks, tuple(idle)
             kind = self.step_kind((senders, receiver))
         self.round_counts["ticks"] += plain
         self.round_counts["stretches"] += stretches

@@ -10,16 +10,19 @@ live run: the pass draws each run's counters from its own stream, reads the
 round's end phases, ticks and idle ticks from the automaton's canonical
 round table (:meth:`Automaton.round_outcome`) once per distinct draw vector,
 and crosses the boundary through a table filled from
-:meth:`Automaton.settle`.  The round table folds a missing key before it
-plays it: every draw above the smallest active draw plus the parking
-horizon h is capped there.  h is read off the rounds, as the smallest
-rival draw that the winner of draw 0 parks with its CTS
-(:meth:`Automaton._parking_horizon`), and the folded row answers the full
-key only when every sender at the cap ends asleep with a counter of at
-least 1, parked while it counted down; the capped senders' counters are
-then rebuilt, so a folded row equals the played one.  A traced run
-(:func:`run_once`) replays the same draws through the exact engine's step
-function, :meth:`Automaton.successor_distribution`, recording every
+:meth:`Automaton.settle`.  The round table answers a missing key from one
+representative before it plays it: of the senders at or above the smallest
+active draw plus the parking horizon h, one stands at that cap and the
+others are marked done.  h is read off the rounds, as the smallest rival
+draw that the winner of draw 0 parks with its CTS
+(:meth:`Automaton._parking_horizon`).  The canonical row answers the full
+key when the representative ends asleep with a counter of at least 1,
+parked while it counted down, or was still counting down when the receiver
+latched in COLLISION; each capped sender is then rebuilt from the
+representative's end or from its state at the latch, so an answered row
+equals the played one.  A traced run (:func:`run_once`) replays the same
+draws through the exact engine's step function,
+:meth:`Automaton.successor_distribution`, recording every
 :class:`GlobalState` it enters.  It reads neither table, so comparing it
 with a batch checks both against the exact model.
 
@@ -367,6 +370,6 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
         "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d stretches jumped, "
-        "%d keys folded", n_runs, rounds.sum(), counts["rows"], counts["ticks"],
-        counts["stretches"], counts["folded"])
+        "%d keys folded, %d keys latched", n_runs, rounds.sum(), counts["rows"],
+        counts["ticks"], counts["stretches"], counts["folded"], counts["latched"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

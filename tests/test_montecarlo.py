@@ -110,7 +110,9 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
 @given(n_senders=st.integers(1, 3), nmax_msg=st.integers(0, 3), robust=st.booleans(),
        tcu=st.sampled_from([1, 3, 8, 13]), table=tables(DEFAULT_TABLE, REJECT_HEAVY),
        timing=st.sampled_from([{}, _SLOW_SWITCH]), seed=st.integers(0, 2**64 - 1))
-# most of these runs deadlock, or reach the failure cap
+# most of these runs deadlock, or reach the failure cap; the two 3-sender
+# batches at unit 3 and the one at unit 4 also answer keys from a
+# representative latched in a collision (12, 18 and 23 keys)
 @example(n_senders=3, nmax_msg=2, robust=False, tcu=3, table=DEFAULT_TABLE, timing={},
          seed=12345)
 @example(n_senders=3, nmax_msg=2, robust=True, tcu=3, table=DEFAULT_TABLE, timing={},
@@ -161,11 +163,14 @@ def _plain_round(auto, projection):
     return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 
 
-def _check_every_round(cfg):
+def _check_every_round(cfg, horizon=None):
     # every sorted draw vector, a done sender's -1 included; the table
-    # fills each row, a miss, from a folded row or with _play; returns the
-    # automaton, whose round_counts say how
+    # fills each row, a miss, from a representative or with _play; returns
+    # the automaton, whose round_counts say how.  A given horizon replaces
+    # the one read off the rounds
     auto = Automaton(cfg)
+    if horizon is not None:
+        auto._horizon = horizon
     for draws in itertools.combinations_with_replacement(range(-1, cfg.b_max + 1),
                                                          cfg.n_senders):
         _, projection = auto.split(auto.drawn_state(auto.initial_state(), draws))
@@ -192,11 +197,32 @@ def test_round_table_matches_plain_ticks(timing, robust):
                                  ScenarioConfig(n_senders=5, tcu_ticks=3)],
                          ids=["default", "robust", "unit_4", "unit_3"])
 def test_folded_rows_match_plain_ticks_at_five_senders(cfg):
-    # at parking horizons 1, 1, 2 and 3, every draw above the smallest plus
-    # the horizon is capped; each folded row, its parked senders' counters
-    # rebuilt, must equal the tick rule, and some row must come from a fold
+    # at parking horizons 1, 1, 2 and 3, the senders at or above the
+    # smallest draw plus the horizon are answered from one representative;
+    # each row so answered must equal the tick rule, and some rows must come
+    # from a parked representative and some from a latched one
     auto = _check_every_round(cfg)
     assert auto.round_counts["folded"] > 0
+    assert auto.round_counts["latched"] > 0
+
+
+def test_folded_and_latched_rows_match_plain_ticks_at_six_senders():
+    # at six senders most keys have several senders at the cap, which one
+    # representative answers, parked or counting down into a collision
+    auto = _check_every_round(ScenarioConfig(n_senders=6))
+    assert auto.round_counts["folded"] > 0
+    assert auto.round_counts["latched"] > 0
+
+
+@pytest.mark.parametrize("tcu, robust, horizon", [(4, False, 1), (2, True, 2), (8, False, 4)])
+def test_representative_rows_match_plain_ticks_at_any_horizon(tcu, robust, horizon):
+    # both checks read the played canonical round, so a horizon below the
+    # one read off the rounds (units 4 and 2 read 2 and 4) or above it
+    # (unit 8 reads 1) keeps every row exact; below it, a representative
+    # can start its own request before the receiver latches
+    auto = _check_every_round(ScenarioConfig(n_senders=4, tcu_ticks=tcu, robust_mode=robust),
+                              horizon)
+    assert auto.round_counts["latched"] > 0
 
 
 @pytest.mark.parametrize("tcu, horizon", [(8, 1), (4, 2), (3, 3), (1, 0)])
@@ -339,12 +365,14 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
-    # 40 rows played take 276 steps: 155 plain ticks and 121 jumped
-    # stretches; 42 more keys are answered from folded rows
+    # 27 rows played take 196 steps: 112 plain ticks and 84 jumped
+    # stretches; 51 more keys are answered from a representative, 44 of
+    # them parked and 7 latched
     [record] = caplog.records
     assert agg.rounds.sum() == 168
-    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 40 rows played, "
-                                   "155 plain ticks, 121 stretches jumped, 42 keys folded")
+    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 27 rows played, "
+                                   "112 plain ticks, 84 stretches jumped, 44 keys folded, "
+                                   "7 keys latched")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
