@@ -36,10 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import partial
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -245,80 +243,6 @@ def label_text(state: GlobalState) -> str:
     return ",".join(parts)
 
 
-# a tick count no stretch reaches: each count is at most b_max*tcu_ticks
-# plus a few timings, all below 2**15, so far below this
-_NEVER = 2**62
-
-
-class _SoloPaths:
-    """Each sender state's path under one fixed tick context, stored once.
-
-    A sender whose context stays fixed steps alone: from any state it
-    passes a fixed sequence of states until it holds an outcome phase.  The
-    paths are runs in one flat list.  A run ends at a state that holds, or
-    at the last state before one an earlier run holds, to which it links.
-    Per flat index, ``hold`` is the ticks until the path holds, ``countdown``
-    the countdown ticks among them, and ``to_rts`` the ticks until the path
-    is first in SEND_RTS, 0 if it is now and ``_NEVER`` if it never is.
-    """
-
-    def __init__(self, step: Callable[[tuple], tuple]):
-        self._step = step
-        self._at: dict[tuple, int] = {}
-        self.states: list[tuple] = []
-        self.hold = array("q")
-        self.countdown = array("q")
-        self.to_rts = array("q")
-        self._end = array("q")         # the last flat index of each index's run
-        self._link: dict[int, int] = {}  # a linked run's end -> its successor
-
-    def index(self, sd: tuple) -> int:
-        """The flat index of sender state `sd`."""
-        i = self._at.get(sd)
-        if i is None:
-            i = self._add(sd)
-        return i
-
-    def _add(self, sd: tuple) -> int:
-        at, run = self._at, [sd]
-        nxt = self._step(sd)
-        while nxt != run[-1] and nxt not in at:
-            run.append(nxt)
-            nxt = self._step(nxt)
-        base, end = len(self.states), len(self.states) + len(run) - 1
-        if nxt == run[-1]:
-            # the last state holds; seeded one tick beyond it, the loop gives
-            # it hold 0, no countdown tick and no request ahead
-            hold, countdown, to_rts = -1, 0, _NEVER
-        else:
-            j = self._link[end] = at[nxt]
-            hold, countdown, to_rts = self.hold[j], self.countdown[j], self.to_rts[j]
-        rows = []
-        for s in reversed(run):
-            hold, countdown = hold + 1, countdown + (s[0] == SenderPhase.COUNTDOWN)
-            to_rts = 0 if s[0] == SenderPhase.SEND_RTS else min(to_rts + 1, _NEVER)
-            rows.append((hold, countdown, to_rts))
-        for column, values in zip((self.hold, self.countdown, self.to_rts), zip(*rows)):
-            column.extend(reversed(values))
-        self._end.extend([end] * len(run))
-        for i, s in enumerate(run, base):
-            at[s] = i
-        self.states.extend(run)
-        return base
-
-    def advance(self, i: int, k: int) -> int:
-        """The flat index `k` ticks after flat index `i`; a path that holds
-        stays where it holds."""
-        end = self._end[i]
-        while i + k > end:
-            j = self._link.get(end)
-            if j is None:
-                return end
-            k -= end + 1 - i
-            i, end = j, self._end[j]
-        return i + k
-
-
 class Automaton:
     """Successor-rule engine for one scenario; the single source of semantics.
 
@@ -332,11 +256,9 @@ class Automaton:
     itself.  A batch draws a round for all its live runs at once, reads the
     rest of the round from :meth:`round_outcome` once per distinct draw
     vector, and crosses the round boundary through a table it fills from
-    :meth:`settle`.  The table's rows are answered from a representative
-    (:meth:`_fill`) or played by :meth:`_play`, which jumps the stretches
-    in which each sender steps alone under the context :meth:`_contexts`
-    reads from the receiver, and takes every other tick through
-    :meth:`_tick`.  A traced run builds the drawn state with
+    :meth:`settle`.  The table's rows are answered from a zero-based key or
+    a representative (:meth:`_fill`), or played by :meth:`_play` one
+    :meth:`_tick` at a time.  A traced run builds the drawn state with
     :meth:`drawn_state` and takes every other step from
     :meth:`successor_distribution`.  Neither engine re-implements any
     protocol rule.
@@ -360,11 +282,6 @@ class Automaton:
         )
         self._sender_step: dict = {}
         self._receiver_step: dict = {}
-        # per tick context, the sender paths a stretch jumps along, stepped
-        # by the uncached rule since a path holds each state it passes; per
-        # receiver state, its run while it hears no request (_quiet_receiver)
-        self._solo = tuple(_SoloPaths(partial(self._sender_rule, ctx=ctx)) for ctx in range(4))
-        self._quiet: dict = {}
         # step kinds, keyed on (sender phases, receiver phase)
         self._kinds: dict = {}
         # the canonical round table, keyed on the sorted drawn counter vector
@@ -372,13 +289,12 @@ class Automaton:
         # the fold's parking horizon, read at the first miss that may fold
         self._horizon: int | None = None
         # per drawn senders of a played round whose receiver entered
-        # COLLISION, its projection, ticks and idle ticks at that tick
+        # COLLISION, its projection and ticks at that tick
         self._latches: dict = {}
-        # its rows played, the plain ticks and jumped stretches that played
-        # them, and the keys answered without a play from a representative
-        # that was parked or counted down into the latch
-        self.round_counts = dict.fromkeys(
-            ("rows", "ticks", "stretches", "folded", "latched"), 0)
+        # its rows played and the ticks that played them, and the keys
+        # answered without a play: from their zero-based key, or from a
+        # representative that was parked or counted down into the latch
+        self.round_counts = dict.fromkeys(("rows", "ticks", "shifted", "folded", "latched"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -652,74 +568,71 @@ class Automaton:
             return None
         return self._tick(projection)
 
-    def round_outcome(self, draws: tuple[int, ...]) -> tuple:
-        """The rest of the round opened by the joint draw `draws`.
+    def round_outcome(self, key: tuple[int, ...]) -> tuple:
+        """The rest of the round opened by the joint draw `key`, sorted.
 
-        `draws` holds each sender's drawn counter, -1 for a done sender.
-        Returns ``(end projection, ticks, idle ticks per sender,
-        deadlocked)``: the projection in which the round's ticks stop (every
-        active sender settled, or a deadlock), with each sender's entries in
-        the order of `draws`.
+        `key` holds the senders' drawn counters in ascending order, -1 for
+        a done sender.  Returns ``(end projection, ticks, idle ticks per
+        sender, deadlocked)``: the projection in which the round's ticks
+        stop (every active sender settled, or a deadlock), with each
+        sender's entries in the order of `key`, and the receiver's
+        ``winner`` a position in `key`.
 
         Every round opens with the receiver idle and each active sender
         fresh from its draw, and no tick reads ``e`` or ``msgs`` or tells
         senders apart.  So the outcome is a function of the drawn counters
-        alone, and permuting them permutes it.  One table keyed on the
-        sorted counters serves every order, and a lookup maps the row back
-        through the sort permutation, the receiver's ``winner`` included.
+        alone, and permuting them permutes it: one table keyed on the
+        sorted counters serves every order, and a caller maps a row back
+        through its own sort, as ``montecarlo.simulate`` does for a whole
+        pass at once.
 
-        A miss is filled by :meth:`_fill`.  Every draw at or above the cap,
-        the smallest active draw plus the parking horizon h
-        (:meth:`_parking_horizon`, read off the rounds), is answered from
-        one representative at the cap, the others marked done, when that
-        canonical key's row shows the representative parked by the
-        winner's CTS while it counted down, or still counting down when the
-        receiver latched in COLLISION.  The capped senders are then
-        rebuilt, so the row is exactly the played one.  Any other miss
-        plays the sorted round once through :meth:`_play`, stretch by
-        stretch.  ``round_counts`` counts the rows played, the plain ticks
-        and stretches that played them, and the keys answered from a parked
-        (``folded``) or a latched (``latched``) representative.
+        A miss is filled by :meth:`_fill`: from the key shifted down to its
+        smallest active draw, from one representative of the draws at or
+        above the parking horizon h (:meth:`_parking_horizon`, read off the
+        rounds), or by playing the round through :meth:`_play`, one tick at
+        a time.  ``round_counts`` counts the rows played, the ticks that
+        played them, and the keys answered from their zero-based key
+        (``shifted``), a parked representative (``folded``) or a latched
+        one (``latched``).
         """
-        order = sorted(range(len(draws)), key=draws.__getitem__)
-        key = tuple(draws[i] for i in order)
-        row = self._row(key)
-        (ends, receiver), ticks, idle, deadlocked = row
-        if key == draws:
-            return row
-        senders, spent = [None] * len(draws), [0] * len(draws)
-        for pos, i in enumerate(order):
-            senders[i] = ends[pos]
-            spent[i] = idle[pos]
-        if receiver.winner >= 0:
-            receiver = receiver._replace(winner=order[receiver.winner])
-        return (tuple(senders), receiver), ticks, tuple(spent), deadlocked
+        row = self._rounds.get(key)
+        if row is None:
+            row = self._rounds[key] = self._fill(key)
+        return row
 
     def _fill(self, key: tuple) -> tuple:
         """The row of the sorted draw vector `key`, a table miss.
 
-        A sender still in COUNTDOWN feeds neither the receiver nor the other
-        senders, and a larger draw stays in COUNTDOWN at least as long.  So
-        the senders at or above the cap ``d1 + h``, where d1 is the smallest
-        active draw and h is :meth:`_parking_horizon`, step alike while the
-        one that drew least of them, the representative, counts down.  The
-        canonical key keeps every draw below the cap and the representative
-        at the cap, and marks the other capped senders done.  Its row
-        answers `key` in two cases:
+        Shifted: for the first d1 units, where d1 is the smallest active
+        draw, every active sender only counts down and the receiver hears
+        nothing; then each sender stands where a draw d1 lower starts it.
+        So a key with d1 >= 1 takes the row of its zero-based key, each
+        active draw less d1: the same end projection and deadlock flag,
+        and d1 units more ticks, each an idle tick of every active sender.
+
+        Folded: a sender still in COUNTDOWN feeds neither the receiver nor
+        the other senders, and a larger draw stays in COUNTDOWN at least as
+        long.  So the senders of a zero-based key at or above the parking
+        horizon h (:meth:`_parking_horizon`) step alike while the one that
+        drew least of them, the representative, counts down.  The
+        canonical key keeps every draw below h and the representative at
+        h, and marks the other capped senders done.  Its row answers `key`
+        in two cases:
 
         - parked: the representative passes the parking check, ending in
           SLEEP with ``rbc >= 1``, which only a CTS heard in COUNTDOWN
           gives.  Each capped sender is parked at the same tick with the
-          same idle ticks, and its counter is higher by its draw minus the
-          cap.
+          same idle ticks, and its counter is higher by its draw minus h.
         - latched: the receiver entered COLLISION while the representative
           still counted down.  The receiver then stays in COLLISION for the
           rest of the round, which so cannot deadlock, and each sender
-          steps alone, so each capped sender goes on from the
-          representative's latched state, its counter raised by its draw
-          minus the cap, along its solo path under the latched receiver's
-          context.  Its end, its idle ticks and its share of the round's
-          ticks are read off that path.
+          steps alone under the latched receiver's context.  A capped
+          sender that drew v counts down v - h units more than the
+          representative and then walks the representative's lone path, so
+          it ends where the representative ends, with v - h units more
+          idle ticks, and holds v - h units later.  The lone path's length
+          comes from walking :meth:`_sender_rule` from the
+          representative's latched state until it holds.
 
         Either way the row equals what :meth:`_play` gives for `key`, and
         both checks read the played canonical round, so the fold is exact
@@ -727,32 +640,38 @@ class Automaton:
         key is played in full.
         """
         done = key.count(-1)
+        if done < len(key) and (d1 := key[done]):
+            self.round_counts["shifted"] += 1
+            lead = d1 * self.cfg.tcu_ticks
+            ends, ticks, idle, deadlocked = self.round_outcome(
+                key[:done] + tuple(v - d1 for v in key[done:]))
+            return (ends, ticks + lead, idle[:done] + tuple(t + lead for t in idle[done:]),
+                    deadlocked)
         if (len(key) - done >= 2 and (h := self._parking_horizon())
-                and (key[-1] > key[done] + h or key[-2] >= key[done] + h)):
-            cap = key[done] + h
+                and (key[-1] > h or key[-2] >= h)):
             a = len(key) - 1
-            while key[a - 1] >= cap:
+            while key[a - 1] >= h:
                 a -= 1
             m = len(key) - a  # the capped senders, the representative first
-            canon = (-1,) * (m - 1) + key[:a] + (cap,)
-            (ends, receiver), ticks, idle, deadlocked = self._row(canon)
+            canon = (-1,) * (m - 1) + key[:a] + (h,)
+            (ends, receiver), ticks, idle, deadlocked = self.round_outcome(canon)
             rep, tail = ends[-1], None
             if self._parked(rep):
                 self.round_counts["folded"] += 1
-                tail = [(rep[0], rep[1] + v - cap, rep[2]) for v in key[a:]]
+                tail = [(rep[0], rep[1] + v - h, rep[2]) for v in key[a:]]
                 spent = [idle[-1]] * m
             elif latch := self._latches.get(tuple([self._drawn(v) for v in canon])):
-                (senders, at), latched_ticks, latched_idle = latch
-                rep = senders[-1]
-                if rep[0] == SenderPhase.COUNTDOWN:
+                (senders, at), latched_ticks = latch
+                sd = senders[-1]
+                if sd[0] == SenderPhase.COUNTDOWN:
                     self.round_counts["latched"] += 1
-                    solo = self._solo[self._contexts(at)[0]]
-                    tail, spent = [], []
-                    for v in key[a:]:
-                        p = solo.index((rep[0], rep[1] + v - cap, rep[2]))
-                        tail.append(solo.states[solo.advance(p, solo.hold[p])])
-                        spent.append(latched_idle[-1] + solo.countdown[p])
-                        ticks = max(ticks, latched_ticks + solo.hold[p])
+                    ctx, hold = self._contexts(at)[0], 0
+                    while (nxt := self._sender_rule(sd, ctx)) != sd:
+                        sd, hold = nxt, hold + 1
+                    tcu = self.cfg.tcu_ticks
+                    tail = [rep] * m
+                    spent = [idle[-1] + (v - h) * tcu for v in key[a:]]
+                    ticks = max(ticks, latched_ticks + hold + (key[-1] - h) * tcu)
             if tail is not None:
                 # the canonical key's extra done senders lead it
                 if receiver.winner >= 0:
@@ -761,13 +680,6 @@ class Automaton:
                         idle[m - 1:-1] + tuple(spent), deadlocked)
         self.round_counts["rows"] += 1
         return self._play((tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
-
-    def _row(self, key: tuple) -> tuple:
-        """The table's row of the sorted draw vector `key`, filled on a miss."""
-        row = self._rounds.get(key)
-        if row is None:
-            row = self._rounds[key] = self._fill(key)
-        return row
 
     @staticmethod
     def _parked(sd: tuple) -> bool:
@@ -791,7 +703,7 @@ class Automaton:
             lo, hi = 0, self.cfg.b_max + 1
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                (ends, _), *_ = self._row(pad + (0, mid))
+                (ends, _), *_ = self.round_outcome(pad + (0, mid))
                 if self._parked(ends[-1]):
                     hi = mid
                 else:
@@ -815,85 +727,27 @@ class Automaton:
         return (e_next, msgs_next), event
 
     def _play(self, projection: tuple) -> tuple:
-        """Tick `projection` until the next step is not a tick.
+        """Tick `projection` through :meth:`_tick` until the next step is not
+        a tick.
 
         Returns ``(end projection, ticks, idle ticks per sender,
-        deadlocked)``.  The ticks go stretch by stretch.  While the receiver
-        hears no request, or is in COLLISION and hears nothing more this
-        round, the tick rule feeds it no frame start or end.  While its
-        phase also holds, so does each sender's context, and each sender
-        steps alone along its path in ``_solo``.  So a stretch jumps every
-        sender and the receiver at once, as far as the first of three
-        events: the receiver's phase changes, a sender would start a
-        request the receiver hears, or every sender holds an outcome.
-        Within it no state is a boundary or a deadlock.  Where no tick can
-        be jumped, :meth:`_tick` takes one.  A round whose receiver enters
-        COLLISION leaves its projection, ticks and idle ticks at that tick
-        in ``_latches``, keyed on its drawn senders, for :meth:`_fill`.
+        deadlocked)``.  :meth:`_fill` plays only zero-based keys, whose
+        rounds are short.  A round whose receiver enters COLLISION leaves
+        its projection and ticks at that tick in ``_latches``, keyed on its
+        drawn senders, for :meth:`_fill`.
         """
-        drawn, (senders, receiver) = projection[0], projection
-        ticks, idle = 0, [0] * len(senders)
-        plain = stretches = 0
-        kind = self.step_kind(projection)
-        while kind == StepKind.TICK:
-            hears = receiver.phase != ReceiverPhase.COLLISION
-            run, j, k = self._quiet_receiver(receiver)
-            context, cts_to = self._contexts(receiver)
-            hold, paths = 0, []
-            for i, sd in enumerate(senders):
-                solo = self._solo[2 if i == cts_to else context]
-                p = solo.index(sd)
-                paths.append((solo, p))
-                hold = max(hold, solo.hold[p])
-                if hears:
-                    k = min(k, solo.to_rts[p] - 1)
-            k = min(k, hold)
-            if k > 0:
-                stretched = []
-                for i, (solo, p) in enumerate(paths):
-                    q = solo.advance(p, k)
-                    idle[i] += solo.countdown[p] - solo.countdown[q]
-                    stretched.append(solo.states[q])
-                senders, receiver = tuple(stretched), run[min(j + k, len(run) - 1)]
-                ticks += k
-                stretches += 1
-            else:
-                for i, sd in enumerate(senders):
-                    if sd[0] == SenderPhase.COUNTDOWN:
-                        idle[i] += 1
-                senders, receiver = self._tick((senders, receiver))
-                ticks += 1
-                plain += 1
-                # a receiver that hears no request never enters COLLISION,
-                # so only a plain tick latches it
-                if receiver.phase == ReceiverPhase.COLLISION and drawn not in self._latches:
-                    self._latches[drawn] = (senders, receiver), ticks, tuple(idle)
-            kind = self.step_kind((senders, receiver))
-        self.round_counts["ticks"] += plain
-        self.round_counts["stretches"] += stretches
-        return (senders, receiver), ticks, tuple(idle), kind == StepKind.DEADLOCK
-
-    def _quiet_receiver(self, rc: ReceiverState) -> tuple:
-        """The receiver's run from `rc` while it hears no request.
-
-        Returns ``(run, j, limit)``: t ticks later, for t up to `limit`, the
-        receiver is ``run[min(j + t, len(run) - 1)]``, and its phase holds
-        for the first `limit` of those ticks, ``_NEVER`` when it holds for
-        good.  A run is one phase's states, and the first state of the next
-        phase when it changes, so each state is stored once.
-        """
-        hit = self._quiet.get(rc)
-        if hit is None:
-            run = [rc]
-            while (nxt := self._receiver_next(run[-1], (), ())) != run[-1]:
-                run.append(nxt)
-                if nxt.phase != rc.phase:
-                    break
-            run, changes = tuple(run), run[-1].phase != rc.phase
-            for j, r in enumerate(run[:-1] if changes else run):
-                self._quiet[r] = (run, j, len(run) - 1 - j if changes else _NEVER)
-            hit = self._quiet[rc]
-        return hit
+        drawn = projection[0]
+        ticks, idle = 0, [0] * len(drawn)
+        while (kind := self.step_kind(projection)) == StepKind.TICK:
+            for i, sd in enumerate(projection[0]):
+                if sd[0] == SenderPhase.COUNTDOWN:
+                    idle[i] += 1
+            projection = self._tick(projection)
+            ticks += 1
+            if projection[1].phase == ReceiverPhase.COLLISION and drawn not in self._latches:
+                self._latches[drawn] = projection, ticks
+        self.round_counts["ticks"] += ticks
+        return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 
     def draw_count(self, context: tuple, projection: tuple) -> int:
         """The number of branches :meth:`draw_branches` yields: the product

@@ -6,25 +6,29 @@ with one generator call each.  A run carries only each sender's round
 context ``(e, msgs)``, with ``msgs == 0`` for a done sender.
 
 :func:`simulate` runs a batch in lockstep, one round per pass over every
-live run: the pass draws each run's counters from its own stream, reads the
-round's end phases, ticks and idle ticks from the automaton's canonical
-round table (:meth:`Automaton.round_outcome`) once per distinct draw vector,
-and crosses the boundary through a table filled from
-:meth:`Automaton.settle`.  The round table answers a missing key from one
-representative before it plays it: of the senders at or above the smallest
-active draw plus the parking horizon h, one stands at that cap and the
-others are marked done.  h is read off the rounds, as the smallest rival
-draw that the winner of draw 0 parks with its CTS
+live run: the pass draws each run's counters from its own stream, sorts
+each run's draws, reads the round's end phases, ticks and idle ticks from
+the automaton's canonical round table (:meth:`Automaton.round_outcome`)
+once per distinct sorted key, scatters them back to the senders, and
+crosses the boundary through a table filled from :meth:`Automaton.settle`.
+The round table answers a missing key whose smallest active draw d1 is
+above 0 from its zero-based key, each active draw less d1, adding d1
+units of ticks and of each active sender's idle ticks.  It answers a
+zero-based key from one representative before it plays it: of the senders
+at or above the parking horizon h, one stands at h and the others are
+marked done.  h is read off the rounds, as the smallest rival draw that
+the winner of draw 0 parks with its CTS
 (:meth:`Automaton._parking_horizon`).  The canonical row answers the full
 key when the representative ends asleep with a counter of at least 1,
 parked while it counted down, or was still counting down when the receiver
 latched in COLLISION; each capped sender is then rebuilt from the
-representative's end or from its state at the latch, so an answered row
-equals the played one.  A traced run (:func:`run_once`) replays the same
-draws through the exact engine's step function,
-:meth:`Automaton.successor_distribution`, recording every
-:class:`GlobalState` it enters.  It reads neither table, so comparing it
-with a batch checks both against the exact model.
+representative's end, so an answered row equals the played one.  Any other
+key is played one tick at a time.
+
+A traced run (:func:`run_once`) replays the same draws through the exact
+engine's step function, :meth:`Automaton.successor_distribution`,
+recording every :class:`GlobalState` it enters.  It reads neither table,
+so comparing it with a batch checks both against the exact model.
 
 Each run gets its own counter-based stream keyed by (seed, run index), so
 any subset of runs can be reproduced independently and results do not
@@ -291,8 +295,8 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     """Run `n_runs` independent simulations and collect their statistics.
 
     Runs go in lockstep, `_LANES` at a time, one round per pass: every live
-    run draws its round, the round's outcome is read per distinct draw
-    vector from :meth:`Automaton.round_outcome`, and each sender crosses
+    run draws its round, the round's outcome is read per distinct sorted
+    draw vector from :meth:`Automaton.round_outcome`, and each sender crosses
     the boundary through a dense table of :meth:`Automaton.settle` over
     (end phase, e, msgs).  A run leaves the pass when every sender is done
     or its round deadlocks.
@@ -334,12 +338,21 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             drawing = msgs > 0
             draws = streams.integers(lane, np.where(drawing, lo[e], -1),
                                      np.where(drawing, width[e], 1))
-            rows, inverse = _distinct_rows(draws, cfg.b_max + 2)
+            # the round table is keyed on sorted draws: a stable sort keeps
+            # tied senders in index order, and each sorted entry goes back
+            # to its sender
+            order = np.argsort(draws, axis=1, kind="stable")
+            rows, inverse = _distinct_rows(np.take_along_axis(draws, order, axis=1),
+                                           cfg.b_max + 2)
             outcomes = [auto.round_outcome(tuple(row)) for row in rows.tolist()]
-            ends = np.array([[sd[0] for sd in out[0][0]] for out in outcomes],
-                            dtype=np.int64)[inverse]
+            row_ends = np.array([[sd[0] for sd in out[0][0]] for out in outcomes],
+                                dtype=np.int64)
+            row_idle = np.array([out[2] for out in outcomes], dtype=np.int64)
+            ends, spent = np.empty_like(draws), np.empty_like(draws)
+            np.put_along_axis(ends, order, row_ends[inverse], axis=1)
+            np.put_along_axis(spent, order, row_idle[inverse], axis=1)
+            idle[run] += spent
             ticks[run] += np.array([out[1] for out in outcomes], dtype=np.int64)[inverse]
-            idle[run] += np.array([out[2] for out in outcomes], dtype=np.int64)[inverse]
             stuck = np.array([out[3] for out in outcomes])[inverse]
             if stuck.any():
                 # a deadlock stops the round before its boundary: only the
@@ -369,7 +382,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     import logging
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
-        "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d stretches jumped, "
+        "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d keys shifted, "
         "%d keys folded, %d keys latched", n_runs, rounds.sum(), counts["rows"],
-        counts["ticks"], counts["stretches"], counts["folded"], counts["latched"])
+        counts["ticks"], counts["shifted"], counts["folded"], counts["latched"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)
