@@ -41,6 +41,8 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import NamedTuple
 
+import numpy as np
+
 from .backoff import DEFAULT_TABLE, BackoffTable, is_int, rbc_pmf
 from .errors import ConfigError
 
@@ -189,6 +191,9 @@ _RECEIVER_COMMITTED = frozenset((
     ReceiverPhase.SWITCH_RT, ReceiverPhase.SEND_CTS, ReceiverPhase.W_END,
 ))
 
+# the phase the tick rule tests each sender for, as a plain int
+SEND_RTS = int(SenderPhase.SEND_RTS)
+
 
 def initial_state(cfg: ScenarioConfig) -> GlobalState:
     """All senders ready to contend for their first packet, receiver idle."""
@@ -254,14 +259,14 @@ class Automaton:
     steps these pairs, and :meth:`successor_distribution` joins them into
     whole states.  The Monte Carlo simulator resolves each joint draw
     itself.  A batch draws a round for all its live runs at once, reads the
-    rest of the round from :meth:`round_outcome` once per distinct draw
-    vector, and crosses the round boundary through a table it fills from
-    :meth:`settle`.  The table's rows are answered from a zero-based key or
-    a representative (:meth:`_fill`), or played by :meth:`_play` one
-    :meth:`_tick` at a time.  A traced run builds the drawn state with
-    :meth:`drawn_state` and takes every other step from
-    :meth:`successor_distribution`.  Neither engine re-implements any
-    protocol rule.
+    rest of the round for all of a pass's distinct sorted draw vectors in
+    one :meth:`round_outcomes` call, and crosses the round boundary through
+    a table it fills from :meth:`settle`.  :meth:`round_outcomes` shifts
+    and folds the vectors onto canonical keys in numpy, and plays each
+    canonical key it has not met by :meth:`_play`, one :meth:`_tick` at a
+    time.  A traced run builds the drawn state with :meth:`drawn_state` and
+    takes every other step from :meth:`successor_distribution`.  Neither
+    engine re-implements any protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -284,17 +289,30 @@ class Automaton:
         self._receiver_step: dict = {}
         # step kinds, keyed on (sender phases, receiver phase)
         self._kinds: dict = {}
-        # the canonical round table, keyed on the sorted drawn counter vector
-        self._rounds: dict = {}
-        # the fold's parking horizon, read at the first miss that may fold
+        # the fold's parking horizon, read at the first round_outcomes call
         self._horizon: int | None = None
-        # per drawn senders of a played round whose receiver entered
-        # COLLISION, its projection and ticks at that tick
-        self._latches: dict = {}
-        # its rows played and the ticks that played them, and the keys
-        # answered without a play: from their zero-based key, or from a
-        # representative that was parked or counted down into the latch
-        self.round_counts = dict.fromkeys(("rows", "ticks", "shifted", "folded", "latched"), 0)
+        # the round table: one row per key played (see _fill), as each
+        # sender's end (phase, rbc, ticks), each sender's idle ticks, and
+        # the rest: the end receiver's three fields, ticks, deadlocked,
+        # parked, latched and the latched hold tick.  Beside it, the sorted
+        # codes of the keys, ending in one above every code, with each
+        # one's row.  A key's code is its draws plus 1 as digits in base
+        # b_max + 2 where every such code fits int64, and otherwise its
+        # number in the order the keys are met
+        self._ends = np.zeros((0, cfg.n_senders, 3), dtype=np.int64)
+        self._idle = np.zeros((0, cfg.n_senders), dtype=np.int64)
+        self._rest = np.zeros((0, 8), dtype=np.int64)
+        self._codes = np.array([np.iinfo(np.int64).max])
+        self._code_slots = np.array([-1])
+        radix, n = cfg.b_max + 2, cfg.n_senders
+        self._weights = (np.array([radix**i for i in range(n)], dtype=np.int64)
+                         if n < 64 and radix**n < 2**63 else None)
+        self._ids: dict = {}
+        # its rows played and the ticks that played them, the canonical
+        # keys among them, and those whose representative parked or was
+        # latched in a collision
+        self.round_counts = dict.fromkeys(
+            ("rows", "ticks", "canonical", "folded", "latched"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -306,13 +324,6 @@ class Automaton:
         if self.cfg.d_switch >= 1:
             return SenderPhase.SWITCH_RT, self.cfg.d_switch
         return SenderPhase.SEND_RTS, self.cfg.d_frame
-
-    def _sender_next(self, sd: tuple, ctx: int) -> tuple:
-        """:meth:`_sender_rule`, cached for :meth:`_tick`."""
-        nxt = self._sender_step.get((sd, ctx))
-        if nxt is None:
-            nxt = self._sender_step[(sd, ctx)] = self._sender_rule(sd, ctx)
-        return nxt
 
     def _sender_rule(self, sd: tuple, ctx: int) -> tuple:
         """One tick of a single sender's ``(phase, rbc, ticks)``.
@@ -583,32 +594,32 @@ class Automaton:
         senders apart.  So the outcome is a function of the drawn counters
         alone, and permuting them permutes it: one table keyed on the
         sorted counters serves every order, and a caller maps a row back
-        through its own sort, as ``montecarlo.simulate`` does for a whole
-        pass at once.
-
-        A miss is filled by :meth:`_fill`: from the key shifted down to its
-        smallest active draw, from one representative of the draws at or
-        above the parking horizon h (:meth:`_parking_horizon`, read off the
-        rounds), or by playing the round through :meth:`_play`, one tick at
-        a time.  ``round_counts`` counts the rows played, the ticks that
-        played them, and the keys answered from their zero-based key
-        (``shifted``), a parked representative (``folded``) or a latched
-        one (``latched``).
+        through its own sort.  This is the one-row case of
+        :meth:`round_outcomes`, which states the table's rules.
         """
-        row = self._rounds.get(key)
-        if row is None:
-            row = self._rounds[key] = self._fill(key)
-        return row
+        ends, receiver, ticks, idle, deadlocked = self.round_outcomes(
+            np.array([key], dtype=np.int64))
+        return ((tuple(map(tuple, ends[0].tolist())), ReceiverState(*receiver[0].tolist())),
+                int(ticks[0]), tuple(idle[0].tolist()), bool(deadlocked[0]))
 
-    def _fill(self, key: tuple) -> tuple:
-        """The row of the sorted draw vector `key`, a table miss.
+    def round_outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`round_outcome` of every sorted draw vector in the int64
+        array `rows`, one per row, as arrays.
 
-        Shifted: for the first d1 units, where d1 is the smallest active
+        Returns ``(ends, receiver, ticks, idle, deadlocked)`` with shapes
+        ``(k, n, 3)``, ``(k, 3)``, ``(k,)``, ``(k, n)`` and ``(k,)``: each
+        sender's end ``(phase, rbc, ticks)`` in the order of its row, the
+        end receiver, and the rest of the row as :meth:`round_outcome`
+        gives it.  Each row is answered from the table row of its canonical
+        key, in numpy; the table plays a key (:meth:`_fill`) only the first
+        time it is asked for it.
+
+        Shifted: for the first d1 units, where d1 is a row's smallest active
         draw, every active sender only counts down and the receiver hears
         nothing; then each sender stands where a draw d1 lower starts it.
-        So a key with d1 >= 1 takes the row of its zero-based key, each
-        active draw less d1: the same end projection and deadlock flag,
-        and d1 units more ticks, each an idle tick of every active sender.
+        So a row is answered by its zero-based key, each active draw less
+        d1: the same end projection and deadlock flag, and d1 units more
+        ticks, each an idle tick of every active sender.
 
         Folded: a sender still in COUNTDOWN feeds neither the receiver nor
         the other senders, and a larger draw stays in COUNTDOWN at least as
@@ -616,8 +627,10 @@ class Automaton:
         horizon h (:meth:`_parking_horizon`) step alike while the one that
         drew least of them, the representative, counts down.  The
         canonical key keeps every draw below h and the representative at
-        h, and marks the other capped senders done.  Its row answers `key`
-        in two cases:
+        h, and marks the other capped senders done; a key with at most one
+        sender at h and none above it is its own canonical key.  The
+        canonical row answers the zero-based key in two cases, which
+        :meth:`_fill` tells apart once per canonical key:
 
         - parked: the representative passes the parking check, ending in
           SLEEP with ``rbc >= 1``, which only a CTS heard in COUNTDOWN
@@ -630,56 +643,123 @@ class Automaton:
           sender that drew v counts down v - h units more than the
           representative and then walks the representative's lone path, so
           it ends where the representative ends, with v - h units more
-          idle ticks, and holds v - h units later.  The lone path's length
-          comes from walking :meth:`_sender_rule` from the
-          representative's latched state until it holds.
+          idle ticks, and holds v - h units later.  The tick at which the
+          representative holds comes from walking :meth:`_sender_rule`
+          from its latched state.
 
-        Either way the row equals what :meth:`_play` gives for `key`, and
-        both checks read the played canonical round, so the fold is exact
-        at any horizon h >= 1; h only sets how often it applies.  Any other
-        key is played in full.
+        Either way the row equals what :meth:`_play` gives for the key,
+        and both checks read the played canonical round, so the fold is
+        exact at any horizon h >= 1; h only sets how often it applies.  A
+        zero-based key whose canonical row does neither is played in full.
         """
-        done = key.count(-1)
-        if done < len(key) and (d1 := key[done]):
-            self.round_counts["shifted"] += 1
-            lead = d1 * self.cfg.tcu_ticks
-            ends, ticks, idle, deadlocked = self.round_outcome(
-                key[:done] + tuple(v - d1 for v in key[done:]))
-            return (ends, ticks + lead, idle[:done] + tuple(t + lead for t in idle[done:]),
-                    deadlocked)
-        if (len(key) - done >= 2 and (h := self._parking_horizon())
-                and (key[-1] > h or key[-2] >= h)):
-            a = len(key) - 1
-            while key[a - 1] >= h:
-                a -= 1
-            m = len(key) - a  # the capped senders, the representative first
-            canon = (-1,) * (m - 1) + key[:a] + (h,)
-            (ends, receiver), ticks, idle, deadlocked = self.round_outcome(canon)
-            rep, tail = ends[-1], None
-            if self._parked(rep):
-                self.round_counts["folded"] += 1
-                tail = [(rep[0], rep[1] + v - h, rep[2]) for v in key[a:]]
-                spent = [idle[-1]] * m
-            elif latch := self._latches.get(tuple([self._drawn(v) for v in canon])):
-                (senders, at), latched_ticks = latch
-                sd = senders[-1]
-                if sd[0] == SenderPhase.COUNTDOWN:
-                    self.round_counts["latched"] += 1
-                    ctx, hold = self._contexts(at)[0], 0
-                    while (nxt := self._sender_rule(sd, ctx)) != sd:
-                        sd, hold = nxt, hold + 1
-                    tcu = self.cfg.tcu_ticks
-                    tail = [rep] * m
-                    spent = [idle[-1] + (v - h) * tcu for v in key[a:]]
-                    ticks = max(ticks, latched_ticks + hold + (key[-1] - h) * tcu)
-            if tail is not None:
-                # the canonical key's extra done senders lead it
-                if receiver.winner >= 0:
-                    receiver = receiver._replace(winner=receiver.winner - (m - 1))
-                return ((ends[m - 1:-1] + tuple(tail), receiver), ticks,
-                        idle[m - 1:-1] + tuple(spent), deadlocked)
-        self.round_counts["rows"] += 1
-        return self._play((tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER))
+        tcu, top = self.cfg.tcu_ticks, self.cfg.b_max + 1
+        # no draw reaches the cap when no key folds
+        h = self._parking_horizon() or top
+        active = rows >= 0
+        # a row with no active sender, whose smallest draw reads top, has d1 0
+        d1 = np.where(active, rows, top).min(axis=1) % top
+        zero = np.where(active, rows - d1[:, None], -1)
+        capped = zero >= h
+        m = capped.sum(axis=1)
+        fold = (m >= 2) | (zero[:, -1] > h)
+        # the capped senders become done, and the last comes back at h; a
+        # row that does not fold stays as it is
+        canon = np.where(capped, -1, zero)
+        canon[:, -1] = np.minimum(zero[:, -1], h)
+        canon.sort(axis=1)
+        slots = self._slots(canon)
+        rest = self._rest[slots]
+        # a canonical row whose representative neither parked nor latched
+        # answers no other key: those are played in full
+        full = fold & (rest[:, 5] + rest[:, 6] == 0)
+        if full.any():
+            slots[full] = self._slots(zero[full])
+            rest = self._rest[slots]
+            fold &= ~full
+        # a folded row's senders below h sit m - 1 places later in its
+        # canonical row, and each capped sender starts as the
+        # representative, the canonical row's last sender
+        n = rows.shape[1]
+        lag = np.where(fold, m - 1, 0)
+        at = np.minimum(np.arange(n) + lag[:, None], n - 1)
+        ends = self._ends[slots[:, None], at]
+        idle = self._idle[slots[:, None], at]
+        receiver = rest[:, :3]
+        receiver[:, 1] -= np.where(receiver[:, 1] >= 0, lag, 0)
+        # each capped sender's draw above h: a parked one's counter is that
+        # much higher, and a latched one spends that many units more idle
+        # and holds that many units later.  A row that does not fold has
+        # none, and its own representative holds within its ticks
+        above = np.where(capped & fold[:, None], zero - h, 0)
+        ends[..., 1] += above * rest[:, 5:6]
+        lead = d1 * tcu
+        latched = rest[:, 6] * tcu
+        idle += above * latched[:, None] + lead[:, None] * active
+        ticks = np.maximum(rest[:, 3], rest[:, 7] + above[:, -1] * latched) + lead
+        return ends, receiver, ticks, idle, rest[:, 4].astype(bool)
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """The table row of each zero-based sorted key in `keys`, filling
+        the keys not met before; keys are looked up by their codes."""
+        if self._weights is not None:
+            codes = (keys + 1) @ self._weights
+        else:
+            ids = self._ids
+            codes = np.array([ids.setdefault(key, len(ids)) for key in map(bytes, keys)],
+                             dtype=np.int64)
+        at = np.searchsorted(self._codes, codes)
+        new = self._codes[at] != codes
+        if new.any():
+            fresh, first = np.unique(codes[new], return_index=True)
+            ends, idle, rest = zip(*[self._fill(key) for key in keys[new][first].tolist()])
+            slots = np.arange(len(self._rest), len(self._rest) + len(rest))
+            self._ends = np.concatenate((self._ends, np.array(ends, dtype=np.int64)))
+            self._idle = np.concatenate((self._idle, np.array(idle, dtype=np.int64)))
+            self._rest = np.concatenate((self._rest, np.array(rest, dtype=np.int64)))
+            codes_all = np.concatenate((self._codes, fresh))
+            order = np.argsort(codes_all)
+            self._codes = codes_all[order]
+            self._code_slots = np.concatenate((self._code_slots, slots))[order]
+            at = np.searchsorted(self._codes, codes)
+        return self._code_slots[at]
+
+    def _fill(self, key: list[int]) -> tuple:
+        """The table row of the zero-based sorted key `key`, played by
+        :meth:`_play`: each sender's end ``(phase, rbc, ticks)``, each
+        sender's idle ticks, and the rest of the row.
+
+        The rest holds the end receiver, the ticks and the deadlock flag,
+        then how the key answers the keys folded onto it (see
+        :meth:`round_outcomes`): 1 if its representative parked, 1 if it
+        latched, and the tick at which a latched representative holds.  Only a canonical key with its representative
+        at the horizon h answers other keys; its parking check is read
+        here, and its latched hold walked, once.
+        """
+        h = self._horizon
+        latch: list = []
+        (senders, receiver), ticks, idle, deadlocked = self._play(
+            (tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER), latch)
+        counts = self.round_counts
+        counts["rows"] += 1
+        counts["ticks"] += ticks
+        parked = latched = held = 0
+        # a canonical key has no draw at or above h but its representative's
+        # at h; any other key is played in full
+        capped = [v for v in key if v >= h] if h else []
+        if capped in ([], [h]):
+            counts["canonical"] += 1
+        if capped == [h]:
+            if self._parked(senders[-1]):
+                counts["folded"] += 1
+                parked = 1
+            elif latch and (sd := latch[0][0][0][-1])[0] == SenderPhase.COUNTDOWN:
+                counts["latched"] += 1
+                latched = 1
+                (_, at), held = latch[0]
+                ctx = self._contexts(at)[0]
+                while (nxt := self._sender_rule(sd, ctx)) != sd:
+                    sd, held = nxt, held + 1
+        return senders, idle, (*receiver, ticks, deadlocked, parked, latched, held)
 
     @staticmethod
     def _parked(sd: tuple) -> bool:
@@ -695,15 +775,16 @@ class Automaton:
         rival (:meth:`_parked`); 0, no fold, when no c up to ``b_max``
         does.  A larger c stays in COUNTDOWN at least as long, so parking
         is monotone in c and a bisection finds h.  A tie collides, so c = 0
-        never parks.  Its rounds are rows of the table, played unfolded.
+        never parks.  Its rounds are played by :meth:`_play`, outside the
+        table.
         """
         if self._horizon is None:
-            self._horizon = 0  # no key folds while h is read
             pad = (-1,) * (self.cfg.n_senders - 2)
             lo, hi = 0, self.cfg.b_max + 1
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                (ends, _), *_ = self.round_outcome(pad + (0, mid))
+                (ends, _), *_ = self._play(
+                    (tuple(self._drawn(v) for v in pad + (0, mid)), _DRAWN_RECEIVER))
                 if self._parked(ends[-1]):
                     hi = mid
                 else:
@@ -726,27 +807,26 @@ class Automaton:
             _, e_next, msgs_next = self._reset(phase_next, e_next, msgs_next)
         return (e_next, msgs_next), event
 
-    def _play(self, projection: tuple) -> tuple:
+    def _play(self, projection: tuple, latch: list | None = None) -> tuple:
         """Tick `projection` through :meth:`_tick` until the next step is not
         a tick.
 
         Returns ``(end projection, ticks, idle ticks per sender,
         deadlocked)``.  :meth:`_fill` plays only zero-based keys, whose
-        rounds are short.  A round whose receiver enters COLLISION leaves
-        its projection and ticks at that tick in ``_latches``, keyed on its
-        drawn senders, for :meth:`_fill`.
+        rounds are short.  When the receiver enters COLLISION, the
+        projection and ticks at that tick are appended to `latch`, if
+        given.
         """
-        drawn = projection[0]
-        ticks, idle = 0, [0] * len(drawn)
+        ticks, idle = 0, [0] * len(projection[0])
         while (kind := self.step_kind(projection)) == StepKind.TICK:
             for i, sd in enumerate(projection[0]):
                 if sd[0] == SenderPhase.COUNTDOWN:
                     idle[i] += 1
             projection = self._tick(projection)
             ticks += 1
-            if projection[1].phase == ReceiverPhase.COLLISION and drawn not in self._latches:
-                self._latches[drawn] = projection, ticks
-        self.round_counts["ticks"] += ticks
+            if (latch is not None and not latch
+                    and projection[1].phase == ReceiverPhase.COLLISION):
+                latch.append((projection, ticks))
         return projection, ticks, tuple(idle), kind == StepKind.DEADLOCK
 
     def draw_count(self, context: tuple, projection: tuple) -> int:
@@ -790,24 +870,30 @@ class Automaton:
         return 0, -1
 
     def _tick(self, projection: tuple) -> tuple:
-        """The tick rule: the projection one synchronized tick later."""
-        senders, receiver = projection
-        rphase = receiver.phase
-        base_ctx, cts_to = self._contexts(receiver)
-        next_senders = tuple(
-            self._sender_next(sd, 2 if i == cts_to else base_ctx)
-            for i, sd in enumerate(senders)
-        )
+        """The tick rule: the projection one synchronized tick later.
 
-        tx_next = tuple(i for i, sd in enumerate(next_senders) if sd[0] == SenderPhase.SEND_RTS)
-        frame_end = tuple(
-            i for i, sd in enumerate(senders)
-            if sd[0] == SenderPhase.SEND_RTS and next_senders[i][0] != SenderPhase.SEND_RTS
-        )
-        if self.cfg.robust_mode and rphase in _RECEIVER_COMMITTED and any(
-                sd[0] == SenderPhase.SEND_RTS for sd in senders):
+        One pass over the senders takes each one's next ``(phase, rbc,
+        ticks)`` from :meth:`_sender_rule`, cached on ``(sender, context)``,
+        and collects what the receiver is fed: the senders transmitting in
+        the next tick and those whose request ends with this one.
+        """
+        senders, receiver = projection
+        base_ctx, cts_to = self._contexts(receiver)
+        step = self._sender_step
+        next_senders, tx_next, frame_end = [], [], []
+        for i, sd in enumerate(senders):
+            key = (sd, 2 if i == cts_to else base_ctx)
+            nxt = step.get(key)
+            if nxt is None:
+                nxt = step[key] = self._sender_rule(*key)
+            next_senders.append(nxt)
+            if nxt[0] == SEND_RTS:
+                tx_next.append(i)
+            elif sd[0] == SEND_RTS:
+                frame_end.append(i)
+        if self.cfg.robust_mode and receiver.phase in _RECEIVER_COMMITTED and any(
+                sd[0] == SEND_RTS for sd in senders):
             next_receiver = ReceiverState(ReceiverPhase.COLLISION, -1, 0)
         else:
-            next_receiver = self._receiver_next(receiver, tx_next, frame_end)
-
-        return next_senders, next_receiver
+            next_receiver = self._receiver_next(receiver, tuple(tx_next), tuple(frame_end))
+        return tuple(next_senders), next_receiver

@@ -6,24 +6,21 @@ with one generator call each.  A run carries only each sender's round
 context ``(e, msgs)``, with ``msgs == 0`` for a done sender.
 
 :func:`simulate` runs a batch in lockstep, one round per pass over every
-live run: the pass draws each run's counters from its own stream, sorts
-each run's draws, reads the round's end phases, ticks and idle ticks from
-the automaton's canonical round table (:meth:`Automaton.round_outcome`)
-once per distinct sorted key, scatters them back to the senders, and
+live run, and a pass is a fixed handful of numpy calls.  It draws every
+run's counters in one gather from the runs' streams, sorts each run's draws,
+and answers all of the pass's distinct sorted draw vectors in one
+:meth:`Automaton.round_outcomes` call, as arrays of end phases, ticks, idle
+ticks and deadlock flags that it scatters back to the senders.  It then
 crosses the boundary through a table filled from :meth:`Automaton.settle`.
-The round table answers a missing key whose smallest active draw d1 is
-above 0 from its zero-based key, each active draw less d1, adding d1
-units of ticks and of each active sender's idle ticks.  It answers a
-zero-based key from one representative before it plays it: of the senders
-at or above the parking horizon h, one stands at h and the others are
-marked done.  h is read off the rounds, as the smallest rival draw that
-the winner of draw 0 parks with its CTS
-(:meth:`Automaton._parking_horizon`).  The canonical row answers the full
-key when the representative ends asleep with a counter of at least 1,
-parked while it counted down, or was still counting down when the receiver
-latched in COLLISION; each capped sender is then rebuilt from the
-representative's end, so an answered row equals the played one.  Any other
-key is played one tick at a time.
+The automaton shifts each vector down to its smallest active draw d1 and
+folds it at the parking horizon h onto a canonical key, in numpy, and
+rebuilds each row from its canonical row, adding d1 units of ticks and of
+each active sender's idle ticks.  Python runs only for a canonical key the
+batch has not met: the automaton plays it one tick at a time, and reads
+once whether its representative, the one capped sender it keeps at h, is
+parked or latched in a collision, which decides whether the row answers
+the keys folded onto it.  A zero-based key whose canonical row does
+neither is played in full, once (see :meth:`Automaton.round_outcomes`).
 
 A traced run (:func:`run_once`) replays the same draws through the exact
 engine's step function, :meth:`Automaton.successor_distribution`,
@@ -34,10 +31,11 @@ Each run gets its own counter-based stream keyed by (seed, run index), so
 any subset of runs can be reproduced independently and results do not
 depend on scheduling.  :func:`run_rng` defines a run's stream.  Philox is
 counter-based (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
-easy as 1, 2, 3", SC 2011), so a batch computes the next block of every
-run's stream in one array pass, and it turns words into counters with the
-rule ``Generator.integers`` uses (Lemire, "Fast random integer generation
-in an interval", ACM TOMACS 2019); see :class:`_Streams`.
+easy as 1, 2, 3", SC 2011), so a batch computes the next blocks of every
+run's stream in one array pass, finds where each word a row needs lies
+from the row's position, and turns words into counters with the rule
+``Generator.integers`` uses (Lemire, "Fast random integer generation in an
+interval", ACM TOMACS 2019); see :class:`_Streams`.
 """
 
 from __future__ import annotations
@@ -176,28 +174,35 @@ class _Streams:
     ``k // 2 % 4`` of the Philox4x64-10 block at counter ``(k // 8 + 1, 0,
     0, 0)`` under the key ``(seed, r)``: numpy's Philox advances its counter
     before it computes a block, and a 32-bit draw takes a 64-bit output's
-    low half and keeps the high half for the next one.  Each lane holds two
-    consecutive blocks, sixteen words.
+    low half and keeps the high half for the next one.
+
+    A lane holds consecutive blocks from block ``block`` on, and its next
+    word is ``pos``.  The first draw sets how many from its row width k:
+    ``ceil(4k / 8)`` blocks, about four rows of words, and never fewer than
+    two, so a lane holds at most 16 or 4k + 7 words.  A lane that runs out
+    is refilled from the block of its next word on, all such lanes in one
+    array pass.  A draw takes every row's words in one gather, as a word's
+    place is known from the lane's next word and the row's columns.
     """
 
     def __init__(self, seed: int, runs: np.ndarray):
         self.seed = seed
         self.runs = runs.astype(np.uint64)
-        self.pos = np.zeros(len(runs), dtype=np.int64)       # next word
-        self.block = np.full(len(runs), -2, dtype=np.int64)  # first block held (-2: none)
-        self.words = np.zeros((len(runs), 16), dtype=np.uint64)
+        self.pos = np.zeros(len(runs), dtype=np.int64)    # next word
+        self.block = np.zeros(len(runs), dtype=np.int64)  # first block held
+        self.words = np.zeros((len(runs), 0), dtype=np.uint64)
 
     def _hold(self, lanes: np.ndarray, count: np.ndarray) -> None:
-        """Make each lane hold its next `count` words where two blocks can:
-        a lane that does not gets the two blocks from its next word's on."""
+        """Make each lane hold its next `count` words where its blocks can:
+        a lane that does not gets the blocks from its next word's on."""
         pos = self.pos[lanes]
-        refill = pos + count > (self.block[lanes] + 2) * 8
+        refill = pos + count > self.block[lanes] * 8 + self.words.shape[1]
         if refill.any():
-            fill = lanes[refill]
+            fill, blocks = lanes[refill], self.words.shape[1] // 8
             block = pos[refill] >> 3
-            counters = (block[:, None] + [1, 2]).ravel().astype(np.uint64)
-            out = _philox(self.seed, np.repeat(self.runs[fill], 2), counters)
-            self.words[fill] = ((out[..., None] >> _HALVES) & _M32).reshape(-1, 16)
+            counters = (block[:, None] + np.arange(1, blocks + 1)).ravel().astype(np.uint64)
+            out = _philox(self.seed, np.repeat(self.runs[fill], blocks), counters)
+            self.words[fill] = ((out[..., None] >> _HALVES) & _M32).reshape(len(fill), -1)
             self.block[fill] = block
 
     def _next_words(self, lanes: np.ndarray) -> np.ndarray:
@@ -215,20 +220,53 @@ class _Streams:
         numpy draws such a value from 32-bit words by Lemire's rule: a word
         x gives ``lo + (x * width >> 32)``, unless ``x * width mod 2**32``
         is below ``2**32 mod width``, in which case it takes the next word.
-        A window of width 1 takes no word.
+        A window of width 1 takes no word.  So a row's j-th wide column
+        takes the row's j-th word unless an earlier word is redrawn: every
+        row's words come in one gather, and only a row whose lane does not
+        hold all its words, or that redraws, is drawn again one column
+        after another.
         """
         out = lo.astype(np.int64)
         width = width.astype(np.uint64)
-        threshold = np.uint64(2**32) % width
         wide = width > 1
-        self._hold(lanes, wide.sum(axis=1))
-        for j in range(width.shape[1]):
-            todo = np.flatnonzero(wide[:, j])
-            while todo.size:
-                m = self._next_words(lanes[todo]) * width[todo, j]
-                ok = (m & _M32) >= threshold[todo, j]
-                out[todo[ok], j] += (m[ok] >> 32).astype(np.int64)
-                todo = todo[~ok]
+        k = width.shape[1]
+        rank = np.cumsum(wide, axis=1)  # the wide columns up to each column
+        count = rank[:, -1]
+        if not self.words.shape[1]:
+            # about four rows of words, at least two blocks; none held yet
+            blocks = max(2, -(-4 * k // 8))
+            self.words = np.zeros((len(self.runs), 8 * blocks), dtype=np.uint64)
+            self.block[:] = -blocks
+        self._hold(lanes, count)
+        held = self.words.shape[1]
+        pos = self.pos[lanes]
+        first = pos - self.block[lanes] * 8 + lanes * held  # in the flat words
+        fast = first + count <= (lanes + 1) * held
+        # a width-1 column may read any word: (x * 1) >> 32 is 0, and its
+        # bound 2**32 mod 1 never redraws; "clip" keeps a slow row's reads
+        # inside the words
+        m = np.take(self.words, rank - 1 + first[:, None], mode="clip") * width
+        out += (m >> 32).astype(np.int64)
+        self.pos[lanes] = pos + count
+        # 2**32 mod width is below width, so only a low half below width
+        # can be redrawn
+        low = m & _M32
+        short = low < width
+        if short.any():
+            at, col = np.nonzero(short)
+            fast[at[low[at, col] < np.uint64(2**32) % width[at, col]]] = False
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            out[slow] = lo[slow]
+            self.pos[lanes[slow]] = pos[slow]
+            threshold = np.uint64(2**32) % width
+            for j in range(k):
+                todo = slow[wide[slow, j]]
+                while todo.size:
+                    m = self._next_words(lanes[todo]) * width[todo, j]
+                    ok = (m & _M32) >= threshold[todo, j]
+                    out[todo[ok], j] += (m[ok] >> 32).astype(np.int64)
+                    todo = todo[~ok]
         return out
 
 
@@ -295,11 +333,14 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     """Run `n_runs` independent simulations and collect their statistics.
 
     Runs go in lockstep, `_LANES` at a time, one round per pass: every live
-    run draws its round, the round's outcome is read per distinct sorted
-    draw vector from :meth:`Automaton.round_outcome`, and each sender crosses
-    the boundary through a dense table of :meth:`Automaton.settle` over
-    (end phase, e, msgs).  A run leaves the pass when every sender is done
-    or its round deadlocks.
+    run draws its round in one gather, the pass's distinct sorted draw
+    vectors are answered in one :meth:`Automaton.round_outcomes` call, and
+    each sender crosses the boundary through a dense table of
+    :meth:`Automaton.settle` over (end phase, e, msgs).  A run leaves the
+    pass when every sender is done or its round deadlocks.  At DEBUG it
+    logs the round table's counts: rows played and their ticks, and the
+    canonical keys among them, those whose representative parked and those
+    latched in a collision.
     """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
@@ -344,16 +385,13 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             order = np.argsort(draws, axis=1, kind="stable")
             rows, inverse = _distinct_rows(np.take_along_axis(draws, order, axis=1),
                                            cfg.b_max + 2)
-            outcomes = [auto.round_outcome(tuple(row)) for row in rows.tolist()]
-            row_ends = np.array([[sd[0] for sd in out[0][0]] for out in outcomes],
-                                dtype=np.int64)
-            row_idle = np.array([out[2] for out in outcomes], dtype=np.int64)
+            row_ends, _, row_ticks, row_idle, row_stuck = auto.round_outcomes(rows)
             ends, spent = np.empty_like(draws), np.empty_like(draws)
-            np.put_along_axis(ends, order, row_ends[inverse], axis=1)
+            np.put_along_axis(ends, order, row_ends[inverse, :, 0], axis=1)
             np.put_along_axis(spent, order, row_idle[inverse], axis=1)
             idle[run] += spent
-            ticks[run] += np.array([out[1] for out in outcomes], dtype=np.int64)[inverse]
-            stuck = np.array([out[3] for out in outcomes])[inverse]
+            ticks[run] += row_ticks[inverse]
+            stuck = row_stuck[inverse]
             if stuck.any():
                 # a deadlock stops the round before its boundary: only the
                 # deliveries it completed count
@@ -382,7 +420,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     import logging
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
-        "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d keys shifted, "
-        "%d keys folded, %d keys latched", n_runs, rounds.sum(), counts["rows"],
-        counts["ticks"], counts["shifted"], counts["folded"], counts["latched"])
+        "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d canonical keys, "
+        "%d parked, %d latched", n_runs, rounds.sum(), counts["rows"], counts["ticks"],
+        counts["canonical"], counts["folded"], counts["latched"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

@@ -261,6 +261,48 @@ def test_parking_horizon_is_read_off_the_rounds(tcu, horizon):
             "folded"] == 0
 
 
+def _outcome_rows(auto, rows):
+    """Each row of ``round_outcomes(rows)`` as ``round_outcome`` gives it."""
+    ends, receiver, ticks, idle, deadlocked = auto.round_outcomes(np.array(rows))
+    return [((tuple(map(tuple, ends[k].tolist())), tuple(receiver[k].tolist())),
+             int(ticks[k]), tuple(idle[k].tolist()), bool(deadlocked[k]))
+            for k in range(len(rows))]
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(n_senders=5),
+                                 ScenarioConfig(n_senders=6, tcu_ticks=4),
+                                 ScenarioConfig(n_senders=5, tcu_ticks=3),
+                                 ScenarioConfig(n_senders=5, robust_mode=True)],
+                         ids=["default", "six_unit_4", "unit_3", "robust"])
+def test_round_outcomes_answer_every_sorted_vector_in_one_call(cfg):
+    # one call shifts, folds and answers every sorted vector, a done
+    # sender's -1 included, so rows sharing a canonical key are answered
+    # side by side; each must equal the tick rule.  At unit 3 some keys
+    # are played in full, their canonical row neither parked nor latched
+    auto = Automaton(cfg)
+    keys = list(itertools.combinations_with_replacement(range(-1, cfg.b_max + 1),
+                                                        cfg.n_senders))
+    for draws, got in zip(keys, _outcome_rows(auto, keys)):
+        _, projection = auto.split(auto.drawn_state(auto.initial_state(), draws))
+        assert got == _plain_round(auto, projection), (cfg, draws)
+    counts = auto.round_counts
+    assert counts["folded"] > 0 and counts["latched"] > 0
+    assert (counts["rows"] > counts["canonical"]) == (cfg.tcu_ticks == 3)
+
+
+def test_round_outcomes_key_rows_past_int64_codes():
+    # 22 senders at the default windows have 8**22 > 2**63 mixed-radix
+    # codes, so the table numbers its keys in the order it meets them
+    cfg = ScenarioConfig(n_senders=22)
+    auto = Automaton(cfg)
+    draws = np.sort(np.random.default_rng(5).integers(-1, cfg.b_max + 1, size=(40, 22)),
+                    axis=1).tolist()
+    for row, got in zip(draws, _outcome_rows(auto, draws)):
+        _, projection = auto.split(auto.drawn_state(auto.initial_state(), row))
+        assert got == _plain_round(auto, projection), row
+    assert auto._weights is None and len(auto._ids) == auto.round_counts["rows"]
+
+
 @settings(max_examples=20, deadline=None)
 @given(n_senders=st.integers(1, 3), robust=st.booleans(), tcu=st.sampled_from([1, 2, 3, 8]),
        table=tables(DEFAULT_TABLE, REJECT_HEAVY),
@@ -297,6 +339,37 @@ def test_stream_draws_match_generator_integers(seed):
     got = streams.integers(np.array([2, 0, 1]), np.zeros((3, 2)), np.full((3, 2), 8))
     assert got.tolist() == [[int(generators[i].integers(0, 8)) for _ in range(2)]
                             for i in (2, 0, 1)]
+
+
+def test_stream_rows_that_redraw_or_outrun_their_words_match_generator_integers(monkeypatch):
+    # the first draw sizes each lane to two blocks.  In the second, lane 0
+    # redraws under Lemire's rule (windows of 2**31 + 1 values) and lane 1
+    # needs 20 words where 15 are held; both are drawn word by word, and
+    # the other lanes in one gather
+    seed, runs = 7, np.arange(5)
+    streams = _Streams(seed, runs)
+    generators = [run_rng(seed, int(r)) for r in runs]
+    got = streams.integers(runs, np.zeros((5, 1)), np.full((5, 1), 7))
+    assert got.ravel().tolist() == [int(g.integers(0, 7)) for g in generators]
+    assert streams.words.shape[1] == 16
+    width = np.ones((5, 20), dtype=np.int64)
+    width[0, :4] = 2**31 + 1
+    width[1] = 7
+    width[2:, 5:8] = 9
+    lo = np.full((5, 20), 3)
+    word_by_word = []
+    next_words = _Streams._next_words
+
+    def spy(self, lanes):
+        word_by_word.extend(lanes.tolist())
+        return next_words(self, lanes)
+
+    monkeypatch.setattr(_Streams, "_next_words", spy)
+    got = streams.integers(runs, lo, width)
+    assert got.tolist() == [[int(g.integers(3, 3 + w)) for w in row]
+                            for g, row in zip(generators, width.tolist())]
+    assert set(word_by_word) == {0, 1}
+    assert streams.pos[0] > 1 + 4  # lane 0 took a word more than its columns
 
 
 def test_distinct_rows_never_share_a_code():
@@ -389,14 +462,13 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
-    # 7 rows played take 90 plain ticks; 92 more keys are answered without
-    # a play, 69 from their zero-based key, 20 from a parked representative
-    # and 3 from a latched one
+    # the table plays 5 keys in 64 plain ticks, all of them canonical: one
+    # answers the keys folded onto it from a parked representative and one
+    # from a latched one, and no key is played in full
     [record] = caplog.records
     assert agg.rounds.sum() == 168
-    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 7 rows played, "
-                                   "90 plain ticks, 69 keys shifted, 20 keys folded, "
-                                   "3 keys latched")
+    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 5 rows played, "
+                                   "64 plain ticks, 5 canonical keys, 1 parked, 1 latched")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
