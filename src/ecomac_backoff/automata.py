@@ -294,23 +294,15 @@ class Automaton:
         # the round table: one row per key played (see _fill), as each
         # sender's end (phase, rbc, ticks), each sender's idle ticks, and
         # the rest: the end receiver's three fields, ticks, deadlocked,
-        # parked, latched and the latched hold tick.  Beside it, the sorted
-        # codes of the keys, ending in one above every code, with each
-        # one's row.  A key's code is its draws plus 1 as digits in base
-        # b_max + 2 where every such code fits int64, and otherwise its
-        # number in the order the keys are met
+        # parked, latched and the latched hold tick.  Beside it, each key's
+        # row, keyed on the key's int64 bytes
         self._ends = np.zeros((0, cfg.n_senders, 3), dtype=np.int64)
         self._idle = np.zeros((0, cfg.n_senders), dtype=np.int64)
         self._rest = np.zeros((0, 8), dtype=np.int64)
-        self._codes = np.array([np.iinfo(np.int64).max])
-        self._code_slots = np.array([-1])
-        radix, n = cfg.b_max + 2, cfg.n_senders
-        self._weights = (np.array([radix**i for i in range(n)], dtype=np.int64)
-                         if n < 64 and radix**n < 2**63 else None)
         self._ids: dict = {}
         # its rows played and the ticks that played them, the canonical
-        # keys among them, and those whose representative parked or was
-        # latched in a collision
+        # keys among them, and the rows answered from a representative that
+        # parked (folded) or was latched in a collision (latched)
         self.round_counts = dict.fromkeys(
             ("rows", "ticks", "canonical", "folded", "latched"), 0)
 
@@ -651,6 +643,8 @@ class Automaton:
         and both checks read the played canonical round, so the fold is
         exact at any horizon h >= 1; h only sets how often it applies.  A
         zero-based key whose canonical row does neither is played in full.
+        ``round_counts`` adds the rows of `rows` answered from a parked
+        representative ("folded") and from a latched one ("latched").
         """
         tcu, top = self.cfg.tcu_ticks, self.cfg.b_max + 1
         # no draw reaches the cap when no key folds
@@ -676,6 +670,9 @@ class Automaton:
             slots[full] = self._slots(zero[full])
             rest = self._rest[slots]
             fold &= ~full
+        parked, latched = (fold @ rest[:, 5:7]).tolist()
+        self.round_counts["folded"] += parked
+        self.round_counts["latched"] += latched
         # a folded row's senders below h sit m - 1 places later in its
         # canonical row, and each capped sender starts as the
         # representative, the canonical row's last sender
@@ -700,28 +697,21 @@ class Automaton:
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
         """The table row of each zero-based sorted key in `keys`, filling
-        the keys not met before; keys are looked up by their codes."""
-        if self._weights is not None:
-            codes = (keys + 1) @ self._weights
-        else:
-            ids = self._ids
-            codes = np.array([ids.setdefault(key, len(ids)) for key in map(bytes, keys)],
-                             dtype=np.int64)
-        at = np.searchsorted(self._codes, codes)
-        new = self._codes[at] != codes
-        if new.any():
-            fresh, first = np.unique(codes[new], return_index=True)
-            ends, idle, rest = zip(*[self._fill(key) for key in keys[new][first].tolist()])
-            slots = np.arange(len(self._rest), len(self._rest) + len(rest))
+        the keys not met before; a key is looked up by its bytes."""
+        ids = self._ids
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        codes = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+        slots = [ids.get(code, -1) for code in codes]
+        if -1 in slots:
+            fresh = dict.fromkeys(code for code, slot in zip(codes, slots) if slot < 0)
+            ends, idle, rest = zip(*[self._fill(np.frombuffer(code, dtype=np.int64).tolist())
+                                     for code in fresh])
+            ids.update(zip(fresh, range(len(self._rest), len(self._rest) + len(rest))))
             self._ends = np.concatenate((self._ends, np.array(ends, dtype=np.int64)))
             self._idle = np.concatenate((self._idle, np.array(idle, dtype=np.int64)))
             self._rest = np.concatenate((self._rest, np.array(rest, dtype=np.int64)))
-            codes_all = np.concatenate((self._codes, fresh))
-            order = np.argsort(codes_all)
-            self._codes = codes_all[order]
-            self._code_slots = np.concatenate((self._code_slots, slots))[order]
-            at = np.searchsorted(self._codes, codes)
-        return self._code_slots[at]
+            slots = [ids[code] for code in codes]
+        return np.array(slots, dtype=np.intp)
 
     def _fill(self, key: list[int]) -> tuple:
         """The table row of the zero-based sorted key `key`, played by
@@ -731,9 +721,10 @@ class Automaton:
         The rest holds the end receiver, the ticks and the deadlock flag,
         then how the key answers the keys folded onto it (see
         :meth:`round_outcomes`): 1 if its representative parked, 1 if it
-        latched, and the tick at which a latched representative holds.  Only a canonical key with its representative
-        at the horizon h answers other keys; its parking check is read
-        here, and its latched hold walked, once.
+        latched, and the tick at which a latched representative holds.
+        Only a canonical key with its representative at the horizon h
+        answers other keys; its parking check is read here, and its latched
+        hold walked, once.
         """
         h = self._horizon
         latch: list = []
@@ -750,10 +741,8 @@ class Automaton:
             counts["canonical"] += 1
         if capped == [h]:
             if self._parked(senders[-1]):
-                counts["folded"] += 1
                 parked = 1
             elif latch and (sd := latch[0][0][0][-1])[0] == SenderPhase.COUNTDOWN:
-                counts["latched"] += 1
                 latched = 1
                 (_, at), held = latch[0]
                 ctx = self._contexts(at)[0]

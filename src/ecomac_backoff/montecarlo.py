@@ -338,9 +338,10 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     each sender crosses the boundary through a dense table of
     :meth:`Automaton.settle` over (end phase, e, msgs).  A run leaves the
     pass when every sender is done or its round deadlocks.  At DEBUG it
-    logs the round table's counts: rows played and their ticks, and the
-    canonical keys among them, those whose representative parked and those
-    latched in a collision.
+    logs the round table's counts: rows played and their ticks, the
+    canonical keys among them, and the distinct sorted draw vectors of all
+    passes answered from a parked representative (folded) and from one
+    latched in a collision (latched).
     """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
@@ -421,6 +422,6 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
         "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d canonical keys, "
-        "%d parked, %d latched", n_runs, rounds.sum(), counts["rows"], counts["ticks"],
+        "%d rows folded, %d rows latched", n_runs, rounds.sum(), counts["rows"], counts["ticks"],
         counts["canonical"], counts["folded"], counts["latched"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)
