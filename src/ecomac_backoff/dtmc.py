@@ -38,16 +38,16 @@ contracted graph's nodes are the run heads, the branching states and the
 sinks, and each run is one edge from its head to its exit.  Inside a run a
 state's value is the next pinned state's value, or the exit's, plus the
 rewards on the way, so solves keep values only at the nodes.  One plan over
-the nodes' levels, built on the first solve and cached on the model, serves
-the backward sweep and the forward occupation push, and maps each state to
-the node a pin there decides.  Every query is asked from the initial
-state, as PRISM asks them.  Masks stay the public input; inside, a reach
-or entry-count query reads each of its K targets as an index set.  A reach
-query seeds its targets' nodes and sweeps the contracted levels once for
-all K columns; an entry count sums the flow on the edges into each set.
-So a query costs its targets plus the nodes times K, not the states times
-K.  Only ``expected_reward`` folds dense (n_states, K) pins and rewards
-along the runs before the same sweep.
+the nodes' levels, built on the first solve and cached on the model, maps
+each state to the node a pin there decides and to its position on that
+node's run.  Every query is asked from the initial state, as PRISM asks
+them, and every one is a seeding of one backward sweep: K columns, each
+pinning an index set at one value and accruing sparse rewards.  A reach
+query pins its targets at 1; an expected reward pins its target, once at 1
+and once at 0 with the rewards; an entry count pins nothing and puts each
+entering edge's probability on its source.  Masks stay the public input.
+So a query costs its targets and rewards plus the nodes times K, not the
+states times K.
 """
 
 from __future__ import annotations
@@ -337,9 +337,8 @@ def _contracted_cols(dtmc: DTMC, g: _Contraction) -> np.ndarray:
 class _Plan(NamedTuple):
     """The contracted graph laid out for solves.
 
-    The run heads are nodes 0..R-1, longest run first, so the states of
-    `runs[p]` line up with the first nodes; branching states and sinks
-    follow.
+    A pin decides its state's `node`, and a column's first pin on a run
+    is the one with the smallest `pos` there.
     """
 
     states: np.ndarray       # per node, its state id
@@ -350,8 +349,8 @@ class _Plan(NamedTuple):
     seg: np.ndarray          # per edge, its source's position in its level
     succ: np.ndarray         # per edge, the successor node
     probs: np.ndarray        # per edge, the branch probability (1 for a run)
-    runs: list[np.ndarray]   # as in _Contraction
     node: np.ndarray         # per state, the node a pin there decides: its own, or its run's head
+    pos: np.ndarray          # int32, per state its position on its node's run, 0 at the node
 
 
 def _plan(dtmc: DTMC) -> _Plan:
@@ -366,11 +365,15 @@ def _plan(dtmc: DTMC) -> _Plan:
         is_head = np.zeros(dtmc.n_states, dtype=bool)
         if g.runs:
             is_head[g.runs[0]] = True
+        # the run heads are nodes 0..R-1, longest run first, so the states
+        # of runs[p] line up with the first nodes
         states = np.concatenate(g.runs[:1] + [ordered[~is_head[ordered]]])
         node_of = np.empty(dtmc.n_states, dtype=np.int64)
         node_of[states] = np.arange(states.size)
-        for run in g.runs[1:]:
+        pos = np.zeros(dtmc.n_states, dtype=np.int32)
+        for p, run in enumerate(g.runs[1:], 1):
             node_of[run] = np.arange(run.size)
+            pos[run] = p
         sizes = np.array([lvl.size for lvl in levels])
         bounds = np.zeros(len(levels) + 1, dtype=np.int64)
         np.cumsum(sizes, out=bounds[1:])
@@ -382,7 +385,7 @@ def _plan(dtmc: DTMC) -> _Plan:
         seg = np.repeat(np.arange(ordered.size) - np.repeat(bounds[:-1], sizes), counts)
         dtmc._plan = _Plan(states, int(node_of[0]), node_of[ordered], bounds, firsts[bounds],
                            seg, node_of[_contracted_cols(dtmc, g)[flat]], probs[flat],
-                           g.runs, node_of)
+                           node_of, pos)
         # imported here: logging is about a tenth of the package's cold import
         import logging
         logging.getLogger(__name__).debug(
@@ -752,37 +755,37 @@ def _features(n_senders: int, contexts: list[tuple], projections: list[tuple],
 # -- linear solves -------------------------------------------------------------
 
 
-def _solve(dtmc: DTMC, pinned: np.ndarray, values: np.ndarray,
-           rewards: np.ndarray | None = None) -> np.ndarray:
+def _start_values(dtmc: DTMC, pins: list[np.ndarray], values: np.ndarray | tuple,
+                  rewards: list[tuple | None] | None = None) -> np.ndarray:
     """Least solutions of x = Px + r at the initial state, (K,).
 
-    Arguments are (n_states, K), one solve per column, each pinned to
-    `values` where `pinned`.  Each run is first folded from its last state
-    to its head: a pinned state cuts the run off at its value, and
-    otherwise the run adds its rewards to its exit's value.  Then
-    :func:`_sweep` answers every column.  Within a run the rewards are
-    summed before the exit's value is added, so a reward solve can differ
-    from state-by-state substitution in the last bits.
+    Column k pins the states `pins[k]` at the scalar `values[k]` and,
+    unless `rewards` or its entry is None, accrues ``rewards[k] = (states,
+    weights)``, states ascending.  A pin decides its node (``_Plan.node``):
+    a run head takes the rewards on its run before the run's first pin,
+    then the pinned value, and rewards after that pin never count.  Each
+    node's rewards are summed in descending state order; BFS numbers a
+    run's states in order, so a run is summed from its exit back to its
+    head, as substitution meets them.  Then :func:`_sweep` answers every
+    column.
     """
     plan = _plan(dtmc)
-    k = pinned.shape[1]
-    n_runs = plan.runs[0].size if plan.runs else 0
-    others = plan.states[n_runs:]
-    # y starts at a node's value if it is pinned (for a head: if its run is
-    # cut off), else at what it adds to the sum over its edges
-    y = np.zeros((plan.states.size, k))
-    pin = np.zeros(y.shape, dtype=bool)
-    pin[n_runs:] = pinned[others]
-    y[n_runs:] = np.where(pin[n_runs:], values[others],
-                          0.0 if rewards is None else rewards[others])
-    # runs[p] lines up with the first heads: one substitution step per
-    # position, from the runs' next states back to their heads
-    for states in reversed(plan.runs):
-        fold, cut = y[:states.size], pinned[states]
-        if rewards is not None:
-            fold += rewards[states]
-        np.copyto(fold, values[states], where=cut)
-        pin[:states.size] |= cut
+    n = plan.states.size
+    pin = np.zeros((n, len(pins)), dtype=bool)
+    for k, states in enumerate(pins):
+        pin[plan.node[states], k] = True
+    y = pin * np.asarray(values, dtype=np.float64)
+    for k, reward in enumerate(rewards or ()):
+        if reward is None:
+            continue
+        at, weights = reward
+        if pins[k].size:
+            # the smallest pinned position on each run is its first pin
+            first = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
+            np.minimum.at(first, plan.node[pins[k]], plan.pos[pins[k]])
+            keep = plan.pos[at] < first[plan.node[at]]
+            at, weights = at[keep], weights[keep]
+        y[:, k] += np.bincount(plan.node[at[::-1]], weights[::-1], minlength=n)
     return _sweep(plan, y, pin)
 
 
@@ -834,18 +837,9 @@ def _index_sets(dtmc: DTMC, masks) -> list[np.ndarray]:
 
 def _reach(dtmc: DTMC, targets: list[np.ndarray]) -> np.ndarray:
     """Probability of eventually visiting each of K target sets from the
-    initial state, (K,); `targets` holds K arrays of state indices.
-
-    A reach column has no rewards and pins its targets at 1, so a node is
-    pinned exactly when a target decides it (``_Plan.node``): a branching
-    state or sink that is a target, or a run head with a target on its
-    run.  One sweep answers every column.
-    """
-    plan = _plan(dtmc)
-    pin = np.zeros((plan.states.size, len(targets)), dtype=bool)
-    for k, states in enumerate(targets):
-        pin[plan.node[states], k] = True
-    return _sweep(plan, pin.astype(np.float64), pin)
+    initial state, (K,); `targets` holds K arrays of state indices, each
+    pinned at 1 with no rewards."""
+    return _start_values(dtmc, targets, np.ones(len(targets)))
 
 
 def reach_from_start(dtmc: DTMC, target_mask: np.ndarray) -> float | np.ndarray:
@@ -865,17 +859,18 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
 
     Rewards accrue on the source state of each transition; zero-duration
     bookkeeping states carry zero reward by construction of the caller's
-    reward vector.  Defined only when the target is reached almost surely,
-    which the same sweep checks in a second column.
+    reward vector.  Defined only when the target is reached almost surely.
+    One sweep answers both: it pins the target in two columns, at 1 with
+    no rewards for the reach probability, and at 0 with the nonzero
+    rewards for the reward.
     """
-    target = _mask_vector(dtmc, target_mask)[:, None]
-    # column 0 is the reach probability, column 1 the reward, both pinned
-    # at the target; terminal and deadlocked states have no open successor,
-    # so reaching one instead leaves the reach probability below 1
-    values = np.hstack((target, np.zeros_like(target)))
-    rewards = np.zeros(values.shape)
-    rewards[:, 1] = state_rewards
-    reach, reward = _solve(dtmc, np.repeat(target, 2, axis=1), values, rewards)
+    target = np.flatnonzero(_mask_vector(dtmc, target_mask))
+    rewards = np.broadcast_to(np.asarray(state_rewards, dtype=np.float64), (dtmc.n_states,))
+    earning = np.flatnonzero(rewards)
+    # terminal and deadlocked states have no open successor, so reaching
+    # one instead of the target leaves the reach probability below 1
+    reach, reward = _start_values(dtmc, [target, target], (1.0, 0.0),
+                                  [None, (earning, rewards[earning])])
     if reach < 1.0 - 1e-9:
         raise RewardUndefinedError(
             f"target reached with probability {reach:.12g} < 1; "
@@ -884,50 +879,35 @@ def expected_reward(dtmc: DTMC, state_rewards: np.ndarray,
     return float(reward)
 
 
-def _occupation(dtmc: DTMC) -> np.ndarray:
-    """Visit probability of every contracted node, pushed forward level by
-    level.
-
-    Off-terminal parts of the chain are acyclic, so each state is visited at
-    most once and occupation equals visit probability.  A state inside a
-    run takes its head's value, so state s reads ``y[plan.node[s]]``.
-    """
-    plan = _plan(dtmc)
-    y = np.zeros(plan.states.size)
-    y[plan.start] = 1.0
-    for lo, elo, ehi in zip(plan.bounds[:-1], plan.edge_bounds[:-1], plan.edge_bounds[1:]):
-        flow = y[plan.order[lo + plan.seg[elo:ehi]]] * plan.probs[elo:ehi]
-        np.add.at(y, plan.succ[elo:ehi], flow)
-    return y
-
-
 def _entries(dtmc: DTMC, targets: list[np.ndarray]) -> np.ndarray:
     """Expected number of transitions entering each of K target sets from
     outside, (K,); `targets` holds K arrays of state indices.
 
     Only the edges into some target set can count, so they are gathered
-    once, each with its flow (its source's occupation times its
-    probability).  A column sums its entering edges in edge order.
+    once.  A column pins nothing, and each of its edges from outside the
+    set into it puts its probability on its source as a reward.
     """
     indptr, cols, probs = dtmc.open_csr()
     every = np.concatenate([np.empty(0, dtype=np.int64), *targets])
     if dtmc.terminal_mask[every].any():
         raise ValueError("entry counts are finite only for transient states")
-    plan = _plan(dtmc)
     mark = np.zeros(dtmc.n_states, dtype=bool)
     mark[every] = True
     edges = np.flatnonzero(mark[cols])
     mark[every] = False
     sources = np.searchsorted(indptr, edges, side="right") - 1
     heads = cols[edges]
-    flow = _occupation(dtmc)[plan.node[sources]] * probs[edges]
-    totals = np.empty(len(targets))
+    rewards = []
+    starts = np.zeros(len(targets))
     for k, states in enumerate(targets):
         mark[states] = True
+        enter = mark[heads] & ~mark[sources]
+        rewards.append((sources[enter], probs[edges[enter]]))
         # starting inside the set counts as one entry
-        totals[k] = float(flow[mark[heads] & ~mark[sources]].sum()) + (1.0 if mark[0] else 0.0)
+        starts[k] = mark[0]
         mark[states] = False
-    return totals
+    none = np.empty(0, dtype=np.int64)
+    return _start_values(dtmc, [none] * len(targets), np.zeros(len(targets)), rewards) + starts
 
 
 def expected_entries(dtmc: DTMC, state_mask: np.ndarray) -> float | np.ndarray:

@@ -39,7 +39,7 @@ from ecomac_backoff import (
     success_profile,
 )
 from ecomac_backoff import dtmc as dtmc_module
-from ecomac_backoff.dtmc import _backward_closure, _backward_closures, _solve
+from ecomac_backoff.dtmc import _backward_closure, _backward_closures, _start_values
 from ecomac_backoff.errors import (
     RewardUndefinedError,
     SolverError,
@@ -68,6 +68,24 @@ def test_lone_sender_chain_shape(lone_model):
     assert lone_model.n_edges == 78
     assert int(lone_model.terminal_mask.sum()) == 1
     assert len(lone_model.deadlock_indices) == 0
+
+
+def test_frame_end_corners_pin_their_state_and_deadlock_counts():
+    # with d_switch = 0 and d_frame = 1 a one-tick request can end while the
+    # receiver still waits for one, so the receiver reads whose frame ended;
+    # per (d_rssi, cts_timeout), (n_states, n_deadlocks) without and with
+    # robust_mode
+    table = {
+        (0, 1): ((1321, 26), (1347, 0)),
+        (0, 3): ((1347, 26), (1425, 0)),
+        (1, 1): ((1903, 0), (1903, 0)),
+        (1, 3): ((1929, 0), (1929, 0)),
+    }
+    for (d_rssi, cts_timeout), counts in table.items():
+        for robust, want in zip((False, True), counts):
+            d = build(ScenarioConfig(n_senders=2, d_switch=0, d_frame=1, d_rssi=d_rssi,
+                                     cts_timeout=cts_timeout, robust_mode=robust))
+            assert (d.n_states, d.deadlock_indices.size) == want, (d_rssi, cts_timeout, robust)
 
 
 def test_bfs_parents_precede_children(two_sender_model):
@@ -537,34 +555,32 @@ def test_start_queries_match_a_sparse_direct_solve(n_senders, nmax_msg, robust, 
 @given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
        tcu=st.sampled_from([3, 8, 13]),
        table=tables(DEFAULT_TABLE, REJECT_HEAVY, _NARROWED, _DRAW_ZERO))
-def test_index_set_profiles_equal_the_dense_mask_solves(n_senders, nmax_msg, robust, tcu, table):
+def test_index_set_profiles_match_the_reference_solve(n_senders, nmax_msg, robust, tcu, table):
     cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
                          tcu_ticks=tcu, table=table)
     d = build(cfg)
-    e_max = cfg.e_max
+    n, e_max = d.n_states, cfg.e_max
     phase, e = d.sender_phase(0), d.sender_e(0)
     success = phase == SenderPhase.SUCCESS
     exactly = [success & (e == k) for k in range(e_max + 1)]
     reject = phase == SenderPhase.REJECT
-    # per sender: the dense fold and sweep over the old 2*e_max + 3 columns
-    masks = np.stack(exactly + [success & (e <= k) for k in range(e_max + 1)] + [reject], axis=1)
-    want = _solve(d, masks, masks)
+    # per sender: the 2*e_max + 3 reach columns, each solved on its own
+    masks = exactly + [success & (e <= k) for k in range(e_max + 1)] + [reject]
     got = success_profile(cfg, mode="exact", dtmc=d)
-    assert got.success_at.tolist() == want[:e_max + 1].tolist()
-    assert got.cumulative.tolist() == want[e_max + 1:-1].tolist()
-    assert got.reject_prob == want[-1]
-    # per packet: each column's entering edges selected from every edge
+    got = got.success_at.tolist() + got.cumulative.tolist() + [got.reject_prob]
+    for x, m in zip(got, masks, strict=True):
+        assert close(x, reference_solve(d, m, m * 1.0)[0])
+    # per packet: each edge into the set from outside adds its probability
+    # at its source; starting inside counts once
     got = success_profile(cfg, mode="exact", per_packet=True, dtmc=d)
     if nmax_msg == 0:
         assert not got.success_at.any() and got.reject_prob == 0.0
         return
-    indptr, cols, probs = d.open_csr()
-    rows = np.repeat(np.arange(d.n_states), np.diff(indptr))
-    flow = dtmc_module._occupation(d)[dtmc_module._plan(d).node[rows]] * probs
-    want = np.array([float(flow[m[cols] & ~m[rows]].sum()) + (1.0 if m[0] else 0.0)
-                     for m in exactly + [reject]]) / nmax_msg
-    assert got.success_at.tolist() == want[:-1].tolist()
-    assert got.reject_prob == want[-1]
+    rows = np.repeat(np.arange(n), np.diff(d.indptr))
+    nothing = np.zeros(n, dtype=bool)
+    for x, m in zip(got.success_at.tolist() + [got.reject_prob], exactly + [reject], strict=True):
+        inflow = np.bincount(rows, weights=d.probs * (m[d.cols] & ~m[rows]), minlength=n)
+        assert close(x, (reference_solve(d, nothing, np.zeros(n), inflow)[0] + m[0]) / nmax_msg)
 
 
 def test_no_stacked_masks_get_no_answers(lone_model):
@@ -643,11 +659,17 @@ def test_deadlocks_terminals_and_parents_are_read_off_the_graph():
 
 def solve_at_start(d, pinned, values, rewards=None):
     """The contracted solve's start values, checked against the sparse
-    direct solve of every column."""
+    direct solve of every column.  Each column's pinned states share one
+    value, and its nonzero rewards are passed as an index set."""
     pinned, values = np.reshape(pinned, (d.n_states, -1)), np.reshape(values, (d.n_states, -1))
+    pins = [np.flatnonzero(m) for m in pinned.T]
+    at = [np.unique(values[states, k]) for k, states in enumerate(pins)]
+    assert all(v.size <= 1 for v in at)
+    seeds = None
     if rewards is not None:
         rewards = np.reshape(rewards, (d.n_states, -1))
-    x = _solve(d, pinned, values, rewards)
+        seeds = [(np.flatnonzero(r), r[r != 0]) for r in rewards.T]
+    x = _start_values(d, pins, [v[0] if v.size else 0.0 for v in at], seeds)
     for k in range(x.size):
         r = None if rewards is None else rewards[:, k]
         assert close(x[k], reference_solve(d, pinned[:, k], values[:, k], r)[0])
@@ -683,6 +705,28 @@ def test_a_pinned_state_cuts_its_run_with_rewards_on_both_sides():
     rewards = np.repeat(np.arange(1.0, 7.0)[:, None], 2, axis=1)
     # the start takes the rewards before the pin, then the pinned value
     assert solve_at_start(d, pinned, values, rewards).tolist() == [1 + 2 + 7.0, 1 + 2 + 3 + 4 - 1.0]
+
+
+def test_the_first_of_two_pins_on_a_run_decides_it():
+    # one run 0-1-2-3-4-5 into the sink 6, pinned at 2 and at 4 in one column
+    d = hand_built([[(1, 1.0)], [(2, 1.0)], [(3, 1.0)], [(4, 1.0)], [(5, 1.0)], [(6, 1.0)], []])
+    assert contracted_nodes(d) == [0, 6]
+    pinned = np.isin(np.arange(7), [2, 4])
+    rewards = np.arange(1.0, 8.0)
+    # the rewards at 2 and after it never count; the last pin would add 3 + 4
+    assert solve_at_start(d, pinned, pinned * 10.0, rewards).tolist() == [1 + 2 + 10.0]
+    assert expected_reward(d, rewards, pinned) == 1 + 2.0
+
+
+def test_an_edge_into_a_set_inside_a_run_counts_at_its_source():
+    # 0 branches to the run 1-2-3-4 and to 5, both into the sink 6
+    d = hand_built([[(1, 0.25), (5, 0.75)], [(2, 1.0)], [(3, 1.0)], [(4, 1.0)], [(6, 1.0)],
+                    [(6, 1.0)], []])
+    assert contracted_nodes(d) == [0, 1, 5, 6]
+    sets = np.stack([np.isin(np.arange(7), s) for s in ([3], [2, 4], [3, 6], [0, 1])], axis=1)
+    # entered by 2 -> 3; by 1 -> 2 and 3 -> 4; by 2 -> 3, 4 -> 6 and 5 -> 6;
+    # and once at the start
+    assert expected_entries(d, sets).tolist() == [0.25, 0.5, 1.25, 1.0]
 
 
 def test_the_initial_state_can_head_a_run():

@@ -221,6 +221,130 @@ def test_exact_outputs_match_their_pinned_values(n_senders):
     assert prof.reject_prob == pytest.approx(want["per_packet_reject"], rel=1e-13, abs=0)
 
 
+# exact outputs for sender 0, recorded as float.hex while the per-packet
+# profile was still a forward occupation push and the reward solve folded
+# dense columns along the runs; idle time and the per-sender profile are
+# held bit for bit, the per-packet profile within 1e-12 (its entering edges
+# are now summed backward).  Per (n_senders, nmax_msg, robust_mode,
+# tcu_ticks): idle seconds, the per-sender success_at, cumulative and
+# reject_prob, then the per-packet success_at and reject_prob.
+_FLOAT_PINS = {
+    (1, 1, False, None): (
+        "0x1.c15097c80841ep-5",
+        "0x1.ffffffffffffep-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 "
+        "0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 "
+        "0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 "
+        "0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 0x1.ffffffffffffep-1 "
+        "0x1.ffffffffffffep-1",
+        "0x0.0p+0",
+        "0x1.ffffffffffffep-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    (2, 1, False, None): (
+        "0x1.449f5840ffa65p-4",
+        "0x1.b6db6db6db6dep-2 0x1.f58d0fac687d9p-2 0x1.1f58d0fac6880p-4 "
+        "0x1.4924924924924p-7 0x1.4865811e99bfbp-10 0x1.478b245bb1f3fp-13 "
+        "0x1.7655e068cb600p-16 0x1.aa5394e920826p-19 0x1.e53fea031a989p-22 "
+        "0x1.41a6b572b28b0p-24 0x1.a9e91aa277e46p-27 0x1.512ddfc09eea4p-29 "
+        "0x1.0a31b0a58aeebp-31",
+        "0x1.b6db6db6db6dep-2 0x1.d6343eb1a1f5dp-1 0x1.fa1f58d0fac6dp-1 "
+        "0x1.ff43eb1a1f592p-1 0x1.ffe81ddaaea62p-1 0x1.fffc968cf4612p-1 "
+        "0x1.ffff8338b532cp-1 0x1.ffffedcd9a6d1p-1 0x1.fffffcf799bd2p-1 "
+        "0x1.ffffff7ae7281p-1 0x1.ffffffe5616edp-1 0x1.fffffffa744ccp-1 "
+        "0x1.fffffffe9d139p-1",
+        "0x1.62eceb8763e91p-33",
+        "0x1.b6db6db6db6dbp-2 0x1.f58d0fac687d6p-2 0x1.1f58d0fac687bp-4 "
+        "0x1.4924924924923p-7 0x1.4865811e99bfcp-10 0x1.478b245bb1f3bp-13 "
+        "0x1.7655e068cb5f9p-16 0x1.aa5394e920824p-19 0x1.e53fea031a986p-22 "
+        "0x1.41a6b572b28b0p-24 0x1.a9e91aa277e44p-27 0x1.512ddfc09eea1p-29 "
+        "0x1.0a31b0a58aeecp-31",
+        "0x1.62eceb8763e8fp-33",
+    ),
+    (2, 2, False, None): (
+        "0x1.565dc09718907p-3",
+        "0x1.9c29a01a28cb2p-1 0x1.8d7a3daeb650fp-2 0x1.977cdf8e2c77ep-2 "
+        "0x1.78a3f011fa50fp-4 0x1.2ae1d7b535ae8p-6 0x1.5db5a7192c645p-9 "
+        "0x1.c12c2115e2cc8p-12 0x1.272cb64cc29b5p-14 0x1.3eb78f8de2717p-17 "
+        "0x1.a6747e4521a58p-20 0x1.d09ce8b03cbe3p-23 0x1.508e106f02ff0p-25 "
+        "0x1.90ffc7df29058p-28",
+        "0x1.9c29a01a28cb2p-1 0x1.fac8e442de434p-1 0x1.ffdf65f3907c1p-1 "
+        "0x1.ffff3b02781d5p-1 0x1.fffffc2654b03p-1 0x1.ffffffe8cdb6ep-1 "
+        "0x1.ffffffff8603cp-1 0x1.fffffffffdf00p-1 0x1.fffffffffff43p-1 "
+        "0x1.0000000000001p+0 0x1.0000000000003p+0 0x1.0000000000003p+0 "
+        "0x1.0000000000003p+0",
+        "0x1.88bf6ae2d1434p-30",
+        "0x1.fa34130a7c625p-2 0x1.f8886bf4de9ecp-3 0x1.9ec78242cab21p-3 "
+        "0x1.795e0c3fbbe5cp-5 0x1.2af412bf3555ap-7 0x1.5db86969066f9p-10 "
+        "0x1.c12ca5edbe832p-13 0x1.272cc1d16c2cdp-15 0x1.3eb7910ae31b4p-18 "
+        "0x1.a6747e8ce09dbp-21 0x1.d09ce8bbfec12p-24 0x1.508e10708d80bp-26 "
+        "0x1.90ffc7df699b6p-29",
+        "0x1.88bf6ae2f004ep-31",
+    ),
+    (3, 1, False, None): (
+        "0x1.96179a1f2b473p-4",
+        "0x1.0fac687d63435p-2 0x1.204e79560b4b4p-2 0x1.46ff40eed5746p-2 "
+        "0x1.a452d871722e8p-4 0x1.92fb75717cc3fp-6 0x1.53e8631c2400cp-8 "
+        "0x1.23ed367e1e978p-10 0x1.ea88ece32ff10p-13 0x1.9835e2851f7b3p-15 "
+        "0x1.7342a0ddc3910p-17 0x1.54e6fcbd047b1p-19 0x1.61709b154b659p-21 "
+        "0x1.74aa85e2b5d68p-23",
+        "0x1.0fac687d63435p-2 0x1.17fd70e9b747cp-1 0x1.bb7d116122008p-1 "
+        "0x1.f0076c6f504c2p-1 0x1.fc9f481adc32dp-1 0x1.ff4718e114739p-1 "
+        "0x1.ffd90f7c53862p-1 0x1.fff7b80b21b97p-1 0x1.fffe18e2abcdep-1 "
+        "0x1.ffff8c254ca8dp-1 0x1.ffffe15f0bdd1p-1 0x1.fffff776158fap-1 "
+        "0x1.fffffd48bfa35p-1",
+        "0x1.5ba02ddd4dce4p-24",
+        "0x1.0fac687d6343ep-2 0x1.204e79560b4d4p-2 0x1.46ff40eed5752p-2 "
+        "0x1.a452d87172313p-4 0x1.92fb75717cc69p-6 0x1.53e8631c24034p-8 "
+        "0x1.23ed367e1e98ap-10 0x1.ea88ece32feb2p-13 0x1.9835e2851f823p-15 "
+        "0x1.7342a0ddc397ap-17 0x1.54e6fcbd04760p-19 0x1.61709b154b5f5p-21 "
+        "0x1.74aa85e2b5e10p-23",
+        "0x1.5ba02ddd4dd66p-24",
+    ),
+    (2, 2, True, 3): (
+        "0x1.daf25c7f43192p-4",
+        "0x1.ff888ba868ae9p-2 0x1.39d8a8b420f45p-2 0x1.4d0e724a59ae7p-2 "
+        "0x1.e83d55ec9934cp-3 0x1.78ee8a0edfe59p-3 0x1.bf5367c48ff34p-4 "
+        "0x1.28fa72ecc4d3cp-4 0x1.a2ef42a7d916ep-5 0x1.cde444510eb3dp-6 "
+        "0x1.5159815d58eb3p-6 0x1.75dbb2a0f794dp-7 0x1.1f143e9be368dp-7 "
+        "0x1.5265d0080da0bp-8",
+        "0x1.ff888ba868ae9p-2 0x1.7de663d2201cfp-1 0x1.cbd9869c73a85p-1 "
+        "0x1.eb84342875545p-1 0x1.f85da47d11ddep-1 0x1.fd10091c22fb4p-1 "
+        "0x1.ff0821685f1efp-1 0x1.ffb1a813b3d35p-1 0x1.ffe2f5772afa0p-1 "
+        "0x1.fff4c32564104p-1 0x1.fffa8739c4026p-1 0x1.fffcc8e6e2bfap-1 "
+        "0x1.fffd8f18bfce2p-1",
+        "0x1.bac20cf44259dp-7",
+        "0x1.151754dcd7424p-2 0x1.5a0b75ad75ec9p-3 0x1.6c4e88879897fp-3 "
+        "0x1.019309b6bc978p-3 0x1.84a13da165117p-4 0x1.c72c803afeccap-5 "
+        "0x1.2ca0418b7826dp-5 0x1.a5d4c3cecd3d2p-6 0x1.cf728ae46927bp-7 "
+        "0x1.51f0017ff146cp-7 0x1.7629f531f0f61p-8 0x1.1f33702e8bc91p-8 "
+        "0x1.52781dbc1b9c5p-9",
+        "0x1.bb5e46c44ecb7p-8",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(_FLOAT_PINS),
+                         ids=lambda k: "n{}_m{}_robust{}_tcu{}".format(*k))
+def test_exact_answers_match_their_float_pins(key):
+    idle, at, cumulative, reject, packet_at, packet_reject = map(str.split, _FLOAT_PINS[key])
+    n_senders, nmax_msg, robust, tcu = key
+    cfg = ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
+                         tcu_ticks=tcu)
+    d = engine.build(cfg)
+    assert [idle_listening_time(cfg, dtmc=d).hex()] == idle
+    prof = success_profile(cfg, mode="exact", dtmc=d)
+    assert [x.hex() for x in prof.success_at.tolist()] == at
+    assert [x.hex() for x in prof.cumulative.tolist()] == cumulative
+    assert [prof.reject_prob.hex()] == reject
+    prof = success_profile(cfg, mode="exact", per_packet=True, dtmc=d)
+    got = prof.success_at.tolist() + [prof.reject_prob]
+    for x, want in zip(got, map(float.fromhex, packet_at + packet_reject), strict=True):
+        assert abs(x - want) <= 1e-12 * max(1.0, abs(want))
+
+
 # -- idle listening and energy -----------------------------------------------------
 
 
