@@ -37,17 +37,17 @@ each state after the first is entered only from the one before it.  The
 contracted graph's nodes are the run heads, the branching states and the
 sinks, and each run is one edge from its head to its exit.  Inside a run a
 state's value is the next pinned state's value, or the exit's, plus the
-rewards on the way, so solves keep values only at the nodes.  One plan over
-the nodes' levels, built on the first solve and cached on the model, maps
-each state to the node a pin there decides and to its position on that
-node's run.  Every query is asked from the initial state, as PRISM asks
-them, and every one is a seeding of one backward sweep: K columns, each
-pinning an index set at one value and accruing sparse rewards.  A reach
-query pins its targets at 1; an expected reward pins its target, once at 1
-and once at 0 with the rewards; an entry count pins nothing and puts each
-entering edge's probability on its source.  Masks stay the public input.
-So a query costs its targets and rewards plus the nodes times K, not the
-states times K.
+rewards on the way, so solves keep values only at the nodes.  One plan, built
+on the first solve and cached on the model, numbers the nodes level by
+level, so a sweep reads and writes each level as one slice, and maps each
+state to the node a pin there decides and to its position on that node's
+run.  Every query is asked from the initial state, as PRISM asks them, and
+every one is a seeding of one backward sweep: K columns, each pinning an
+index set at one value and accruing sparse rewards.  A reach query pins its
+targets at 1; an expected reward pins its target, once at 1 and once at 0
+with the rewards; an entry count pins nothing and puts each entering edge's
+probability on its source.  Masks stay the public input.  So a query costs its
+targets and rewards plus the nodes times K, not the states times K.
 """
 
 from __future__ import annotations
@@ -241,28 +241,33 @@ class DTMC:
         """Kahn frontier rounds over the run-contracted graph of open edges.
 
         Its nodes are run heads, branching states and sinks (see
-        :func:`_contract`); each level holds their state ids, and edges
-        cross levels forward.  Returns (levels, acyclic); with a cyclic
-        model some states stay unlevelled and the solvers refuse it.  Not
-        cached: the solve plan that reads it is.
+        :func:`_contract`); each level holds their state ids, ascending,
+        and edges cross levels forward.  The loop runs over node ranks: a
+        level of one-edge rows skips the row gather, and only successors
+        whose in-degree reaches 0 are sorted.  Returns (levels, acyclic);
+        with a cyclic model some states stay unlevelled and the solvers
+        refuse it.  Not cached: the solve plan that reads it is.
         """
         indptr = self.open_csr()[0]
         g = _contract(self)
-        cols = _contracted_cols(self, g)
-        in_deg = np.bincount(cols[g.is_node[_edge_rows(indptr)]], minlength=self.n_states)
-        frontier = np.flatnonzero((in_deg == 0) & g.is_node)
+        nodes = np.flatnonzero(g.is_node).astype(np.int32)
+        rank = np.cumsum(g.is_node, dtype=np.int32) - 1
+        # every contracted edge of a node leads to a node
+        succ = rank[_contracted_cols(self, g)[_row_gather(indptr, nodes)]]
+        node_ptr = np.append(0, np.cumsum(indptr[nodes + 1] - indptr[nodes]))
+        single = np.diff(node_ptr) == 1
+        in_deg = np.bincount(succ, minlength=nodes.size)
+        frontier = np.flatnonzero(in_deg == 0)
         levels: list[np.ndarray] = []
-        seen = 0
         while frontier.size:
-            levels.append(frontier)
-            seen += frontier.size
-            heads = cols[_row_gather(indptr, frontier)]
-            if heads.size == 0:
-                break
+            levels.append(nodes[frontier])
+            if single[frontier].all():
+                heads = succ[node_ptr[frontier]]
+            else:
+                heads = succ[_row_gather(node_ptr, frontier)]
             np.subtract.at(in_deg, heads, 1)
-            cand = np.unique(heads)
-            frontier = cand[in_deg[cand] == 0]
-        return levels, g.covered and seen == int(g.is_node.sum())
+            frontier = np.unique(heads[in_deg[heads] == 0])
+        return levels, g.covered and sum(map(len, levels)) == nodes.size
 
 
 class _Contraction(NamedTuple):
@@ -337,55 +342,49 @@ def _contracted_cols(dtmc: DTMC, g: _Contraction) -> np.ndarray:
 class _Plan(NamedTuple):
     """The contracted graph laid out for solves.
 
-    A pin decides its state's `node`, and a column's first pin on a run
-    is the one with the smallest `pos` there.
+    Level l holds the nodes ``bounds[l]:bounds[l + 1]``, so a sweep reads
+    and writes it as a slice.  A pin decides its state's `node`, and a
+    column's first pin on a run is the one with the smallest `pos` there.
     """
 
-    states: np.ndarray       # per node, its state id
     start: int               # the initial state's node
-    order: np.ndarray        # the nodes, level by level
-    bounds: np.ndarray       # per level, its first position in `order`; then its size
-    edge_bounds: np.ndarray  # per level, its first edge; edges follow `order`
+    bounds: np.ndarray       # per level, its first node; then the node count
+    edge_bounds: np.ndarray  # per level, its first edge; edges follow the nodes
     seg: np.ndarray          # per edge, its source's position in its level
-    succ: np.ndarray         # per edge, the successor node
+    succ: np.ndarray         # int32, per edge the successor node
     probs: np.ndarray        # per edge, the branch probability (1 for a run)
-    node: np.ndarray         # per state, the node a pin there decides: its own, or its run's head
+    node: np.ndarray         # int32, per state the node a pin there decides: its own or its head's
     pos: np.ndarray          # int32, per state its position on its node's run, 0 at the node
 
 
 def _plan(dtmc: DTMC) -> _Plan:
-    """The solve plan of a model whose open edges form a DAG, cached on it."""
+    """The solve plan of a model whose open edges form a DAG, cached on it.
+
+    Nodes are numbered in the order :meth:`DTMC.topo_levels` lists them,
+    and a run state's node is its head's, which `runs[p]` lines up with.
+    """
     if dtmc._plan is None:
         levels, acyclic = dtmc.topo_levels()
         if not acyclic:
             raise SolverError("model has a cycle besides terminal self-loops; "
                               "level solves require a DAG")
         g = _contract(dtmc)
-        ordered = np.concatenate(levels)
-        is_head = np.zeros(dtmc.n_states, dtype=bool)
-        if g.runs:
-            is_head[g.runs[0]] = True
-        # the run heads are nodes 0..R-1, longest run first, so the states
-        # of runs[p] line up with the first nodes
-        states = np.concatenate(g.runs[:1] + [ordered[~is_head[ordered]]])
-        node_of = np.empty(dtmc.n_states, dtype=np.int64)
-        node_of[states] = np.arange(states.size)
+        states = np.concatenate(levels)
+        node = np.empty(dtmc.n_states, dtype=np.int32)
+        node[states] = np.arange(states.size, dtype=np.int32)
         pos = np.zeros(dtmc.n_states, dtype=np.int32)
         for p, run in enumerate(g.runs[1:], 1):
-            node_of[run] = np.arange(run.size)
+            node[run] = node[g.runs[0][:run.size]]
             pos[run] = p
         sizes = np.array([lvl.size for lvl in levels])
-        bounds = np.zeros(len(levels) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
+        bounds = np.append(0, np.cumsum(sizes))
         indptr, _, probs = dtmc.open_csr()
-        counts = indptr[ordered + 1] - indptr[ordered]
-        firsts = np.zeros(ordered.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=firsts[1:])
-        flat = _row_gather(indptr, ordered)
-        seg = np.repeat(np.arange(ordered.size) - np.repeat(bounds[:-1], sizes), counts)
-        dtmc._plan = _Plan(states, int(node_of[0]), node_of[ordered], bounds, firsts[bounds],
-                           seg, node_of[_contracted_cols(dtmc, g)[flat]], probs[flat],
-                           node_of, pos)
+        counts = indptr[states + 1] - indptr[states]
+        firsts = np.append(0, np.cumsum(counts))
+        flat = _row_gather(indptr, states)
+        seg = np.repeat(np.arange(states.size) - np.repeat(bounds[:-1], sizes), counts)
+        dtmc._plan = _Plan(int(node[0]), bounds, firsts[bounds], seg,
+                           node[_contracted_cols(dtmc, g)[flat]], probs[flat], node, pos)
         # imported here: logging is about a tenth of the package's cold import
         import logging
         logging.getLogger(__name__).debug(
@@ -501,51 +500,66 @@ class _Builder:
         """The round entered at projection `q0` under context `c`.
 
         Each local state is counted when it is found and stepped after, so
-        the cap bounds the tick steps too.  A boundary row is one edge to
-        its exit, a terminal state loops to itself, and a deadlock has no
-        edge.
+        the cap bounds the tick steps too.  A tick row, one edge of
+        probability 1, is walked inline; a boundary row is one edge to its
+        exit, a terminal state loops to itself, and a deadlock has no edge.
         """
         self.grow(1)
+        count, cap = self.n_states, self.max_states
+        tick_next, projections, step = self.tick_next, self.projections, self.step
         local = {q0: 0}
-        qs, lens, cols, probs = [q0], [], [], []
+        find = local.get
+        qs, lens, cols, draws = [q0], [], [], []
+        found, add_len, add_col = qs.append, lens.append, cols.append
         exits: dict[tuple, int] = {}
         exit_qs: list[int] = []
         # qs grows as states are found, so the loop walks them breadth first
         for q in qs:
-            nxt = self.tick_next[q]
+            nxt = tick_next[q]
             if nxt is None:
-                nxt = self.tick_next[q] = self.step(q)
+                nxt = tick_next[q] = step(q)
             if nxt >= 0:
-                succ, row = (nxt,), (1.0,)
-            elif nxt == _DRAW:
+                i = find(nxt)
+                if i is None:
+                    count += 1
+                    if count > cap:
+                        raise StateSpaceLimitError(f"reachable state space exceeds {cap} states")
+                    i = local[nxt] = len(qs)
+                    found(nxt)
+                add_len(1)
+                add_col(i)
+                continue
+            if nxt == _DRAW:
                 row, succ = self.draw_row(c, q)
+                draws.append((len(cols), row))
             elif nxt == _TERMINAL:
-                succ, row = (q,), (1.0,)
+                succ = (q,)
             elif nxt == _BOUNDARY:
-                phases = tuple([sd[0] for sd in self.projections[q][0]])
-                x = exits.get(phases)
-                if x is None:
-                    x = exits[phases] = len(exit_qs)
+                x = exits.setdefault(tuple([sd[0] for sd in projections[q][0]]), len(exits))
+                if x == len(exit_qs):
                     exit_qs.append(q)
-                lens.append(1)
-                cols.append(-1 - x)
-                probs.append(1.0)
+                add_len(1)
+                add_col(-1 - x)
                 continue
             else:
-                lens.append(0)
+                add_len(0)
                 continue
-            lens.append(len(succ))
-            probs.extend(row)
+            add_len(len(succ))
             for s in succ:
-                i = local.get(s)
+                i = find(s)
                 if i is None:
-                    self.grow(1)
+                    count += 1
+                    if count > cap:
+                        raise StateSpaceLimitError(f"reachable state space exceeds {cap} states")
                     i = local[s] = len(qs)
-                    qs.append(s)
-                cols.append(i)
+                    found(s)
+                add_col(i)
+        self.n_states = count
+        probs = np.ones(len(cols))
+        for at, row in draws:
+            probs[at:at + len(row)] = row
         return _Round(np.array(lens, dtype=np.int32), np.array(cols, dtype=np.int32),
-                      np.array(probs, dtype=np.float64), np.array(qs, dtype=np.int32),
-                      exit_qs)
+                      probs, np.array(qs, dtype=np.int32), exit_qs)
 
     def step(self, q: int) -> int:
         """The tick table entry of projection `q`."""
@@ -693,13 +707,14 @@ def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
     """The states of a CSR graph in the order a layered BFS from state 0
     numbers them, and the number of layers.
 
-    A layer's successors are read row by row, each row's edges in order,
-    and the ones not yet numbered form the next layer in order of first
-    occurrence.
+    A layer's successors are read row by row, each row's edges in order
+    (a layer of one-edge rows without a row gather), and the ones not yet
+    numbered form the next layer in order of first occurrence.
     """
     n = len(indptr) - 1
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    single = np.diff(indptr) == 1
+    fresh = np.ones(n, dtype=bool)
+    fresh[0] = False
     # each successor writes its position here; whichever of two equal ones
     # wins, the other reads back a position not its own, so a layer's
     # successors are distinct iff every one reads back its own
@@ -708,8 +723,11 @@ def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
     layers = []
     while layer.size:
         layers.append(layer)
-        succ = cols[_row_gather(indptr, layer)]
-        succ = succ[~seen[succ]]
+        if single[layer].all():
+            succ = cols[indptr[layer]]
+        else:
+            succ = cols[_row_gather(indptr, layer)]
+        succ = succ[fresh[succ]]
         at = np.arange(succ.size, dtype=np.int32)
         slot[succ] = at
         if not (slot[succ] == at).all():
@@ -718,7 +736,7 @@ def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
             first = np.unique(succ, return_index=True)[1]
             first.sort()
             succ = succ[first]
-        seen[succ] = True
+        fresh[succ] = False
         layer = succ
     return np.concatenate(layers), len(layers)
 
@@ -770,7 +788,7 @@ def _start_values(dtmc: DTMC, pins: list[np.ndarray], values: np.ndarray | tuple
     column.
     """
     plan = _plan(dtmc)
-    n = plan.states.size
+    n = plan.bounds[-1]
     pin = np.zeros((n, len(pins)), dtype=bool)
     for k, states in enumerate(pins):
         pin[plan.node[states], k] = True
@@ -795,22 +813,23 @@ def _sweep(plan: _Plan, y: np.ndarray, pin: np.ndarray) -> np.ndarray:
 
     `y` (nodes, K) holds each pinned node's value and what every other
     node adds to the sum over its edges; the sweep fills in the sums in
-    place.  Each node's successors lie on later levels, so it is exact.
+    place, a level's slice at a time.  Each node's successors lie on later
+    levels, so it is exact.  ``np.bincount`` adds a node's edges in edge
+    order, which ``np.add.reduceat`` does not, so every answer keeps its bits.
     """
     k = y.shape[1]
     columns = np.arange(k)
-    for lo, hi, elo, ehi in reversed(list(zip(plan.bounds[:-1], plan.bounds[1:],
-                                              plan.edge_bounds[:-1], plan.edge_bounds[1:]))):
-        nodes = plan.order[lo:hi]
-        # one bin per (node, column), each summed in edge order
+    free = ~pin
+    b, e = plan.bounds.tolist(), plan.edge_bounds.tolist()
+    for lo, hi, elo, ehi in reversed(list(zip(b, b[1:], e, e[1:]))):
+        # one bin per (node, column)
         bins = (plan.seg[elo:ehi, None] * k + columns).ravel()
         acc = np.bincount(bins, weights=(plan.probs[elo:ehi, None] * y[plan.succ[elo:ehi]]).ravel(),
                           minlength=(hi - lo) * k).reshape(hi - lo, k)
         # 0.0 + a == a, so a node without reward takes its sum unchanged;
         # a sink's empty sum leaves it at its reward
-        here = y[nodes]
-        np.add(here, acc, out=here, where=~pin[nodes])
-        y[nodes] = here
+        here = y[lo:hi]
+        np.add(here, acc, out=here, where=free[lo:hi])
     return y[plan.start]
 
 

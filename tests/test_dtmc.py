@@ -88,6 +88,35 @@ def test_frame_end_corners_pin_their_state_and_deadlock_counts():
             assert (d.n_states, d.deadlock_indices.size) == want, (d_rssi, cts_timeout, robust)
 
 
+def test_timing_corners_pin_their_state_and_deadlock_counts():
+    # the other 40 two-sender corners of d_switch in {0, 1}, d_frame in
+    # {1, 2, 5}, d_rssi in {0, 1} and cts_timeout in {1, 3}, which no
+    # workload builds; per (d_switch, d_frame) and (d_rssi, cts_timeout),
+    # (n_states, n_deadlocks) without and with robust_mode.  Recorded before
+    # the round walk counted the cap inline and the BFS numbering read a
+    # layer of single-edge rows without a row gather
+    table = {
+        (0, 2): {(0, 1): ((2158, 26), (2210, 0)), (0, 3): ((2184, 26), (2288, 0)),
+                 (1, 1): ((2766, 0), (2766, 0)), (1, 3): ((2792, 0), (2792, 0))},
+        (0, 5): {(0, 1): ((4669, 26), (4799, 0)), (0, 3): ((4695, 26), (4877, 0)),
+                 (1, 1): ((5355, 0), (5355, 0)), (1, 3): ((5381, 0), (5381, 0))},
+        (1, 1): {(0, 1): ((2630, 26), (2708, 0)), (0, 3): ((2656, 26), (2786, 0)),
+                 (1, 1): ((3186, 0), (3186, 0)), (1, 3): ((3212, 0), (3212, 0))},
+        (1, 2): {(0, 1): ((3467, 26), (3545, 0)), (0, 3): ((3493, 26), (3623, 0)),
+                 (1, 1): ((4049, 0), (4049, 0)), (1, 3): ((4075, 0), (4075, 0))},
+        (1, 5): {(0, 1): ((5978, 26), (6134, 0)), (0, 3): ((6004, 26), (6212, 0)),
+                 (1, 1): ((6638, 0), (6638, 0)), (1, 3): ((6664, 0), (6664, 0))},
+    }
+    for (d_switch, d_frame), rows in table.items():
+        for (d_rssi, cts_timeout), counts in rows.items():
+            for robust, want in zip((False, True), counts):
+                corner = (d_switch, d_frame, d_rssi, cts_timeout, robust)
+                d = build(ScenarioConfig(n_senders=2, d_switch=d_switch, d_frame=d_frame,
+                                         d_rssi=d_rssi, cts_timeout=cts_timeout,
+                                         robust_mode=robust))
+                assert (d.n_states, d.deadlock_indices.size) == want, corner
+
+
 def test_bfs_parents_precede_children(two_sender_model):
     d = two_sender_model
     assert d.parent[0] == -1
@@ -280,6 +309,24 @@ def test_three_sender_deadlocking_build_matches_the_reference_bfs():
     cfg = ScenarioConfig(n_senders=3, nmax_msg=1, tcu_ticks=3)
     assert len(build(cfg).deadlock_indices) > 0
     assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("rows, order, n_layers", [
+    # the layer [1, 2, 3] has one edge per row, and 1 and 3 share the child
+    # 5, which comes before 4 by first occurrence
+    ([[1, 2, 3], [5], [4], [5], [], []], [0, 1, 2, 3, 5, 4], 3),
+    # the layer [2, 1] has one edge per row, both to 3; 3 loops to itself
+    ([[2, 1], [3], [3], [3]], [0, 2, 1, 3], 3),
+    # the layer [1, 2] mixes three edges and one, repeats 3, and leads back
+    # to the numbered 0
+    ([[1, 2], [4, 3, 0], [3], [], []], [0, 1, 2, 4, 3], 3),
+], ids=["single_edge_shared_child", "single_edge_merge", "mixed_repeat"])
+def test_bfs_order_numbers_by_first_occurrence(rows, order, n_layers):
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    cols = np.array([j for row in rows for j in row], dtype=np.int32)
+    got, layers = dtmc_module._bfs_order(indptr, cols)
+    assert (got.tolist(), layers) == (order, n_layers)
 
 
 # SHA-256 of each DTMC array (its dtype and shape, then its bytes) and of
@@ -751,6 +798,43 @@ def test_an_unpinned_sink_takes_its_reward():
     d = hand_built([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(3, 1.0)], []])
     x = solve_at_start(d, np.zeros(4, dtype=bool), np.zeros(4), np.arange(1.0, 5.0))
     assert x.tolist() == [1.0 + 0.5 * (2.0 + 4.0) + 0.5 * (3.0 + 4.0)]
+
+
+@pytest.mark.parametrize("rows", [
+    # a merge into the middle of a run, which splits it
+    [[(1, 0.5), (4, 0.5)], [(2, 1.0)], [(3, 1.0)], [(6, 1.0)], [(5, 1.0)], [(2, 1.0)], []],
+    # the initial state heads a run into a branch
+    [[(1, 1.0)], [(2, 1.0)], [(3, 0.25), (4, 0.75)], [(5, 1.0)], [(5, 1.0)], []],
+    # an unreachable state steps into the initial state
+    [[(2, 1.0)], [(0, 1.0)], []],
+    None,
+], ids=["merge_into_run", "start_heads_a_run", "into_the_start", "short_unit"])
+def test_the_plan_numbers_its_nodes_level_by_level(rows):
+    d = build(ScenarioConfig(tcu_ticks=3)) if rows is None else hand_built(rows)
+    levels, acyclic = d.topo_levels()
+    assert acyclic
+    plan = dtmc_module._plan(d)
+    assert plan.node.dtype == np.int32 and plan.start == plan.node[0]
+    # the nodes of level l are bounds[l]:bounds[l + 1], in the level's order
+    bounds = plan.bounds.tolist()
+    assert len(bounds) == len(levels) + 1
+    for states, lo, hi in zip(levels, bounds, bounds[1:]):
+        assert plan.node[states].tolist() == list(range(lo, hi))
+    # each level's edges leave its nodes, and every edge leads to a later level
+    level = np.repeat(np.arange(len(levels)), np.diff(plan.bounds))
+    edge_level = np.repeat(np.arange(len(levels)), np.diff(plan.edge_bounds))
+    assert (level[plan.bounds[edge_level] + plan.seg] == edge_level).all()
+    assert (level[plan.succ] > edge_level).all()
+    # a run state's node is its head's, and its pos is its place on the run
+    runs = dtmc_module._contract(d).runs
+    for p, run in enumerate(runs):
+        assert (plan.node[run] == plan.node[runs[0][:run.size]]).all()
+        assert (plan.pos[run] == p).all()
+
+
+def test_the_plan_refuses_a_cyclic_model():
+    with pytest.raises(SolverError):
+        dtmc_module._plan(hand_built([[(1, 1.0)], [(2, 1.0)], [(1, 1.0)]]))
 
 
 @contextmanager
