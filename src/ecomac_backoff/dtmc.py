@@ -244,9 +244,10 @@ class DTMC:
         :func:`_contract`); each level holds their state ids, ascending,
         and edges cross levels forward.  The loop runs over node ranks: a
         level of one-edge rows skips the row gather, and only successors
-        whose in-degree reaches 0 are sorted.  Returns (levels, acyclic);
-        with a cyclic model some states stay unlevelled and the solvers
-        refuse it.  Not cached: the solve plan that reads it is.
+        whose in-degree reaches 0 are sorted, a head fed by several frontier
+        nodes kept once.  Returns (levels, acyclic); with a cyclic model some
+        states stay unlevelled and the solvers refuse it.  Not cached: the
+        solve plan that reads it is.
         """
         indptr = self.open_csr()[0]
         g = _contract(self)
@@ -266,7 +267,12 @@ class DTMC:
             else:
                 heads = succ[_row_gather(node_ptr, frontier)]
             np.subtract.at(in_deg, heads, 1)
-            frontier = np.unique(heads[in_deg[heads] == 0])
+            # a head fed by several frontier nodes is listed once per edge
+            frontier = np.sort(heads[in_deg[heads] == 0])
+            first = np.empty(frontier.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(frontier[1:], frontier[:-1], out=first[1:])
+            frontier = frontier[first]
         return levels, g.covered and sum(map(len, levels)) == nodes.size
 
 

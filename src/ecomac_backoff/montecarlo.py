@@ -35,7 +35,8 @@ easy as 1, 2, 3", SC 2011), so a batch computes the next blocks of every
 run's stream in one array pass, finds where each word a row needs lies
 from the row's position, and turns words into counters with the rule
 ``Generator.integers`` uses (Lemire, "Fast random integer generation in an
-interval", ACM TOMACS 2019); see :class:`_Streams`.
+interval", ACM TOMACS 2019).  :func:`_philox` takes each round's two
+128-bit products as one, and :class:`_Streams` sizes fills and refills.
 """
 
 from __future__ import annotations
@@ -136,34 +137,62 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
 _LANES = 1 << 14
 
 _M32 = np.uint64(0xFFFFFFFF)
-_HALVES = np.array([0, 32], dtype=np.uint64)  # an output's low half, then its high half
-# Philox4x64-10's round multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64 bits of each 128-bit product ``m * x``."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _M32, x >> 32
-    cross_lo, cross_hi = x_lo * m_hi, x_hi * m_lo
-    mid = (x_lo * m_lo >> 32) + (cross_lo & _M32) + (cross_hi & _M32)
-    return x * np.uint64(m), x_hi * m_hi + (cross_lo >> 32) + (cross_hi >> 32) + (mid >> 32)
+# Philox4x64-10's round multipliers and key increments, as columns against
+# the state's rows (c2, c0) and the key's rows (k1, k0)
+_PHILOX_M = np.array([[0xCA5A826395121157], [0xD2E7470EE14C6C93]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _M32, _PHILOX_M >> np.uint64(32)
+_PHILOX_W = np.array([[0xBB67AE8584CAA73B], [0x9E3779B97F4A7C15]], dtype=np.uint64)
 
 
 def _philox(seed: int, runs: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Philox4x64-10 blocks under the keys ``(seed, runs)`` at the counters
-    ``(counters, 0, 0, 0)``: one row of four 64-bit outputs per entry."""
-    zero = np.zeros_like(counters)
-    c0, c1, c2, c3 = counters, zero, zero, zero
-    k0, k1 = seed, runs
+    ``(counters, 0, 0, 0)``: one row of four 64-bit outputs per entry.
+
+    A round multiplies c0 by M0 and c2 by M1 into 128-bit products.  Here
+    both products are one: the state's words c2 and c0 are the rows of one
+    ``(2, N)`` array, multiplied by the column (M1, M0) in 32-bit halves
+    (Warren, "Hacker's Delight", mulhu), and c3 and c1 are the rows of
+    another.  The next (c2, c0) is the high products, rows swapped, xor
+    (c3, c1) and the round key (k1, k0); the next (c3, c1) is the low
+    products, rows swapped.  Every temporary lives in a buffer made once
+    per call.
+    """
+    n = counters.size
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0], key[1] = runs, seed
+    a = np.zeros((2, n), dtype=np.uint64)  # (c2, c0)
+    a[1] = counters
+    b = np.zeros((2, n), dtype=np.uint64)  # (c3, c1)
+    lo, hi, t, w = np.empty((4, 2, n), dtype=np.uint64)
     for rnd in range(10):
         if rnd:
-            k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, k1 + np.uint64(_PHILOX_W[1])
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=1)
+            key += _PHILOX_W
+        # lo and hi hold the state's low and high halves until the products
+        np.bitwise_and(a, _M32, out=lo)
+        np.right_shift(a, 32, out=hi)
+        np.multiply(lo, _PHILOX_M_LO, out=t)
+        t >>= 32
+        np.multiply(hi, _PHILOX_M_LO, out=w)
+        t += w  # below 2**64: (2**32 - 1)**2 + 2**32 - 1
+        np.multiply(lo, _PHILOX_M_HI, out=w)
+        np.multiply(a, _PHILOX_M, out=lo)
+        np.bitwise_and(t, _M32, out=a)
+        w += a
+        t >>= 32
+        w >>= 32
+        hi *= _PHILOX_M_HI
+        hi += t
+        hi += w
+        np.bitwise_xor(hi[::-1], b, out=a)
+        a ^= key
+        b, lo = lo[::-1], b[::-1]
+    return np.stack((a[1], b[1], a[0], b[0]), axis=1)
+
+
+#: a batch whose first fill computes fewer blocks than this is small, and
+#: its refills fill rows that hold this many blocks in all; a Philox call
+#: of this many blocks costs about twice one of a single block
+_FILL_BLOCKS = 1 << 10
 
 
 class _Streams:
@@ -176,13 +205,20 @@ class _Streams:
     before it computes a block, and a 32-bit draw takes a 64-bit output's
     low half and keeps the high half for the next one.
 
-    A lane holds consecutive blocks from block ``block`` on, and its next
-    word is ``pos``.  The first draw sets how many from its row width k:
-    ``ceil(4k / 8)`` blocks, about four rows of words, and never fewer than
-    two, so a lane holds at most 16 or 4k + 7 words.  A lane that runs out
-    is refilled from the block of its next word on, all such lanes in one
-    array pass.  A draw takes every row's words in one gather, as a word's
-    place is known from the lane's next word and the row's columns.
+    A lane holds consecutive blocks from block ``block`` on, up to word
+    ``end``, and its next word is ``pos``.  The first draw, of rows of k
+    columns, fills every lane with ``ceil(4k / 8)`` blocks, about four rows
+    of words.  A lane that runs out is refilled with a row of blocks from
+    the block of its next word on.  A row is the first fill's size, and
+    only the lanes that ran out are refilled, unless the first fill
+    computed fewer than `_FILL_BLOCKS` blocks in all.  Then the batch is
+    small: a row is ``ceil(_FILL_BLOCKS / lanes)`` blocks, and a lane that
+    runs out takes every lane drawing with it, so the batch makes few
+    Philox calls and none computes more than ``2 * _FILL_BLOCKS`` blocks.
+    A refill is one array pass, and `calls` and `blocks` count the Philox
+    calls and the blocks computed.  A draw takes every row's words in one
+    gather, as a word's place is known from the lane's next word and the
+    row's columns.
     """
 
     def __init__(self, seed: int, runs: np.ndarray):
@@ -190,20 +226,32 @@ class _Streams:
         self.runs = runs.astype(np.uint64)
         self.pos = np.zeros(len(runs), dtype=np.int64)    # next word
         self.block = np.zeros(len(runs), dtype=np.int64)  # first block held
+        self.end = np.zeros(len(runs), dtype=np.int64)    # first word not held
         self.words = np.zeros((len(runs), 0), dtype=np.uint64)
+        self.small = False
+        self.calls = self.blocks = 0
+
+    def _fill(self, lanes: np.ndarray, block: np.ndarray, blocks: int) -> None:
+        """Give each lane its `blocks` blocks from block `block` on."""
+        counters = (block[:, None] + np.arange(1, blocks + 1)).ravel().astype(np.uint64)
+        out = _philox(self.seed, np.repeat(self.runs[lanes], blocks), counters)
+        # a block's words: each output's low half, then its high half
+        self.words[lanes, :8 * blocks] = out.astype("<u8", copy=False).view("<u4").reshape(
+            len(lanes), -1)
+        self.block[lanes] = block
+        self.end[lanes] = (block + blocks) * 8
+        self.calls += 1
+        self.blocks += counters.size
 
     def _hold(self, lanes: np.ndarray, count: np.ndarray) -> None:
-        """Make each lane hold its next `count` words where its blocks can:
-        a lane that does not gets the blocks from its next word's on."""
+        """Make each lane hold its next `count` words where a row can: a lane
+        that does not is refilled from its next word's block on."""
         pos = self.pos[lanes]
-        refill = pos + count > self.block[lanes] * 8 + self.words.shape[1]
+        refill = pos + count > self.end[lanes]
         if refill.any():
-            fill, blocks = lanes[refill], self.words.shape[1] // 8
-            block = pos[refill] >> 3
-            counters = (block[:, None] + np.arange(1, blocks + 1)).ravel().astype(np.uint64)
-            out = _philox(self.seed, np.repeat(self.runs[fill], blocks), counters)
-            self.words[fill] = ((out[..., None] >> _HALVES) & _M32).reshape(len(fill), -1)
-            self.block[fill] = block
+            if self.small:
+                refill[:] = True
+            self._fill(lanes[refill], pos[refill] >> 3, self.words.shape[1] // 8)
 
     def _next_words(self, lanes: np.ndarray) -> np.ndarray:
         self._hold(lanes, np.ones(len(lanes), dtype=np.int64))
@@ -233,15 +281,18 @@ class _Streams:
         rank = np.cumsum(wide, axis=1)  # the wide columns up to each column
         count = rank[:, -1]
         if not self.words.shape[1]:
-            # about four rows of words, at least two blocks; none held yet
-            blocks = max(2, -(-4 * k // 8))
-            self.words = np.zeros((len(self.runs), 8 * blocks), dtype=np.uint64)
-            self.block[:] = -blocks
+            # the first draw: every lane's first fill, and the size of the
+            # rows its refills fill
+            blocks, n = -(-4 * k // 8), len(self.runs)
+            self.small = n * blocks < _FILL_BLOCKS
+            rows = -(-_FILL_BLOCKS // n) if self.small else blocks
+            self.words = np.zeros((n, 8 * rows), dtype=np.uint64)
+            self._fill(np.arange(n), np.zeros(n, dtype=np.int64), blocks)
         self._hold(lanes, count)
-        held = self.words.shape[1]
         pos = self.pos[lanes]
-        first = pos - self.block[lanes] * 8 + lanes * held  # in the flat words
-        fast = first + count <= (lanes + 1) * held
+        fast = pos + count <= self.end[lanes]
+        # each row's first word in the flat words
+        first = pos - self.block[lanes] * 8 + lanes * self.words.shape[1]
         # a width-1 column may read any word: (x * 1) >> 32 is 0, and its
         # bound 2**32 mod 1 never redraws; "clip" keeps a slow row's reads
         # inside the words
@@ -338,10 +389,11 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     each sender crosses the boundary through a dense table of
     :meth:`Automaton.settle` over (end phase, e, msgs).  A run leaves the
     pass when every sender is done or its round deadlocks.  At DEBUG it
-    logs the round table's counts: rows played and their ticks, the
-    canonical keys among them, and the distinct sorted draw vectors of all
-    passes answered from a parked representative (folded) and from one
-    latched in a collision (latched).
+    logs the streams' Philox calls and the blocks they computed, and the
+    round table's counts: rows played and their ticks, the canonical keys
+    among them, and the distinct sorted draw vectors of all passes answered
+    from a parked representative (folded) and from one latched in a
+    collision (latched).
     """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
@@ -368,6 +420,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     # is 1 for none, 2 for a delivery and 3 for a drop, and 0 marks a
     # crossing not read yet
     crossing = np.zeros((len(SenderPhase), cfg.e_max + 1, cfg.nmax_msg + 1, 3), dtype=np.int64)
+    philox_calls = philox_blocks = 0
     for first in range(0, n_runs, _LANES):
         runs = np.arange(first, min(first + _LANES, n_runs))
         streams = _Streams(seed, runs)
@@ -417,11 +470,14 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             e, msgs = cross[..., 0], cross[..., 1]
             going = msgs.any(axis=1)
             lane, e, msgs = lane[going], e[going], msgs[going]
+        philox_calls += streams.calls
+        philox_blocks += streams.blocks
     # imported here: logging is about a tenth of the package's cold import
     import logging
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
-        "simulate: %d runs, %d rounds, %d rows played, %d plain ticks, %d canonical keys, "
-        "%d rows folded, %d rows latched", n_runs, rounds.sum(), counts["rows"], counts["ticks"],
+        "simulate: %d runs, %d rounds, %d Philox calls, %d Philox blocks, %d rows played, "
+        "%d plain ticks, %d canonical keys, %d rows folded, %d rows latched", n_runs,
+        rounds.sum(), philox_calls, philox_blocks, counts["rows"], counts["ticks"],
         counts["canonical"], counts["folded"], counts["latched"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

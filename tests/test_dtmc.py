@@ -832,6 +832,23 @@ def test_the_plan_numbers_its_nodes_level_by_level(rows):
         assert (plan.pos[run] == p).all()
 
 
+@pytest.mark.parametrize("rows, levels", [
+    # one-edge frontier rows 1 and 2 both feed 3
+    ([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(3, 1.0)], [(4, 0.5), (5, 0.5)], [], []],
+     [[0], [1, 2], [3], [4, 5]]),
+    # branching frontier rows 1 and 2 both feed 3 and 4
+    ([[(1, 0.5), (2, 0.5)], [(3, 0.5), (4, 0.5)], [(3, 0.5), (4, 0.5)], [(5, 1.0)], [(5, 1.0)],
+      []],
+     [[0], [1, 2], [3, 4], [5]]),
+], ids=["one_edge_rows", "branching_rows"])
+def test_topo_levels_list_a_head_fed_by_two_frontier_nodes_once(rows, levels):
+    # the head is listed once per frontier edge into it, and its level
+    # keeps it once
+    got, acyclic = hand_built(rows).topo_levels()
+    assert acyclic
+    assert [level.tolist() for level in got] == levels
+
+
 def test_the_plan_refuses_a_cyclic_model():
     with pytest.raises(SolverError):
         dtmc_module._plan(hand_built([[(1, 1.0)], [(2, 1.0)], [(1, 1.0)]]))

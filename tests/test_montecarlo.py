@@ -27,7 +27,7 @@ from ecomac_backoff import (
 )
 from ecomac_backoff import montecarlo
 from ecomac_backoff.errors import ConfigError
-from ecomac_backoff.montecarlo import _distinct_rows, _Streams
+from ecomac_backoff.montecarlo import _distinct_rows, _philox, _Streams
 
 from backoff_tables import REJECT_HEAVY, tables
 
@@ -329,21 +329,24 @@ def test_stream_draws_match_generator_integers(seed):
 
 
 def test_stream_rows_that_redraw_or_outrun_their_words_match_generator_integers(monkeypatch):
-    # the first draw sizes each lane to two blocks.  In the second, lane 0
-    # redraws under Lemire's rule (windows of 2**31 + 1 values) and lane 1
-    # needs 20 words where 15 are held; both are drawn word by word, and
-    # the other lanes in one gather
+    # a first draw of one column fills one block per lane, and five lanes
+    # hold rows of ceil(1024 / 5) = 205 blocks, which a refill fills.  In the
+    # second draw, lane 0 redraws under Lemire's rule (windows of 2**31 + 1
+    # values) and lane 1 needs 1700 words, more than a refilled row holds;
+    # both are drawn word by word, and the other lanes in one gather
     seed, runs = 7, np.arange(5)
     streams = _Streams(seed, runs)
     generators = [run_rng(seed, int(r)) for r in runs]
     got = streams.integers(runs, np.zeros((5, 1)), np.full((5, 1), 7))
     assert got.ravel().tolist() == [int(g.integers(0, 7)) for g in generators]
-    assert streams.words.shape[1] == 16
-    width = np.ones((5, 20), dtype=np.int64)
+    assert streams.end.tolist() == [8] * 5
+    assert streams.words.shape[1] == 8 * 205
+    assert (streams.calls, streams.blocks) == (1, 5)
+    width = np.ones((5, 1700), dtype=np.int64)
     width[0, :4] = 2**31 + 1
     width[1] = 7
     width[2:, 5:8] = 9
-    lo = np.full((5, 20), 3)
+    lo = np.full((5, 1700), 3)
     word_by_word = []
     next_words = _Streams._next_words
 
@@ -357,6 +360,109 @@ def test_stream_rows_that_redraw_or_outrun_their_words_match_generator_integers(
                             for g, row in zip(generators, width.tolist())]
     assert set(word_by_word) == {0, 1}
     assert streams.pos[0] > 1 + 4  # lane 0 took a word more than its columns
+    assert streams.pos[1] == 1 + 1700
+    # lane 1 running out took every lane into its refill of a whole row
+    assert (streams.end - streams.block * 8 == 8 * 205).all()
+
+
+def test_large_batch_streams_refill_only_the_lanes_that_run_out():
+    # a first fill of one block for each of 1024 lanes computes 1024
+    # blocks, so the batch is not small: a refill computes one-block rows
+    # of only the lanes that run out.  One lane fewer makes the batch small,
+    # with rows of ceil(1024 / 1023) = 2 blocks
+    small = _Streams(3, np.arange(1023))
+    small.integers(np.arange(1023), np.zeros((1023, 1)), np.full((1023, 1), 7))
+    assert small.words.shape[1] == 16
+    seed, runs = 3, np.arange(1024)
+    streams = _Streams(seed, runs)
+    streams.integers(runs, np.zeros((1024, 1)), np.full((1024, 1), 7))
+    assert streams.words.shape[1] == 8
+    generators = [run_rng(seed, r) for r in (9, 5, 12)]
+    for g in generators:
+        g.integers(0, 7)
+    # lanes 9 and 5 read words 1-7, which they hold, and then 8 and 9 from
+    # block 1; lane 12 reads words 1 and 2 beside them, and keeps its block
+    for lanes, k in (([9, 5], 7), ([9, 5, 12], 2)):
+        got = streams.integers(np.array(lanes), np.zeros((len(lanes), k)),
+                               np.full((len(lanes), k), 9))
+        assert got.tolist() == [g.integers(0, 9, size=k).tolist()
+                                for g in generators[:len(lanes)]]
+    assert (streams.calls, streams.blocks) == (2, 1024 + 2)
+    assert streams.end.tolist() == [8] * 5 + [16] + [8] * 3 + [16] + [8] * 1014
+
+
+def test_small_batch_streams_match_generator_integers_through_refills(monkeypatch):
+    # five lanes hold rows of 205 blocks, so a lane that runs out takes
+    # every drawing lane into the refill.  Rows of 40 columns mix window
+    # widths, windows of 3 * 2**30 values redraw a word with probability
+    # 1/4, and lanes leave the batch as it goes
+    seed, runs = 2**64 - 1, np.array([0, 7, 2**63, 12, 4999])
+    streams = _Streams(seed, runs)
+    generators = [run_rng(seed, int(r)) for r in runs]
+    redrawn = []
+    next_words = _Streams._next_words
+
+    def spy(self, lanes):
+        redrawn.extend(lanes.tolist())
+        return next_words(self, lanes)
+
+    monkeypatch.setattr(_Streams, "_next_words", spy)
+    rng = np.random.default_rng(11)
+    widths = np.array([1, 2, 7, 9, 2**16 + 1, 3 * 2**30, 2**32])
+    drawing = np.arange(5)
+    for draw in range(260):
+        if draw in (50, 120, 200):
+            drawing = np.delete(drawing, 1)  # lanes 1, 2 and 3 leave
+        width = rng.choice(widths, p=[0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05],
+                           size=(len(drawing), 40))
+        lo = rng.integers(-5, 5, size=width.shape)
+        got = streams.integers(drawing, lo, width)
+        assert got.tolist() == [generators[i].integers(lo_row, lo_row + w_row).tolist()
+                                for i, lo_row, w_row in zip(drawing, lo, width)], draw
+    assert streams.words.shape[1] == 8 * 205
+    assert streams.calls >= 5  # the first fill and at least four refills
+    assert set(redrawn) == set(range(5))
+    # the lanes left stay in step with their generators
+    got = streams.integers(drawing, np.zeros((2, 3)), np.full((2, 3), 2**32))
+    assert got.tolist() == [generators[i].integers(0, 2**32, size=3).tolist() for i in drawing]
+
+
+def _numpy_blocks(seed, run, counter, size=1):
+    """numpy's Philox blocks under the key (seed, run) at the counters
+    ``(counter, 0, 0, 0)`` on; numpy advances its counter before a block."""
+    key = np.array([seed, run], dtype=np.uint64)
+    bits = np.random.Philox(key=key, counter=(counter - 1) % 2**256)
+    return bits.random_raw(4 * size).reshape(size, 4).tolist()
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_U64, entries=st.lists(st.tuples(_U64, _U64), min_size=1, max_size=40))
+@example(seed=0, entries=[(0, 0)])
+@example(seed=2**64 - 1, entries=[(2**64 - 1, 2**64 - 1), (0, 0), (2**64 - 1, 0),
+                                  (0, 2**64 - 1)])
+def test_philox_blocks_match_numpys_philox_under_any_key(seed, entries):
+    # every entry has its own run and counter, as a refill's lanes do
+    runs, counters = (np.array(column, dtype=np.uint64) for column in zip(*entries))
+    got = _philox(seed, runs, counters)
+    assert got.dtype == np.uint64 and got.shape == (len(entries), 4)
+    assert got.tolist() == [_numpy_blocks(seed, run, counter)[0] for run, counter in entries]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=_U64, run=_U64, size=st.integers(1, 20_000), data=st.data())
+@example(seed=2**64 - 1, run=0, size=1, data=None)
+@example(seed=0, run=2**64 - 1, size=20_000, data=None)
+def test_philox_blocks_match_numpys_philox_at_consecutive_counters(seed, run, size, data):
+    # one key's blocks up to past a lane chunk's first fill of two-sender
+    # rows; the last example ends at counter 2**64 - 1
+    top = 2**64 - size
+    counter = top if data is None else data.draw(st.integers(0, top))
+    counters = np.arange(size, dtype=np.uint64) + np.uint64(counter)
+    got = _philox(seed, np.full(size, run, dtype=np.uint64), counters)
+    assert got.tolist() == _numpy_blocks(seed, run, counter, size)
 
 
 def test_distinct_rows_never_share_a_code():
@@ -449,15 +555,16 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
-    # the table plays 5 keys in 64 plain ticks, all of them canonical, so
-    # no key is played in full; summed over the passes, 54 distinct sorted
-    # draw vectors are answered from a parked representative and 7 from a
-    # latched one
+    # the streams' first fill of two blocks a lane is one Philox call, and
+    # no lane outruns it; the table plays 5 keys in 64 plain ticks, all of
+    # them canonical, so no key is played in full; summed over the passes,
+    # 54 distinct sorted draw vectors are answered from a parked
+    # representative and 7 from a latched one
     [record] = caplog.records
     assert agg.rounds.sum() == 168
-    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 5 rows played, "
-                                   "64 plain ticks, 5 canonical keys, 54 rows folded, "
-                                   "7 rows latched")
+    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 1 Philox calls, "
+                                   "100 Philox blocks, 5 rows played, 64 plain ticks, "
+                                   "5 canonical keys, 54 rows folded, 7 rows latched")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
