@@ -10,8 +10,10 @@ live run, and a pass is a fixed handful of numpy calls.  It draws every
 run's counters in one gather from the runs' streams, sorts each run's draws,
 and answers all of the pass's distinct sorted draw vectors in one
 :meth:`Automaton.round_outcomes` call, as arrays of end phases, ticks, idle
-ticks and deadlock flags that it scatters back to the senders.  It then
-crosses the boundary through a table filled from :meth:`Automaton.settle`.
+ticks and deadlock flags that it gathers back to the senders.  It then
+crosses the boundary in one gather from a table that settles each
+(end phase, e, msgs) key with :meth:`Automaton.settle` the first time a
+pass meets it.
 The automaton shifts each vector down to its smallest active draw d1 and
 folds it at the parking horizon h onto a canonical key, in numpy, and
 rebuilds each row from its canonical row, adding d1 units of ticks and of
@@ -331,8 +333,9 @@ def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray
     """
     code = np.zeros(len(rows), dtype=np.int64)
     span = 1  # codes lie in [0, span)
+    top = np.iinfo(np.int64).max // radix  # a larger span passes int64 in a column
     for column in rows.T:
-        if span * radix > np.iinfo(np.int64).max:
+        if span > top:
             _, code = np.unique(code, return_inverse=True)
             span = int(code.max()) + 1
         code = code * radix + (column + 1)
@@ -386,14 +389,17 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     Runs go in lockstep, `_LANES` at a time, one round per pass: every live
     run draws its round in one gather, the pass's distinct sorted draw
     vectors are answered in one :meth:`Automaton.round_outcomes` call, and
-    each sender crosses the boundary through a dense table of
-    :meth:`Automaton.settle` over (end phase, e, msgs).  A run leaves the
-    pass when every sender is done or its round deadlocks.  At DEBUG it
-    logs the streams' Philox calls and the blocks they computed, and the
-    round table's counts: rows played and their ticks, the canonical keys
-    among them, and the distinct sorted draw vectors of all passes answered
-    from a parked representative (folded) and from one latched in a
-    collision (latched).
+    each sender takes its answer through the inverse of its run's sort.
+    Every sender then crosses the boundary in one gather from a dense table
+    of :meth:`Automaton.settle` over (end phase, e, msgs), at the key's flat
+    code.  The table fills lazily: when a pass meets keys not settled yet,
+    each distinct one among them is settled once and the pass gathers
+    again.  A run leaves the pass when every sender is done or its round
+    deadlocks.  At DEBUG it logs the streams' Philox calls and the blocks
+    they computed, the round table's counts (rows played and their ticks,
+    the canonical keys among them, and the distinct sorted draw vectors of
+    all passes answered from a parked representative, folded, and from one
+    latched in a collision, latched), and the crossing keys settled.
     """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
@@ -417,10 +423,13 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     width = np.array([w.width for w in windows], dtype=np.int64)
     start = np.array(auto.split(auto.initial_state())[0], dtype=np.int64)
     # settle's (next e, next msgs, event) at [end phase, e, msgs]; the event
-    # is 1 for none, 2 for a delivery and 3 for a drop, and 0 marks a
-    # crossing not read yet
+    # is 1 for none, 2 for a delivery and 3 for a drop.  A key is settled
+    # the first time a pass meets it, and 0 marks one not settled yet; a
+    # pass reads its senders' rows in one take from the flat view, at the
+    # key's flat code
     crossing = np.zeros((len(SenderPhase), cfg.e_max + 1, cfg.nmax_msg + 1, 3), dtype=np.int64)
-    philox_calls = philox_blocks = 0
+    flat = crossing.reshape(-1, 3)
+    philox_calls = philox_blocks = settled = 0
     for first in range(0, n_runs, _LANES):
         runs = np.arange(first, min(first + _LANES, n_runs))
         streams = _Streams(seed, runs)
@@ -440,9 +449,13 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             rows, inverse = _distinct_rows(np.take_along_axis(draws, order, axis=1),
                                            cfg.b_max + 2)
             row_ends, _, row_ticks, row_idle, row_stuck = auto.round_outcomes(rows)
-            ends, spent = np.empty_like(draws), np.empty_like(draws)
-            np.put_along_axis(ends, order, row_ends[inverse, :, 0], axis=1)
-            np.put_along_axis(spent, order, row_idle[inverse], axis=1)
+            # each sender's place in its sorted row, the inverse of the sort,
+            # gives it its entry in its run's distinct row; one scatter of
+            # the places costs less than a second argsort
+            place = np.empty_like(order)
+            place[np.arange(len(order))[:, None], order] = np.arange(n)
+            answer = inverse[:, None] * n + place
+            ends, spent = row_ends[..., 0].take(answer), row_idle.take(answer)
             idle[run] += spent
             ticks[run] += row_ticks[inverse]
             stuck = row_stuck[inverse]
@@ -454,14 +467,18 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
                 successes[run[at], who, e[at, who]] += 1
                 going = ~stuck
                 lane, run, e, msgs, ends = lane[going], run[going], e[going], msgs[going], ends[going]
-            cross = crossing[ends, e, msgs]
+            key = (ends * (cfg.e_max + 1) + e) * (cfg.nmax_msg + 1) + msgs
+            cross = flat.take(key, axis=0)
             unread = cross[..., 2] == 0
             if unread.any():
-                for key in set(zip(ends[unread].tolist(), e[unread].tolist(),
-                                   msgs[unread].tolist())):
-                    (e_next, msgs_next), event = auto.settle(*key)
-                    crossing[key] = e_next, msgs_next, 1 if event is None else 2 + event[1]
-                cross = crossing[ends, e, msgs]
+                fresh = np.unique(key[unread])
+                settled += fresh.size
+                for phase, e_was, msgs_was in zip(*(
+                        k.tolist() for k in np.unravel_index(fresh, crossing.shape[:3]))):
+                    (e_next, msgs_next), event = auto.settle(phase, e_was, msgs_was)
+                    crossing[phase, e_was, msgs_was] = (
+                        e_next, msgs_next, 1 if event is None else 2 + event[1])
+                cross = flat.take(key, axis=0)
             # settle's event is (e, is_reject) at the packet's e
             at, who = np.nonzero(cross[..., 2] == 2)
             successes[run[at], who, e[at, who]] += 1
@@ -477,7 +494,8 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
         "simulate: %d runs, %d rounds, %d Philox calls, %d Philox blocks, %d rows played, "
-        "%d plain ticks, %d canonical keys, %d rows folded, %d rows latched", n_runs,
-        rounds.sum(), philox_calls, philox_blocks, counts["rows"], counts["ticks"],
-        counts["canonical"], counts["folded"], counts["latched"])
+        "%d plain ticks, %d canonical keys, %d rows folded, %d rows latched, "
+        "%d crossing keys settled", n_runs, rounds.sum(), philox_calls, philox_blocks,
+        counts["rows"], counts["ticks"], counts["canonical"], counts["folded"],
+        counts["latched"], settled)
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

@@ -1,4 +1,5 @@
-"""Backoff tables shared by the engine tests: fixed ones and generated ones."""
+"""Backoff tables shared by the engine tests, fixed ones and generated ones, and
+generated timings."""
 
 from hypothesis import strategies as st
 
@@ -30,3 +31,13 @@ def table_rows(draw):
 def tables(*fixed: BackoffTable):
     """One of the fixed tables, or a table built from generated rows."""
     return st.one_of(st.sampled_from(fixed), table_rows().map(BackoffTable))
+
+
+@st.composite
+def timings(draw):
+    """A scenario's timing keys: d_switch 0..2, d_frame 1..6, d_rssi 0..2
+    and cts_timeout from ``max(1, d_rssi)``, the least a config accepts, to 4.
+    """
+    d_rssi = draw(st.integers(0, 2))
+    return {"d_switch": draw(st.integers(0, 2)), "d_frame": draw(st.integers(1, 6)),
+            "d_rssi": d_rssi, "cts_timeout": draw(st.integers(max(1, d_rssi), 4))}

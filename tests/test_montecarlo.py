@@ -29,7 +29,7 @@ from ecomac_backoff import montecarlo
 from ecomac_backoff.errors import ConfigError
 from ecomac_backoff.montecarlo import _distinct_rows, _philox, _Streams
 
-from backoff_tables import REJECT_HEAVY, tables
+from backoff_tables import REJECT_HEAVY, tables, timings
 
 
 def test_every_packet_is_resolved_exactly_once(two_sender_cfg):
@@ -110,7 +110,7 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
 @settings(max_examples=25, deadline=None)
 @given(n_senders=st.integers(1, 3), nmax_msg=st.integers(0, 3), robust=st.booleans(),
        tcu=st.sampled_from([1, 3, 8, 13]), table=tables(DEFAULT_TABLE, REJECT_HEAVY),
-       timing=st.sampled_from([{}, _SLOW_SWITCH]), seed=st.integers(0, 2**64 - 1))
+       timing=timings(), seed=st.integers(0, 2**64 - 1))
 # most of these runs deadlock, or reach the failure cap; the two 3-sender
 # batches at unit 3 and the one at unit 4 also answer keys from a
 # representative latched in a collision (6, 7 and 8 keys)
@@ -123,6 +123,10 @@ _SLOW_SWITCH = {"d_switch": 2, "d_frame": 1, "d_rssi": 0, "cts_timeout": 1}
 # unit 4 parks a rival two draws above the winner, so rows fold at horizon 2
 @example(n_senders=3, nmax_msg=2, robust=False, tcu=4, table=DEFAULT_TABLE, timing={},
          seed=12345)
+# no switch and a one-tick frame: the receiver still waiting for a request
+# reads whose frame ended with the tick
+@example(n_senders=3, nmax_msg=2, robust=False, tcu=3, table=DEFAULT_TABLE,
+         timing={"d_switch": 0, "d_frame": 1, "d_rssi": 1, "cts_timeout": 3}, seed=12345)
 def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, table, timing,
                                            seed):
     # traced runs step through successor_distribution, which joins the tick,
@@ -173,6 +177,58 @@ def test_seeded_batches_keep_their_digests(cfg, digest):
         a = getattr(agg, field)
         h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
     assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("msgs", [1, 3])
+@pytest.mark.parametrize("e", [0, 11, 12], ids=["e0", "e11", "e_max"])
+def test_settle_crosses_each_end_phase(e, msgs):
+    # the boundary rule the batch's crossing table holds, for every phase a
+    # round can end in: a delivery resets e and takes a packet; a sleep
+    # raises e, and at e_max rejects the packet, whose second reset takes
+    # it; a drawing or done sender keeps its context
+    auto = Automaton(ScenarioConfig(nmax_msg=3))
+    assert auto.cfg.e_max == 12
+    assert auto.settle(SenderPhase.SUCCESS, e, msgs) == ((0, msgs - 1), (e, False))
+    assert auto.settle(SenderPhase.REJECT, e, msgs) == ((0, msgs - 1), None)
+    if e == 12:
+        assert auto._reset(SenderPhase.SLEEP, e, msgs) == (SenderPhase.REJECT, e, msgs)
+        assert auto.settle(SenderPhase.SLEEP, e, msgs) == ((0, msgs - 1), (e, True))
+    else:
+        assert auto.settle(SenderPhase.SLEEP, e, msgs) == ((e + 1, msgs), None)
+    for phase in (SenderPhase.CHOOSE, SenderPhase.DONE):
+        assert auto.settle(phase, e, msgs) == ((e, msgs), None)
+    assert auto.settle(SenderPhase.DONE, 0, 0) == ((0, 0), None)
+    for phase in set(SenderPhase) - {SenderPhase.SUCCESS, SenderPhase.REJECT,
+                                     SenderPhase.SLEEP, SenderPhase.CHOOSE, SenderPhase.DONE}:
+        with pytest.raises(AssertionError):
+            auto.settle(phase, e, msgs)
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(nmax_msg=5),
+                                 ScenarioConfig(n_senders=4, robust_mode=True)],
+                         ids=["five_packets", "robust"])
+def test_batches_settle_each_crossing_key_once(monkeypatch, cfg):
+    # a batch settles an (end phase, e, msgs) key the first time a pass
+    # meets it, however many senders cross it there, and reads it from its
+    # table after; the keys it settles are those its traced runs cross
+    settle, calls = Automaton.settle, []
+
+    def counted(self, *key):
+        calls.append(key)
+        return settle(self, *key)
+
+    monkeypatch.setattr(Automaton, "settle", counted)
+    agg = simulate(cfg, 100, 2026)
+    assert not agg.n_deadlocked
+    assert len(calls) == len(set(calls))
+    auto, crossed = Automaton(cfg), set()
+    for r in range(agg.n_runs):
+        trace = []
+        run_once(cfg, run_rng(2026, r), trace)
+        for state in trace:
+            if auto.step_kind(state) == StepKind.BOUNDARY:
+                crossed.update((sd.phase, sd.e, sd.msgs) for sd in state.senders)
+    assert set(calls) == crossed
 
 
 def _plain_round(auto, projection):
@@ -559,12 +615,14 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     # no lane outruns it; the table plays 5 keys in 64 plain ticks, all of
     # them canonical, so no key is played in full; summed over the passes,
     # 54 distinct sorted draw vectors are answered from a parked
-    # representative and 7 from a latched one
+    # representative and 7 from a latched one; the crossing table settles
+    # 12 keys: a sleep at e 0..4, a delivery at e 0..5, and a done sender
     [record] = caplog.records
     assert agg.rounds.sum() == 168
     assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 1 Philox calls, "
                                    "100 Philox blocks, 5 rows played, 64 plain ticks, "
-                                   "5 canonical keys, 54 rows folded, 7 rows latched")
+                                   "5 canonical keys, 54 rows folded, 7 rows latched, "
+                                   "12 crossing keys settled")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
