@@ -262,11 +262,13 @@ class Automaton:
     rest of the round for all of a pass's distinct sorted draw vectors in
     one :meth:`round_outcomes` call, and crosses the round boundary through
     a table it fills from :meth:`settle`.  :meth:`round_outcomes` shifts
-    and folds the vectors onto canonical keys in numpy, and plays each
-    canonical key it has not met by :meth:`_play`, one :meth:`_tick` at a
-    time.  A traced run builds the drawn state with :meth:`drawn_state` and
-    takes every other step from :meth:`successor_distribution`.  Neither
-    engine re-implements any protocol rule.
+    and folds the vectors onto canonical keys in numpy, and the round table
+    plays each key it has not met (:meth:`_fill`) by :meth:`_play`, one
+    :meth:`_tick` at a time.  The table is the one place a round is played:
+    the parking horizon's probes are table rows too.  A traced run builds
+    the drawn state with :meth:`drawn_state` and takes every other step
+    from :meth:`successor_distribution`.  Neither engine re-implements any
+    protocol rule.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -300,11 +302,11 @@ class Automaton:
         self._idle = np.zeros((0, cfg.n_senders), dtype=np.int64)
         self._rest = np.zeros((0, 8), dtype=np.int64)
         self._ids: dict = {}
-        # its rows played and the ticks that played them, the canonical
-        # keys among them, and the rows answered from a representative that
-        # parked (folded) or was latched in a collision (latched)
+        # its rows played and the ticks that played them, the keys played
+        # in full, and the rows answered from a representative that parked
+        # (folded) or was latched in a collision (latched)
         self.round_counts = dict.fromkeys(
-            ("rows", "ticks", "canonical", "folded", "latched"), 0)
+            ("rows", "ticks", "full", "folded", "latched"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -571,40 +573,26 @@ class Automaton:
             return None
         return self._tick(projection)
 
-    def round_outcome(self, key: tuple[int, ...]) -> tuple:
-        """The rest of the round opened by the joint draw `key`, sorted.
+    def round_outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rest of the round opened by each sorted draw vector in the
+        int64 array `rows` (-1 for a done sender), as arrays.
 
-        `key` holds the senders' drawn counters in ascending order, -1 for
-        a done sender.  Returns ``(end projection, ticks, idle ticks per
-        sender, deadlocked)``: the projection in which the round's ticks
-        stop (every active sender settled, or a deadlock), with each
-        sender's entries in the order of `key`, and the receiver's
-        ``winner`` a position in `key`.
+        Returns ``(ends, receiver, ticks, idle, deadlocked)`` with shapes
+        ``(k, n, 3)``, ``(k, 3)``, ``(k,)``, ``(k, n)`` and ``(k,)``: the
+        projection in which the round's ticks stop (every active sender
+        settled, or a deadlock), as each sender's ``(phase, rbc, ticks)``
+        in the order of its row and the receiver, whose ``winner`` is a
+        position in the row; the ticks; each sender's idle ticks; and the
+        deadlock flag.
 
         Every round opens with the receiver idle and each active sender
         fresh from its draw, and no tick reads ``e`` or ``msgs`` or tells
         senders apart.  So the outcome is a function of the drawn counters
         alone, and permuting them permutes it: one table keyed on the
         sorted counters serves every order, and a caller maps a row back
-        through its own sort.  This is the one-row case of
-        :meth:`round_outcomes`, which states the table's rules.
-        """
-        ends, receiver, ticks, idle, deadlocked = self.round_outcomes(
-            np.array([key], dtype=np.int64))
-        return ((tuple(map(tuple, ends[0].tolist())), ReceiverState(*receiver[0].tolist())),
-                int(ticks[0]), tuple(idle[0].tolist()), bool(deadlocked[0]))
-
-    def round_outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`round_outcome` of every sorted draw vector in the int64
-        array `rows`, one per row, as arrays.
-
-        Returns ``(ends, receiver, ticks, idle, deadlocked)`` with shapes
-        ``(k, n, 3)``, ``(k, 3)``, ``(k,)``, ``(k, n)`` and ``(k,)``: each
-        sender's end ``(phase, rbc, ticks)`` in the order of its row, the
-        end receiver, and the rest of the row as :meth:`round_outcome`
-        gives it.  Each row is answered from the table row of its canonical
-        key, in numpy; the table plays a key (:meth:`_fill`) only the first
-        time it is asked for it.
+        through its own sort.  Each row is answered from the table row of
+        its canonical key, in numpy; the table plays a key (:meth:`_fill`)
+        only the first time it is asked for it.
 
         Shifted: for the first d1 units, where d1 is a row's smallest active
         draw, every active sender only counts down and the receiver hears
@@ -622,7 +610,8 @@ class Automaton:
         h, and marks the other capped senders done; a key with at most one
         sender at h and none above it is its own canonical key.  The
         canonical row answers the zero-based key in two cases, which
-        :meth:`_fill` tells apart once per canonical key:
+        :meth:`_fill` reads off every key it plays about the key's last
+        sender, a canonical key's representative:
 
         - parked: the representative passes the parking check, ending in
           SLEEP with ``rbc >= 1``, which only a CTS heard in COUNTDOWN
@@ -643,8 +632,9 @@ class Automaton:
         and both checks read the played canonical round, so the fold is
         exact at any horizon h >= 1; h only sets how often it applies.  A
         zero-based key whose canonical row does neither is played in full.
-        ``round_counts`` adds the rows of `rows` answered from a parked
-        representative ("folded") and from a latched one ("latched").
+        ``round_counts`` adds the keys so played ("full"), and the rows of
+        `rows` answered from a parked representative ("folded") and from a
+        latched one ("latched").
         """
         tcu, top = self.cfg.tcu_ticks, self.cfg.b_max + 1
         # no draw reaches the cap when no key folds
@@ -667,7 +657,9 @@ class Automaton:
         # answers no other key: those are played in full
         full = fold & (rest[:, 5] + rest[:, 6] == 0)
         if full.any():
+            played = len(self._rest)
             slots[full] = self._slots(zero[full])
+            self.round_counts["full"] += len(self._rest) - played
             rest = self._rest[slots]
             fold &= ~full
         parked, latched = (fold @ rest[:, 5:7]).tolist()
@@ -686,7 +678,7 @@ class Automaton:
         # each capped sender's draw above h: a parked one's counter is that
         # much higher, and a latched one spends that many units more idle
         # and holds that many units later.  A row that does not fold has
-        # none, and its own representative holds within its ticks
+        # none, and its own last sender, if latched, holds within its ticks
         above = np.where(capped & fold[:, None], zero - h, 0)
         ends[..., 1] += above * rest[:, 5:6]
         lead = d1 * tcu
@@ -719,62 +711,48 @@ class Automaton:
         sender's idle ticks, and the rest of the row.
 
         The rest holds the end receiver, the ticks and the deadlock flag,
-        then how the key answers the keys folded onto it (see
-        :meth:`round_outcomes`): 1 if its representative parked, 1 if it
-        latched, and the tick at which a latched representative holds.
-        Only a canonical key with its representative at the horizon h
-        answers other keys; its parking check is read here, and its latched
-        hold walked, once.
+        then the checks of :meth:`round_outcomes` on the key's last sender:
+        1 if it parked, 1 if it latched, and the tick at which a latched
+        one holds.  No check reads the horizon: :meth:`round_outcomes`
+        reads them only for a folded row's canonical key, whose last sender
+        is its representative.
         """
-        h = self._horizon
         latch: list = []
         (senders, receiver), ticks, idle, deadlocked = self._play(
             (tuple(self._drawn(v) for v in key), _DRAWN_RECEIVER), latch)
-        counts = self.round_counts
-        counts["rows"] += 1
-        counts["ticks"] += ticks
+        self.round_counts["rows"] += 1
+        self.round_counts["ticks"] += ticks
         parked = latched = held = 0
-        # a canonical key has no draw at or above h but its representative's
-        # at h; any other key is played in full
-        capped = [v for v in key if v >= h] if h else []
-        if capped in ([], [h]):
-            counts["canonical"] += 1
-        if capped == [h]:
-            if self._parked(senders[-1]):
-                parked = 1
-            elif latch and (sd := latch[0][0][0][-1])[0] == SenderPhase.COUNTDOWN:
-                latched = 1
-                (_, at), held = latch[0]
-                ctx = self._contexts(at)[0]
-                while (nxt := self._sender_rule(sd, ctx)) != sd:
-                    sd, held = nxt, held + 1
-        return senders, idle, (*receiver, ticks, deadlocked, parked, latched, held)
-
-    @staticmethod
-    def _parked(sd: tuple) -> bool:
         # SLEEP keeps the counter it was entered with, and only a sender in
         # COUNTDOWN holds one above 0: a request's pipeline starts at 0
-        return sd[0] == SenderPhase.SLEEP and sd[1] >= 1
+        if senders[-1][0] == SenderPhase.SLEEP and senders[-1][1] >= 1:
+            parked = 1
+        elif latch and (sd := latch[0][0][0][-1])[0] == SenderPhase.COUNTDOWN:
+            latched = 1
+            (_, at), held = latch[0]
+            ctx = self._contexts(at)[0]
+            while (nxt := self._sender_rule(sd, ctx)) != sd:
+                sd, held = nxt, held + 1
+        return senders, idle, (*receiver, ticks, deadlocked, parked, latched, held)
 
     def _parking_horizon(self) -> int:
-        """The fold's horizon h, read from the rounds themselves.
+        """The fold's horizon h, read from the table's own rounds.
 
         h is the smallest rival draw c such that in the round of draws
         ``(0, c)``, every other sender done, the winner's CTS parks the
-        rival (:meth:`_parked`); 0, no fold, when no c up to ``b_max``
-        does.  A larger c stays in COUNTDOWN at least as long, so parking
-        is monotone in c and a bisection finds h.  A tie collides, so c = 0
-        never parks.  Its rounds are played by :meth:`_play`, outside the
-        table.
+        rival; 0, no fold, when no c up to ``b_max`` does, and with one
+        sender, which has no rival.  A larger c stays in COUNTDOWN at least
+        as long, so parking is monotone in c and a bisection finds h.  A tie
+        collides, so c = 0 never parks.  Each probe looks up the round's
+        table row (:meth:`_slots`) and reads its parked flag.
         """
         if self._horizon is None:
-            pad = (-1,) * (self.cfg.n_senders - 2)
+            n = self.cfg.n_senders
             lo, hi = 0, self.cfg.b_max + 1
-            while hi - lo > 1:
+            while n > 1 and hi - lo > 1:
                 mid = (lo + hi) // 2
-                (ends, _), *_ = self._play(
-                    (tuple(self._drawn(v) for v in pad + (0, mid)), _DRAWN_RECEIVER))
-                if self._parked(ends[-1]):
+                [slot] = self._slots(np.array([(-1,) * (n - 2) + (0, mid)]))
+                if self._rest[slot, 5]:
                     hi = mid
                 else:
                     lo = mid

@@ -17,12 +17,12 @@ pass meets it.
 The automaton shifts each vector down to its smallest active draw d1 and
 folds it at the parking horizon h onto a canonical key, in numpy, and
 rebuilds each row from its canonical row, adding d1 units of ticks and of
-each active sender's idle ticks.  Python runs only for a canonical key the
-batch has not met: the automaton plays it one tick at a time, and reads
-once whether its representative, the one capped sender it keeps at h, is
-parked or latched in a collision, which decides whether the row answers
-the keys folded onto it.  A zero-based key whose canonical row does
-neither is played in full, once (see :meth:`Automaton.round_outcomes`).
+each active sender's idle ticks.  Python runs only for a key the batch has
+not met: the automaton's round table plays it one tick at a time and reads
+once whether its last sender, a canonical key's representative, is parked
+or latched in a collision; h is bisected through the same table.  A
+zero-based key whose canonical row does neither is played in full, once
+(see :meth:`Automaton.round_outcomes`).
 
 A traced run (:func:`run_once`) replays the same draws through the exact
 engine's step function, :meth:`Automaton.successor_distribution`,
@@ -396,10 +396,11 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     each distinct one among them is settled once and the pass gathers
     again.  A run leaves the pass when every sender is done or its round
     deadlocks.  At DEBUG it logs the streams' Philox calls and the blocks
-    they computed, the round table's counts (rows played and their ticks,
-    the canonical keys among them, and the distinct sorted draw vectors of
-    all passes answered from a parked representative, folded, and from one
-    latched in a collision, latched), and the crossing keys settled.
+    they computed, the round table's counts (rows played, the horizon's
+    probes among them, and their ticks, the keys played in full, and the
+    distinct sorted draw vectors of all passes answered from a parked
+    representative, folded, and from one latched in a collision, latched),
+    and the crossing keys settled.
     """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
@@ -458,13 +459,14 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             ends, spent = row_ends[..., 0].take(answer), row_idle.take(answer)
             idle[run] += spent
             ticks[run] += row_ticks[inverse]
+            # a deadlock stops the round before its boundary, and the
+            # deliveries it completed count all the same; numpy compares
+            # with a plain int about three times as fast as with the enum
+            at, who = np.nonzero(ends == int(SenderPhase.SUCCESS))
+            successes[run[at], who, e[at, who]] += 1
             stuck = row_stuck[inverse]
             if stuck.any():
-                # a deadlock stops the round before its boundary: only the
-                # deliveries it completed count
                 deadlocked[run[stuck]] = True
-                at, who = np.nonzero((ends == SenderPhase.SUCCESS) & stuck[:, None])
-                successes[run[at], who, e[at, who]] += 1
                 going = ~stuck
                 lane, run, e, msgs, ends = lane[going], run[going], e[going], msgs[going], ends[going]
             key = (ends * (cfg.e_max + 1) + e) * (cfg.nmax_msg + 1) + msgs
@@ -479,9 +481,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
                     crossing[phase, e_was, msgs_was] = (
                         e_next, msgs_next, 1 if event is None else 2 + event[1])
                 cross = flat.take(key, axis=0)
-            # settle's event is (e, is_reject) at the packet's e
-            at, who = np.nonzero(cross[..., 2] == 2)
-            successes[run[at], who, e[at, who]] += 1
+            # drops come from the crossing: a rejected packet's event is 3
             at, who = np.nonzero(cross[..., 2] == 3)
             rejects[run[at], who] += 1
             e, msgs = cross[..., 0], cross[..., 1]
@@ -494,8 +494,8 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     counts = auto.round_counts
     logging.getLogger(__name__).debug(
         "simulate: %d runs, %d rounds, %d Philox calls, %d Philox blocks, %d rows played, "
-        "%d plain ticks, %d canonical keys, %d rows folded, %d rows latched, "
+        "%d plain ticks, %d played in full, %d rows folded, %d rows latched, "
         "%d crossing keys settled", n_runs, rounds.sum(), philox_calls, philox_blocks,
-        counts["rows"], counts["ticks"], counts["canonical"], counts["folded"],
+        counts["rows"], counts["ticks"], counts["full"], counts["folded"],
         counts["latched"], settled)
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

@@ -24,6 +24,7 @@ from ecomac_backoff import (
 from ecomac_backoff.errors import ConfigError
 
 from backoff_tables import REJECT_HEAVY
+from round_rows import outcome_rows
 
 
 def step1(auto, state):
@@ -414,5 +415,5 @@ def test_permuting_senders_permutes_the_round(case):
     # the canonical table answers the sorted order with what the ticks gave
     order = sorted(range(len(drawn.senders)), key=lambda i: drawn.senders[i].rbc)
     s_drawn = drawn._replace(senders=_permuted(order, drawn.senders))
-    assert (auto.round_outcome(tuple(sd.rbc for sd in s_drawn.senders))
-            == auto._play(auto.split(s_drawn)[1]))
+    assert (outcome_rows(auto, [tuple(sd.rbc for sd in s_drawn.senders)])
+            == [auto._play(auto.split(s_drawn)[1])])

@@ -46,7 +46,7 @@ from ecomac_backoff.errors import (
     StateSpaceLimitError,
 )
 
-from backoff_tables import REJECT_HEAVY, tables
+from backoff_tables import REJECT_HEAVY, tables, timings
 
 
 def first_round_outcomes():
@@ -278,12 +278,12 @@ _DRAW_ZERO = BackoffTable(((0, 1, ContentionWindow(0, 0)),))
 
 @settings(max_examples=15, deadline=None)
 @given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
-       tcu=st.sampled_from([3, 8, 13]), d_switch=st.sampled_from([0, 1]),
+       tcu=st.sampled_from([3, 8, 13]), timing=timings(),
        table=tables(DEFAULT_TABLE, REJECT_HEAVY, _NARROWED))
-def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, d_switch, table):
+def test_build_matches_the_reference_bfs(n_senders, nmax_msg, robust, tcu, timing, table):
     assert_matches_reference(ScenarioConfig(
         n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust, tcu_ticks=tcu,
-        d_switch=d_switch, table=table))
+        table=table, **timing))
 
 
 def test_shared_round_build_matches_the_reference_bfs():
@@ -557,11 +557,12 @@ def close(got, want):
 
 @settings(max_examples=12, deadline=None)
 @given(n_senders=st.integers(1, 2), nmax_msg=st.integers(0, 2), robust=st.booleans(),
-       tcu=st.sampled_from([3, 8, 13]),
+       tcu=st.sampled_from([3, 8, 13]), timing=timings(),
        table=tables(DEFAULT_TABLE, REJECT_HEAVY, _NARROWED, _DRAW_ZERO))
-def test_start_queries_match_a_sparse_direct_solve(n_senders, nmax_msg, robust, tcu, table):
+def test_start_queries_match_a_sparse_direct_solve(n_senders, nmax_msg, robust, tcu, timing,
+                                                  table):
     d = build(ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg, robust_mode=robust,
-                             tcu_ticks=tcu, table=table))
+                             tcu_ticks=tcu, table=table, **timing))
     n = d.n_states
     stuck = np.isin(np.arange(n), d.deadlock_indices)
     phase, e = d.sender_phase(0), d.sender_e(0)

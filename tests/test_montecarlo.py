@@ -30,6 +30,7 @@ from ecomac_backoff.errors import ConfigError
 from ecomac_backoff.montecarlo import _distinct_rows, _philox, _Streams
 
 from backoff_tables import REJECT_HEAVY, tables, timings
+from round_rows import outcome_rows
 
 
 def test_every_packet_is_resolved_exactly_once(two_sender_cfg):
@@ -253,7 +254,7 @@ def _check_every_round(cfg, horizon=None):
     for draws in itertools.combinations_with_replacement(range(-1, cfg.b_max + 1),
                                                          cfg.n_senders):
         _, projection = auto.split(auto.drawn_state(auto.initial_state(), draws))
-        assert auto.round_outcome(draws) == _plain_round(auto, projection), (cfg, draws)
+        assert outcome_rows(auto, [draws]) == [_plain_round(auto, projection)], (cfg, draws)
     return auto
 
 
@@ -317,12 +318,22 @@ def test_parking_horizon_is_read_off_the_rounds(tcu, horizon):
             "folded"] == 0
 
 
-def _outcome_rows(auto, rows):
-    """Each row of ``round_outcomes(rows)`` as ``round_outcome`` gives it."""
-    ends, receiver, ticks, idle, deadlocked = auto.round_outcomes(np.array(rows))
-    return [((tuple(map(tuple, ends[k].tolist())), tuple(receiver[k].tolist())),
-             int(ticks[k]), tuple(idle[k].tolist()), bool(deadlocked[k]))
-            for k in range(len(rows))]
+@pytest.mark.parametrize("tcu", [8, 4, 3, 1])
+def test_parking_horizon_probes_are_table_rows(tcu):
+    # each bisection step looks up its probe's round in the table, so the
+    # horizon plays one row a step, 3 over draws up to 7, and the round
+    # table answers the horizon's canonical key, or at unit 1, where no
+    # draw parks, the last probe at b_max, without playing it again.  One
+    # sender has no rival: its horizon is 0, read without a probe
+    for n in (2, 3):
+        auto = Automaton(ScenarioConfig(n_senders=n, tcu_ticks=tcu))
+        h = auto._parking_horizon()
+        assert auto.round_counts["rows"] == 3
+        auto.round_outcomes(np.array([(-1,) * (n - 2) + (0, h or auto.cfg.b_max)]))
+        assert auto.round_counts["rows"] == 3
+    auto = Automaton(ScenarioConfig(n_senders=1, tcu_ticks=tcu))
+    assert auto._parking_horizon() == 0
+    assert auto.round_counts["rows"] == 0
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(n_senders=5),
@@ -338,18 +349,21 @@ def test_round_outcomes_answer_every_sorted_vector_in_one_call(cfg):
     auto = Automaton(cfg)
     keys = list(itertools.combinations_with_replacement(range(-1, cfg.b_max + 1),
                                                         cfg.n_senders))
-    for draws, got in zip(keys, _outcome_rows(auto, keys)):
+    for draws, got in zip(keys, outcome_rows(auto, keys)):
         _, projection = auto.split(auto.drawn_state(auto.initial_state(), draws))
         assert got == _plain_round(auto, projection), (cfg, draws)
     counts = auto.round_counts
     assert counts["folded"] > 0 and counts["latched"] > 0
-    assert (counts["rows"] > counts["canonical"]) == (cfg.tcu_ticks == 3)
+    assert (counts["full"] > 0) == (cfg.tcu_ticks == 3)
 
 
 @settings(max_examples=20, deadline=None)
 @given(n_senders=st.integers(1, 3), robust=st.booleans(), tcu=st.sampled_from([1, 2, 3, 8]),
-       table=tables(DEFAULT_TABLE, REJECT_HEAVY),
-       timing=st.sampled_from([{}, _SLOW_SWITCH, {"d_switch": 0}]))
+       table=tables(DEFAULT_TABLE, REJECT_HEAVY), timing=timings())
+# no switch and a one-tick frame: the receiver still waiting for a request
+# reads whose frame ended with the tick
+@example(n_senders=3, robust=False, tcu=3, table=DEFAULT_TABLE,
+         timing={"d_switch": 0, "d_frame": 1, "d_rssi": 1, "cts_timeout": 3})
 def test_round_table_matches_plain_ticks_on_generated_tables(n_senders, robust, tcu, table,
                                                              timing):
     _check_every_round(ScenarioConfig(n_senders=n_senders, table=table, tcu_ticks=tcu,
@@ -612,16 +626,18 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
     # the streams' first fill of two blocks a lane is one Philox call, and
-    # no lane outruns it; the table plays 5 keys in 64 plain ticks, all of
-    # them canonical, so no key is played in full; summed over the passes,
-    # 54 distinct sorted draw vectors are answered from a parked
-    # representative and 7 from a latched one; the crossing table settles
-    # 12 keys: a sleep at e 0..4, a delivery at e 0..5, and a done sender
+    # no lane outruns it; the table plays 7 keys in 90 plain ticks: the 5
+    # canonical keys the batch meets and the horizon's probes (-1, 0, 4)
+    # and (-1, 0, 2), its third, (-1, 0, 1), being one of the 5; no key is
+    # played in full; summed over the passes, 54 distinct sorted draw
+    # vectors are answered from a parked representative and 7 from a
+    # latched one; the crossing table settles 12 keys: a sleep at e 0..4, a
+    # delivery at e 0..5, and a done sender
     [record] = caplog.records
     assert agg.rounds.sum() == 168
     assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 1 Philox calls, "
-                                   "100 Philox blocks, 5 rows played, 64 plain ticks, "
-                                   "5 canonical keys, 54 rows folded, 7 rows latched, "
+                                   "100 Philox blocks, 7 rows played, 90 plain ticks, "
+                                   "0 played in full, 54 rows folded, 7 rows latched, "
                                    "12 crossing keys settled")
 
 
