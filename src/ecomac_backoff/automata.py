@@ -261,8 +261,9 @@ class Automaton:
     itself.  A batch draws a round for all its live runs at once, reads the
     rest of the round for all of a pass's distinct sorted draw vectors in
     one :meth:`round_outcomes` call, and crosses the round boundary through
-    a table it fills from :meth:`settle`.  :meth:`round_outcomes` shifts
-    and folds the vectors onto canonical keys in numpy, and the round table
+    :meth:`crossings`, a table filled from :meth:`settle`; both tables live
+    as long as the automaton.  :meth:`round_outcomes` shifts and folds the
+    vectors onto canonical keys in numpy, and the round table
     plays each key it has not met (:meth:`_fill`) by :meth:`_play`, one
     :meth:`_tick` at a time.  The table is the one place a round is played:
     the parking horizon's probes are table rows too.  A traced run builds
@@ -302,11 +303,12 @@ class Automaton:
         self._idle = np.zeros((0, cfg.n_senders), dtype=np.int64)
         self._rest = np.zeros((0, 8), dtype=np.int64)
         self._ids: dict = {}
-        # its rows played and the ticks that played them, the keys played
-        # in full, and the rows answered from a representative that parked
-        # (folded) or was latched in a collision (latched)
+        self._crossing: np.ndarray | None = None  # made by crossings
+        # its rows played and their ticks, the keys played in full, the rows
+        # answered from a representative that parked (folded) or latched in
+        # a collision (latched), and the crossing keys settled
         self.round_counts = dict.fromkeys(
-            ("rows", "ticks", "full", "folded", "latched"), 0)
+            ("rows", "ticks", "full", "folded", "latched", "settled"), 0)
 
     def initial_state(self) -> GlobalState:
         return initial_state(self.cfg)
@@ -324,12 +326,13 @@ class Automaton:
 
         ctx: 0 = receiver silent, 1 = receiver transmitting a CTS to someone
         else, 2 = receiver transmitting a CTS to this sender, 3 = receiver
-        latched in COLLISION (consulted only in robust mode).
+        latched in COLLISION (consulted only in robust mode).  No reachable
+        state sends a CTS to a sender in COUNTDOWN or past one in WAIT_CTS.
         """
         cfg = self.cfg
         phase, rbc, ticks = sd
         if phase == SenderPhase.COUNTDOWN:
-            if ctx in (1, 2):
+            if ctx == 1:
                 nxt = (SenderPhase.SLEEP, rbc, 0)
             elif ticks + 1 == cfg.tcu_ticks:
                 if rbc == 1:
@@ -359,8 +362,6 @@ class Automaton:
         elif phase == SenderPhase.WAIT_CTS:
             if ctx == 2:
                 nxt = (SenderPhase.RECV_CTS, rbc, cfg.d_frame)
-            elif ctx == 1:
-                nxt = (SenderPhase.SLEEP, rbc, 0)
             elif ticks > 1:
                 nxt = (phase, rbc, ticks - 1)
             else:
@@ -773,6 +774,28 @@ class Automaton:
             event = (e, True)
             _, e_next, msgs_next = self._reset(phase_next, e_next, msgs_next)
         return (e_next, msgs_next), event
+
+    def crossings(self, ends: np.ndarray, e: np.ndarray, msgs: np.ndarray) -> np.ndarray:
+        """:meth:`settle` of each sender's end phase, `e` and `msgs` in
+        int64 arrays of one shape, as rows of (next e, next msgs, event),
+        the event 1 for none, 2 for a delivery and 3 for a drop, taken from
+        a dense table over (end phase, e, msgs) at each key's flat code.
+        The keys that read event 0 are settled, once each, and taken again;
+        ``round_counts`` adds them ("settled")."""
+        shape = (len(SenderPhase), self.cfg.e_max + 1, self.cfg.nmax_msg + 1)
+        if self._crossing is None:
+            self._crossing = np.zeros((math.prod(shape), 3), dtype=np.int64)
+        key = (ends * shape[1] + e) * shape[2] + msgs
+        cross = self._crossing.take(key, axis=0)
+        if not cross[..., 2].all():
+            fresh = np.unique(key[cross[..., 2] == 0])
+            self.round_counts["settled"] += fresh.size
+            for code, *was in zip(fresh.tolist(), *(
+                    k.tolist() for k in np.unravel_index(fresh, shape))):
+                (e_next, msgs_next), event = self.settle(*was)
+                self._crossing[code] = e_next, msgs_next, 1 if event is None else 2 + event[1]
+            cross = self._crossing.take(key, axis=0)
+        return cross
 
     def _play(self, projection: tuple, latch: list | None = None) -> tuple:
         """Tick `projection` through :meth:`_tick` until the next step is not

@@ -13,16 +13,18 @@ and answers all of the pass's distinct sorted draw vectors in one
 ticks and deadlock flags that it gathers back to the senders.  It then
 crosses the boundary in one gather from a table that settles each
 (end phase, e, msgs) key with :meth:`Automaton.settle` the first time a
-pass meets it.
+pass meets it (:meth:`Automaton.crossings`).
 The automaton shifts each vector down to its smallest active draw d1 and
 folds it at the parking horizon h onto a canonical key, in numpy, and
 rebuilds each row from its canonical row, adding d1 units of ticks and of
-each active sender's idle ticks.  Python runs only for a key the batch has
-not met: the automaton's round table plays it one tick at a time and reads
+each active sender's idle ticks.  Python runs only for a key no batch has
+met: the automaton's round table plays it one tick at a time and reads
 once whether its last sender, a canonical key's representative, is parked
 or latched in a collision; h is bisected through the same table.  A
 zero-based key whose canonical row does neither is played in full, once
-(see :meth:`Automaton.round_outcomes`).
+(see :meth:`Automaton.round_outcomes`).  Both tables live on the
+automaton, and calls share one per equal :class:`ScenarioConfig`, for the
+last `_AUTOMATA` configs: a repeat batch fills neither table again.
 
 A traced run (:func:`run_once`) replays the same draws through the exact
 engine's step function, :meth:`Automaton.successor_distribution`,
@@ -43,6 +45,7 @@ interval", ACM TOMACS 2019).  :func:`_philox` takes each round's two
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,16 @@ from .automata import (
 )
 from .backoff import sample_rbc
 from .errors import ConfigError, check_finite
+
+
+#: configs whose automata calls share, the least recently used dropped first
+_AUTOMATA = 16
+
+
+@functools.lru_cache(maxsize=_AUTOMATA)
+def _automaton(cfg: ScenarioConfig) -> Automaton:
+    """The automaton that every call on a config equal to `cfg` shares."""
+    return Automaton(cfg)
 
 
 @dataclass
@@ -84,7 +97,7 @@ def run_once(cfg: ScenarioConfig, rng: np.random.Generator,
     ``run_once(cfg, run_rng(seed, r), trace)`` returns run `r` of
     ``simulate(cfg, n_runs, seed)``.
     """
-    auto = Automaton(cfg)
+    auto = _automaton(cfg)
     n = cfg.n_senders
     successes = np.zeros((n, cfg.e_max + 1), dtype=np.int64)
     rejects = np.zeros(n, dtype=np.int64)
@@ -391,22 +404,24 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     vectors are answered in one :meth:`Automaton.round_outcomes` call, and
     each sender takes its answer through the inverse of its run's sort.
     Every sender then crosses the boundary in one gather from a dense table
-    of :meth:`Automaton.settle` over (end phase, e, msgs), at the key's flat
-    code.  The table fills lazily: when a pass meets keys not settled yet,
-    each distinct one among them is settled once and the pass gathers
-    again.  A run leaves the pass when every sender is done or its round
-    deadlocks.  At DEBUG it logs the streams' Philox calls and the blocks
-    they computed, the round table's counts (rows played, the horizon's
-    probes among them, and their ticks, the keys played in full, and the
-    distinct sorted draw vectors of all passes answered from a parked
-    representative, folded, and from one latched in a collision, latched),
-    and the crossing keys settled.
+    of :meth:`Automaton.settle` over (end phase, e, msgs)
+    (:meth:`Automaton.crossings`), which settles each distinct key the
+    first time a pass meets it.  A run leaves the pass when every sender is
+    done or its round deadlocks.  Both tables persist on the automaton that
+    calls on an equal config share, for the last `_AUTOMATA` configs used,
+    so a repeat call fills neither.  At DEBUG it logs, for this call alone,
+    the streams' Philox calls and the blocks they computed, the round
+    table's counts (rows played, the horizon's probes among them, and their
+    ticks, the keys played in full, and the distinct sorted draw vectors of
+    all passes answered from a parked representative, folded, and from one
+    latched in a collision, latched), and the crossing keys settled.
     """
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    auto = Automaton(cfg)
+    auto = _automaton(cfg)
+    before = dict(auto.round_counts)
     n = cfg.n_senders
     try:
         successes = np.zeros((n_runs, n, cfg.e_max + 1), dtype=np.int64)
@@ -423,14 +438,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     lo = np.array([w.lo for w in windows], dtype=np.int64)
     width = np.array([w.width for w in windows], dtype=np.int64)
     start = np.array(auto.split(auto.initial_state())[0], dtype=np.int64)
-    # settle's (next e, next msgs, event) at [end phase, e, msgs]; the event
-    # is 1 for none, 2 for a delivery and 3 for a drop.  A key is settled
-    # the first time a pass meets it, and 0 marks one not settled yet; a
-    # pass reads its senders' rows in one take from the flat view, at the
-    # key's flat code
-    crossing = np.zeros((len(SenderPhase), cfg.e_max + 1, cfg.nmax_msg + 1, 3), dtype=np.int64)
-    flat = crossing.reshape(-1, 3)
-    philox_calls = philox_blocks = settled = 0
+    philox_calls = philox_blocks = 0
     for first in range(0, n_runs, _LANES):
         runs = np.arange(first, min(first + _LANES, n_runs))
         streams = _Streams(seed, runs)
@@ -469,18 +477,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
                 deadlocked[run[stuck]] = True
                 going = ~stuck
                 lane, run, e, msgs, ends = lane[going], run[going], e[going], msgs[going], ends[going]
-            key = (ends * (cfg.e_max + 1) + e) * (cfg.nmax_msg + 1) + msgs
-            cross = flat.take(key, axis=0)
-            unread = cross[..., 2] == 0
-            if unread.any():
-                fresh = np.unique(key[unread])
-                settled += fresh.size
-                for phase, e_was, msgs_was in zip(*(
-                        k.tolist() for k in np.unravel_index(fresh, crossing.shape[:3]))):
-                    (e_next, msgs_next), event = auto.settle(phase, e_was, msgs_was)
-                    crossing[phase, e_was, msgs_was] = (
-                        e_next, msgs_next, 1 if event is None else 2 + event[1])
-                cross = flat.take(key, axis=0)
+            cross = auto.crossings(ends, e, msgs)
             # drops come from the crossing: a rejected packet's event is 3
             at, who = np.nonzero(cross[..., 2] == 3)
             rejects[run[at], who] += 1
@@ -491,11 +488,11 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
         philox_blocks += streams.blocks
     # imported here: logging is about a tenth of the package's cold import
     import logging
-    counts = auto.round_counts
+    counts = {k: v - before[k] for k, v in auto.round_counts.items()}
     logging.getLogger(__name__).debug(
         "simulate: %d runs, %d rounds, %d Philox calls, %d Philox blocks, %d rows played, "
         "%d plain ticks, %d played in full, %d rows folded, %d rows latched, "
         "%d crossing keys settled", n_runs, rounds.sum(), philox_calls, philox_blocks,
         counts["rows"], counts["ticks"], counts["full"], counts["folded"],
-        counts["latched"], settled)
+        counts["latched"], counts["settled"])
     return Aggregate(cfg, seed, n_runs, successes, rejects, idle, ticks, rounds, deadlocked)

@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecomac_backoff
@@ -115,6 +115,27 @@ def test_timing_corners_pin_their_state_and_deadlock_counts():
                                          d_rssi=d_rssi, cts_timeout=cts_timeout,
                                          robust_mode=robust))
                 assert (d.n_states, d.deadlock_indices.size) == want, corner
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_senders=st.integers(2, 3), robust=st.booleans(), tcu=st.sampled_from([None, 1, 3, 4]),
+       timing=timings(), table=tables(DEFAULT_TABLE, REJECT_HEAVY))
+@example(n_senders=3, robust=False, tcu=None, timing={}, table=DEFAULT_TABLE)
+@example(n_senders=3, robust=True, tcu=3, timing={}, table=REJECT_HEAVY)
+def test_cts_trigger_states_are_unreachable(n_senders, robust, tcu, timing, table):
+    # the receiver answers only a request it heard alone: any other request
+    # that overlaps it latches COLLISION, and one that starts later meets a
+    # committed receiver, a deadlock or, in robust mode, COLLISION.  So
+    # while a CTS goes out no rival waits for one, and its addressee has
+    # left COUNTDOWN, and the tick rule has no branch for either state; a
+    # rule change that reaches one fails here
+    d = build(ScenarioConfig(n_senders=n_senders, nmax_msg=1, robust_mode=robust,
+                             tcu_ticks=tcu, table=table, **timing))
+    sending = d.receiver_phase() == ReceiverPhase.SEND_CTS
+    for i in range(n_senders):
+        phase, to_i = d.sender_phase(i), d.receiver_winner() == i
+        assert not (sending & ~to_i & (phase == SenderPhase.WAIT_CTS)).any()
+        assert not (sending & to_i & (phase == SenderPhase.COUNTDOWN)).any()
 
 
 def test_bfs_parents_precede_children(two_sender_model):

@@ -158,7 +158,7 @@ def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, tab
         assert (traced == sampled).all(), field
 
 
-@pytest.mark.parametrize("cfg, digest", [
+_DIGESTS = [
     (ScenarioConfig(n_senders=2), "07f29d8e02f891dc"),
     (ScenarioConfig(n_senders=5), "211ec60234900a99"),
     (ScenarioConfig(n_senders=8), "7c571acc630d9f4e"),
@@ -168,16 +168,89 @@ def test_memoized_rounds_match_traced_runs(n_senders, nmax_msg, robust, tcu, tab
     (ScenarioConfig(n_senders=4, tcu_ticks=3), "30bd63ce4d3acdcd"),
     (ScenarioConfig(n_senders=6, tcu_ticks=4), "376e6acc9c2a560d"),
     (ScenarioConfig(n_senders=3, d_switch=0), "1bd19ccbedda5e3f"),
-], ids=["two", "five", "eight", "five_packets", "robust", "unit_3", "unit_4", "no_switch"])
-def test_seeded_batches_keep_their_digests(cfg, digest):
-    # a refactor of the round table or the batch keeps every seeded array
-    # bit-identical: dtype, shape and bytes of each
-    agg = simulate(cfg, 300, 2026)
+]
+_DIGEST_IDS = ["two", "five", "eight", "five_packets", "robust", "unit_3", "unit_4", "no_switch"]
+
+
+def _digest(agg):
     h = hashlib.sha256()
     for field in ("successes", "rejects", "idle_ticks", "ticks", "rounds", "deadlocked"):
         a = getattr(agg, field)
         h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
-    assert h.hexdigest()[:16] == digest
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cfg, digest", _DIGESTS, ids=_DIGEST_IDS)
+def test_seeded_batches_keep_their_digests(cfg, digest):
+    # a refactor of the round table or the batch keeps every seeded array
+    # bit-identical: dtype, shape and bytes of each
+    assert _digest(simulate(cfg, 300, 2026)) == digest
+
+
+@pytest.mark.parametrize("at", range(len(_DIGESTS)), ids=_DIGEST_IDS)
+def test_warm_batches_keep_their_digests_and_fill_nothing(at):
+    # calls on equal configs share one automaton, so a batch on a config
+    # that earlier batches have filled reads their round and crossing
+    # tables: it hashes as the cold batch does, also after another
+    # config's batch, and plays no row and settles no crossing key
+    (cfg, digest), (other, _) = _DIGESTS[at], _DIGESTS[at - 1]
+    montecarlo._automaton.cache_clear()
+    assert _digest(simulate(cfg, 300, 2026)) == digest
+    counts = montecarlo._automaton(cfg).round_counts
+    filled = {k: counts[k] for k in ("rows", "ticks", "full", "settled")}
+    assert filled["rows"] > 0 and filled["settled"] > 0
+    assert _digest(simulate(cfg, 300, 2026)) == digest
+    simulate(other, 300, 2026)
+    assert _digest(simulate(cfg, 300, 2026)) == digest
+    assert {k: counts[k] for k in filled} == filled
+
+
+def test_equal_configs_share_one_automaton():
+    # equal configs, the unit derived or given, share an automaton, and
+    # configs that differ in the unit or the robust mode do not
+    montecarlo._automaton.cache_clear()
+    cfg = ScenarioConfig(n_senders=3)
+    auto = montecarlo._automaton(cfg)
+    assert montecarlo._automaton(ScenarioConfig(n_senders=3, tcu_ticks=8)) is auto
+    assert auto.cfg == cfg
+    for other in (cfg.with_tcu(4), ScenarioConfig(n_senders=3, robust_mode=True)):
+        assert montecarlo._automaton(other) is not auto
+        assert montecarlo._automaton(other).cfg == other
+    assert auto.round_counts["rows"] == 0
+    simulate(cfg, 20, seed=1)
+    assert auto.round_counts["rows"] > 0
+
+
+def test_shared_automata_drop_the_least_recently_used_config():
+    bound = montecarlo._AUTOMATA
+    cfgs = [ScenarioConfig(tcu_ticks=unit) for unit in range(1, bound + 3)]
+    montecarlo._automaton.cache_clear()
+    autos = [montecarlo._automaton(cfg) for cfg in cfgs[:bound]]
+    # the first config is used again, so the second is the least recent
+    assert montecarlo._automaton(cfgs[0]) is autos[0]
+    newest = montecarlo._automaton(cfgs[bound])
+    assert montecarlo._automaton.cache_info().currsize == bound
+    assert all(montecarlo._automaton(cfg) is auto for cfg, auto in zip(cfgs[2:], autos[2:]))
+    assert montecarlo._automaton(cfgs[0]) is autos[0]
+    # the second config was dropped and comes back as a new automaton, and
+    # the least recent one now, the newest before, goes in its place
+    assert montecarlo._automaton(cfgs[1]) is not autos[1]
+    assert montecarlo._automaton(cfgs[bound]) is not newest
+
+
+def test_shared_tables_hand_out_copies():
+    # a shared automaton's tables outlive every call, so no caller gets a
+    # view of one
+    auto = Automaton(ScenarioConfig(n_senders=3))
+    rows = np.array([[0, 1, 2], [-1, 2, 5], [1, 1, 3]])
+    answers = auto.round_outcomes(rows)
+    e, msgs = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64)
+    ends = np.full((2, 3), int(SenderPhase.SLEEP))
+    cross = auto.crossings(ends, e, msgs)
+    assert (cross == (1, 1, 1)).all()
+    for got in (*answers, cross):
+        for table in (auto._ends, auto._idle, auto._rest, auto._crossing):
+            assert not np.shares_memory(got, table)
 
 
 @pytest.mark.parametrize("msgs", [1, 3])
@@ -211,7 +284,9 @@ def test_settle_crosses_each_end_phase(e, msgs):
 def test_batches_settle_each_crossing_key_once(monkeypatch, cfg):
     # a batch settles an (end phase, e, msgs) key the first time a pass
     # meets it, however many senders cross it there, and reads it from its
-    # table after; the keys it settles are those its traced runs cross
+    # table after; the keys it settles are those its traced runs cross.
+    # It counts first-time work, so no earlier batch shares the table
+    montecarlo._automaton.cache_clear()
     settle, calls = Automaton.settle, []
 
     def counted(self, *key):
@@ -623,6 +698,9 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     with caplog.at_level(logging.WARNING):
         simulate(cfg, 50, seed=1)
     assert not caplog.records
+    # the counts are the call's own, and the first call on a config fills
+    # its tables
+    montecarlo._automaton.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
     # the streams' first fill of two blocks a lane is one Philox call, and
@@ -639,6 +717,17 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
                                    "100 Philox blocks, 7 rows played, 90 plain ticks, "
                                    "0 played in full, 54 rows folded, 7 rows latched, "
                                    "12 crossing keys settled")
+    # a repeat call reads the tables the first one filled: it plays,
+    # probes and settles nothing, and answers as many rows from a
+    # representative
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
+        simulate(cfg, 50, seed=1)
+    [record] = caplog.records
+    assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 1 Philox calls, "
+                                   "100 Philox blocks, 0 rows played, 0 plain ticks, "
+                                   "0 played in full, 54 rows folded, 7 rows latched, "
+                                   "0 crossing keys settled")
 
 
 def test_success_rate_matches_the_draw_odds(two_sender_cfg):
