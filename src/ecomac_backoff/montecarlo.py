@@ -6,14 +6,18 @@ with one generator call each.  A run carries only each sender's round
 context ``(e, msgs)``, with ``msgs == 0`` for a done sender.
 
 :func:`simulate` runs a batch in lockstep, one round per pass over every
-live run, and a pass is a fixed handful of numpy calls.  It draws every
-run's counters in one gather from the runs' streams, sorts each run's draws,
-and answers all of the pass's distinct sorted draw vectors in one
-:meth:`Automaton.round_outcomes` call, as arrays of end phases, ticks, idle
-ticks and deadlock flags that it gathers back to the senders.  It then
-crosses the boundary in one gather from a table that settles each
-(end phase, e, msgs) key with :meth:`Automaton.settle` the first time a
-pass meets it (:meth:`Automaton.crossings`).
+live run, and a pass is a fixed handful of numpy calls.  A pass draws,
+groups, answers and crosses.  It draws every run's counters in one gather
+from the runs' streams, sorts each run's draws and groups the sorted draw
+vectors into distinct ones, by a radix sort when their codes fit 16 bits.
+It answers them all in one :meth:`Automaton.round_outcomes` call, as arrays
+of end phases, ticks, idle ticks and deadlock flags that it gathers back to
+the senders.  It then crosses the boundary in one gather from a table that
+settles each (end phase, e, msgs) key with :meth:`Automaton.settle` the
+first time a pass meets it (:meth:`Automaton.crossings`).  A pass writes
+no per-run counter: it buffers the arrays it holds, and the buffer is
+folded into the batch's per-run arrays once per flush, of `_LANES`
+lane-rounds, and at the end of the batch.
 The automaton shifts each vector down to its smallest active draw d1 and
 folds it at the parking horizon h onto a canonical key, in numpy, and
 rebuilds each row from its canonical row, adding d1 units of ticks and of
@@ -342,7 +346,8 @@ def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray
 
     Rows are grouped on a mixed-radix code.  Before a column would take the
     code past int64, the code is replaced by its rank among the distinct
-    codes so far, so it never wraps.
+    codes so far, so it never wraps.  Codes whose span fits 16 bits are
+    grouped as uint16, which numpy's stable sort orders by radix sort.
     """
     code = np.zeros(len(rows), dtype=np.int64)
     span = 1  # codes lie in [0, span)
@@ -353,8 +358,65 @@ def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray
             span = int(code.max()) + 1
         code = code * radix + (column + 1)
         span *= radix
+    if span <= 1 << 16:
+        code = code.astype(np.uint16)
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     return rows[first], inverse
+
+
+class _Tally:
+    """A batch's per-run counters, buffered pass by pass and folded into its
+    result arrays.
+
+    A pass hands :meth:`played` its runs, each round's ticks, and each
+    sender's idle ticks, end phase and failure count e, and :meth:`crossed`
+    the runs that crossed the boundary and each sender's crossing event.
+    The buffer keeps the arrays as they come, the end phases and events
+    as flags of a delivery and of a drop, and `held` counts the
+    lane-rounds it holds, never more than `_LANES`: a pass that would take
+    it past folds the buffer first.  :meth:`fold` adds the buffer to the
+    result arrays by exact int64 scatter-adds on flat indices, and empties
+    it.
+    """
+
+    def __init__(self, successes: np.ndarray, rejects: np.ndarray, idle: np.ndarray,
+                 ticks: np.ndarray, rounds: np.ndarray):
+        self.successes, self.rejects, self.idle = successes, rejects, idle
+        self.ticks, self.rounds = ticks, rounds
+        self.held = 0
+        self._played: list[tuple[np.ndarray, ...]] = []
+        self._crossed: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def played(self, run: np.ndarray, ticks: np.ndarray, idle: np.ndarray,
+               ends: np.ndarray, e: np.ndarray) -> None:
+        if self.held + run.size > _LANES:
+            self.fold()
+        # numpy compares with a plain int about three times as fast as with
+        # the enum
+        self._played.append((run, ticks, idle, ends == int(SenderPhase.SUCCESS), e))
+        self.held += run.size
+
+    def crossed(self, run: np.ndarray, event: np.ndarray) -> None:
+        # a dropped packet's event is 3
+        self._crossed.append((run, event == 3))
+
+    def fold(self) -> None:
+        if self._played:
+            run, ticks, idle, won, e = map(np.concatenate, zip(*self._played))
+            np.add.at(self.rounds, run, 1)
+            np.add.at(self.ticks, run, ticks)
+            # each sender's flat index in the (n_runs, n) arrays
+            at = run[:, None] * idle.shape[1] + np.arange(idle.shape[1])
+            np.add.at(self.idle.reshape(-1), at, idle)
+            np.add.at(self.successes.reshape(-1), (at * self.successes.shape[2] + e)[won], 1)
+        if self._crossed:
+            run, dropped = map(np.concatenate, zip(*self._crossed))
+            # drops are few
+            at, who = np.nonzero(dropped)
+            np.add.at(self.rejects.reshape(-1), run[at] * dropped.shape[1] + who, 1)
+        self.held = 0
+        self._played.clear()
+        self._crossed.clear()
 
 
 @dataclass(eq=False)
@@ -399,15 +461,21 @@ def mean_ci95(samples: np.ndarray) -> tuple[float, float]:
 def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     """Run `n_runs` independent simulations and collect their statistics.
 
-    Runs go in lockstep, `_LANES` at a time, one round per pass: every live
-    run draws its round in one gather, the pass's distinct sorted draw
-    vectors are answered in one :meth:`Automaton.round_outcomes` call, and
-    each sender takes its answer through the inverse of its run's sort.
-    Every sender then crosses the boundary in one gather from a dense table
-    of :meth:`Automaton.settle` over (end phase, e, msgs)
+    Runs go in lockstep, `_LANES` at a time, one round per pass, and a pass
+    draws, groups, answers and crosses: every live run draws its round in
+    one gather, the runs' sorted draw vectors are grouped into distinct ones
+    (by a radix sort when their codes fit 16 bits), those are answered in
+    one :meth:`Automaton.round_outcomes` call, and each sender takes its
+    answer through the inverse of its run's sort.  Every sender then
+    crosses the boundary in one gather from a dense table of
+    :meth:`Automaton.settle` over (end phase, e, msgs)
     (:meth:`Automaton.crossings`), which settles each distinct key the
     first time a pass meets it.  A run leaves the pass when every sender is
-    done or its round deadlocks.  Both tables persist on the automaton that
+    done or its round deadlocks.  The per-run counters are folded in once
+    per flush: a pass buffers its runs' round results (:class:`_Tally`), and
+    the buffer is added to the result arrays before it would hold more than
+    `_LANES` lane-rounds, and at the end of the batch; only the deadlock
+    flags are written per pass.  Both tables persist on the automaton that
     calls on an equal config share, for the last `_AUTOMATA` configs used,
     so a repeat call fills neither.  At DEBUG it logs, for this call alone,
     the streams' Philox calls and the blocks they computed, the round
@@ -439,6 +507,7 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     width = np.array([w.width for w in windows], dtype=np.int64)
     start = np.array(auto.split(auto.initial_state())[0], dtype=np.int64)
     philox_calls = philox_blocks = 0
+    tally = _Tally(successes, rejects, idle, ticks, rounds)
     for first in range(0, n_runs, _LANES):
         runs = np.arange(first, min(first + _LANES, n_runs))
         streams = _Streams(seed, runs)
@@ -446,7 +515,6 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
         e, msgs = np.tile(start[:, 0], (lane.size, 1)), np.tile(start[:, 1], (lane.size, 1))
         while lane.size:
             run = runs[lane]
-            rounds[run] += 1
             # a done sender draws -1 from a width-1 window, which takes no word
             drawing = msgs > 0
             draws = streams.integers(lane, np.where(drawing, lo[e], -1),
@@ -464,28 +532,23 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
             place = np.empty_like(order)
             place[np.arange(len(order))[:, None], order] = np.arange(n)
             answer = inverse[:, None] * n + place
-            ends, spent = row_ends[..., 0].take(answer), row_idle.take(answer)
-            idle[run] += spent
-            ticks[run] += row_ticks[inverse]
+            ends = row_ends[..., 0].take(answer)
             # a deadlock stops the round before its boundary, and the
-            # deliveries it completed count all the same; numpy compares
-            # with a plain int about three times as fast as with the enum
-            at, who = np.nonzero(ends == int(SenderPhase.SUCCESS))
-            successes[run[at], who, e[at, who]] += 1
+            # deliveries it completed count all the same
+            tally.played(run, row_ticks[inverse], row_idle.take(answer), ends, e)
             stuck = row_stuck[inverse]
             if stuck.any():
                 deadlocked[run[stuck]] = True
                 going = ~stuck
                 lane, run, e, msgs, ends = lane[going], run[going], e[going], msgs[going], ends[going]
             cross = auto.crossings(ends, e, msgs)
-            # drops come from the crossing: a rejected packet's event is 3
-            at, who = np.nonzero(cross[..., 2] == 3)
-            rejects[run[at], who] += 1
+            tally.crossed(run, cross[..., 2])
             e, msgs = cross[..., 0], cross[..., 1]
             going = msgs.any(axis=1)
             lane, e, msgs = lane[going], e[going], msgs[going]
         philox_calls += streams.calls
         philox_blocks += streams.blocks
+    tally.fold()
     # imported here: logging is about a tenth of the package's cold import
     import logging
     counts = {k: v - before[k] for k, v in auto.round_counts.items()}

@@ -27,7 +27,7 @@ from ecomac_backoff import (
 )
 from ecomac_backoff import montecarlo
 from ecomac_backoff.errors import ConfigError
-from ecomac_backoff.montecarlo import _distinct_rows, _philox, _Streams
+from ecomac_backoff.montecarlo import _distinct_rows, _philox, _Streams, _Tally
 
 from backoff_tables import REJECT_HEAVY, tables, timings
 from round_rows import outcome_rows
@@ -629,6 +629,42 @@ def test_distinct_rows_never_share_a_code():
     assert len(distinct) == len({tuple(row) for row in rows.tolist()})
 
 
+def _rows_of_codes(codes, radix, width):
+    # the rows whose mixed-radix codes, first column most significant, are `codes`
+    digits = [np.asarray(codes)]
+    for _ in range(width - 1):
+        digits[0], low = np.divmod(digits[0], radix)
+        digits.insert(1, low)
+    return np.stack(digits, axis=1) - 1
+
+
+def _wide_rows(distinct, rng):
+    # 400 rows of 9 columns at radix 256 drawn from `distinct` distinct rows:
+    # the span passes int64 before the last column, so the codes are ranked
+    return rng.integers(-1, 255, size=(distinct, 9))[rng.integers(0, distinct, size=400)]
+
+
+@pytest.mark.parametrize("radix, rows", [
+    # spans 8**5 = 2**15, 256**2 = 2**16 with both end codes, and 257**2
+    # with each code from 2**16 up beside the code 2**16 below it, which a
+    # 16-bit code would merge with it
+    (8, np.random.default_rng(5).integers(-1, 7, size=(600, 5))),
+    (256, _rows_of_codes([0, 2**16 - 1, 2**15, 0, 2**16 - 1, 7, 2**15], 256, 2)),
+    (257, _rows_of_codes([2**16 + 5, 5, 257**2 - 1, 257**2 - 1 - 2**16, 2**16, 0, 5, 2**16 + 5],
+                         257, 2)),
+    # ranked codes: a final span of 30 * 256 fits 16 bits, one of 400 * 256 does not
+    (256, _wide_rows(30, np.random.default_rng(6))),
+    (256, _wide_rows(400, np.random.default_rng(7))),
+], ids=["below_2_16", "at_2_16", "above_2_16", "ranked_below_2_16", "ranked_above_2_16"])
+def test_distinct_rows_match_numpys_unique_rows(radix, rows):
+    # codes of a span that fits 16 bits are grouped by a radix sort; the
+    # rows, their order and each row's index among them are np.unique's
+    distinct, inverse = _distinct_rows(rows, radix)
+    expect, expect_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.shape == expect.shape and (distinct == expect).all()
+    assert inverse.tolist() == expect_inverse.ravel().tolist()
+
+
 @pytest.mark.parametrize("cfg", [ScenarioConfig(nmax_msg=2), ScenarioConfig(n_senders=3, nmax_msg=2,
                                                                            tcu_ticks=3)],
                          ids=["two_senders", "deadlocking"])
@@ -640,6 +676,39 @@ def test_lane_chunks_do_not_change_the_batch(monkeypatch, cfg):
         a, b = getattr(whole, field), getattr(chunked, field)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert (a == b).all(), field
+
+
+@pytest.mark.parametrize("at", range(len(_DIGESTS)), ids=_DIGEST_IDS)
+def test_buffered_counters_fold_often_inside_a_lane_chunk(monkeypatch, at):
+    # at 5 lane-rounds a flush, each chunk of 5 lanes folds its counters
+    # before nearly every pass; every pinned batch, cold and warm, hashes as
+    # it does when one flush holds the whole batch, and no flush ever holds
+    # more lane-rounds than a chunk has lanes
+    cfg, digest = _DIGESTS[at]
+    monkeypatch.setattr(montecarlo, "_LANES", 5)
+    held, folds = [], []
+    played, fold, streams = _Tally.played, _Tally.fold, _Streams.__init__
+
+    def counted_played(self, run, *rest):
+        played(self, run, *rest)
+        held.append(self.held)
+
+    def counted_fold(self):
+        folds[-1] += self.held > 0
+        fold(self)
+
+    def chunk(self, *args):
+        folds.append(0)
+        streams(self, *args)
+
+    monkeypatch.setattr(_Tally, "played", counted_played)
+    monkeypatch.setattr(_Tally, "fold", counted_fold)
+    monkeypatch.setattr(_Streams, "__init__", chunk)
+    montecarlo._automaton.cache_clear()
+    assert _digest(simulate(cfg, 300, 2026)) == digest
+    assert _digest(simulate(cfg, 300, 2026)) == digest
+    assert len(folds) == 2 * 60 and max(held) <= 5
+    assert max(folds) >= 3
 
 
 def test_windows_beyond_32_bits_are_refused():
