@@ -260,10 +260,11 @@ class Automaton:
     whole states.  The Monte Carlo simulator resolves each joint draw
     itself.  A batch draws a round for all its live runs at once, reads the
     rest of the round for all of a pass's distinct sorted draw vectors in
-    one :meth:`round_outcomes` call, and crosses the round boundary through
-    :meth:`crossings`, a table filled from :meth:`settle`; both tables live
-    as long as the automaton.  :meth:`round_outcomes` shifts and folds the
-    vectors onto canonical keys in numpy, and the round table
+    one :meth:`_shift_fold` call, the core of :meth:`round_outcomes`, and
+    crosses the round boundary through :meth:`crossings`, a table filled
+    from :meth:`settle`; both tables live as long as the automaton.
+    :meth:`_shift_fold` shifts and folds the vectors onto canonical keys
+    in numpy, and the round table
     plays each key it has not met (:meth:`_fill`) by :meth:`_play`, one
     :meth:`_tick` at a time.  The table is the one place a round is played:
     the parking horizon's probes are table rows too.  A traced run builds
@@ -593,7 +594,9 @@ class Automaton:
         sorted counters serves every order, and a caller maps a row back
         through its own sort.  Each row is answered from the table row of
         its canonical key, in numpy; the table plays a key (:meth:`_fill`)
-        only the first time it is asked for it.
+        only the first time it is asked for it.  The shift and fold below
+        are :meth:`_shift_fold`, which the simulator's passes read without
+        the end receiver and counters.
 
         Shifted: for the first d1 units, where d1 is a row's smallest active
         draw, every active sender only counts down and the receiver hears
@@ -637,12 +640,36 @@ class Automaton:
         `rows` answered from a parked representative ("folded") and from a
         latched one ("latched").
         """
+        slots, at, above, idle, ticks, rest = self._shift_fold(rows)
+        ends = self._ends[slots[:, None], at]
+        # each capped sender's draw above h: a parked one's counter is that
+        # much higher
+        ends[..., 1] += above * rest[:, 5:6]
+        # a folded row's senders below h sit its lag, at[:, 0], places later
+        # in its canonical row, and so does the winner
+        receiver = rest[:, :3]
+        receiver[:, 1] -= np.where(receiver[:, 1] >= 0, at[:, 0], 0)
+        return ends, receiver, ticks, idle, rest[:, 4].astype(bool)
+
+    def _shift_fold(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The shift and fold of :meth:`round_outcomes`, stated once.
+
+        Returns ``(slots, at, above, idle, ticks, rest)`` for the sorted
+        draw vectors `rows`: each row's table slot, each sender's place in
+        its slot's row, each capped sender's draw above h in a folded row
+        (0 elsewhere), each sender's idle ticks, each row's ticks, and the
+        slot's rest.  A sender's end is the slot row's entry at its place,
+        with a parked sender's counter higher by its draw above h; the
+        deadlock flag is ``rest[:, 4]``.  :meth:`round_outcomes` builds its
+        full answer from these, and a caller that reads only the end phases
+        gathers those alone.
+        """
         tcu, top = self.cfg.tcu_ticks, self.cfg.b_max + 1
         # no draw reaches the cap when no key folds
         h = self._parking_horizon() or top
         active = rows >= 0
         # a row with no active sender, whose smallest draw reads top, has d1 0
-        d1 = np.where(active, rows, top).min(axis=1) % top
+        d1 = np.minimum.reduce(rows, axis=1, where=active, initial=top) % top
         zero = np.where(active, rows - d1[:, None], -1)
         capped = zero >= h
         m = capped.sum(axis=1)
@@ -670,23 +697,18 @@ class Automaton:
         # canonical row, and each capped sender starts as the
         # representative, the canonical row's last sender
         n = rows.shape[1]
-        lag = np.where(fold, m - 1, 0)
-        at = np.minimum(np.arange(n) + lag[:, None], n - 1)
-        ends = self._ends[slots[:, None], at]
+        at = np.minimum(np.arange(n) + np.where(fold, m - 1, 0)[:, None], n - 1)
         idle = self._idle[slots[:, None], at]
-        receiver = rest[:, :3]
-        receiver[:, 1] -= np.where(receiver[:, 1] >= 0, lag, 0)
-        # each capped sender's draw above h: a parked one's counter is that
-        # much higher, and a latched one spends that many units more idle
-        # and holds that many units later.  A row that does not fold has
-        # none, and its own last sender, if latched, holds within its ticks
+        # each capped sender's draw above h: a latched one spends that many
+        # units more idle and holds that many units later.  A row that does
+        # not fold has none, and its own last sender, if latched, holds
+        # within its ticks
         above = np.where(capped & fold[:, None], zero - h, 0)
-        ends[..., 1] += above * rest[:, 5:6]
         lead = d1 * tcu
         latched = rest[:, 6] * tcu
         idle += above * latched[:, None] + lead[:, None] * active
         ticks = np.maximum(rest[:, 3], rest[:, 7] + above[:, -1] * latched) + lead
-        return ends, receiver, ticks, idle, rest[:, 4].astype(bool)
+        return slots, at, above, idle, ticks, rest
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
         """The table row of each zero-based sorted key in `keys`, filling

@@ -8,13 +8,17 @@ context ``(e, msgs)``, with ``msgs == 0`` for a done sender.
 :func:`simulate` runs a batch in lockstep, one round per pass over every
 live run, and a pass is a fixed handful of numpy calls.  A pass draws,
 groups, answers and crosses.  It draws every run's counters in one gather
-from the runs' streams, sorts each run's draws and groups the sorted draw
-vectors into distinct ones, by a radix sort when their codes fit 16 bits.
-It answers them all in one :meth:`Automaton.round_outcomes` call, as arrays
-of end phases, ticks, idle ticks and deadlock flags that it gathers back to
-the senders.  It then crosses the boundary in one gather from a table that
-settles each (end phase, e, msgs) key with :meth:`Automaton.settle` the
-first time a pass meets it (:meth:`Automaton.crossings`).  A pass writes
+from the runs' streams, each sender's window read in one gather from
+per-e tables with a last row for done senders.  One helper,
+:func:`_answer_draws`, answers the draws: it sorts each run's draws,
+groups the sorted draw vectors into distinct ones (:func:`_distinct_rows`,
+by a radix sort when their codes fit 16 bits), answers them all in one
+call of the automaton's shift and fold, :meth:`Automaton._shift_fold`,
+which :meth:`Automaton.round_outcomes` reads too, and gathers end phases,
+ticks, idle ticks and deadlock flags back to the senders.  The pass then
+crosses the boundary in one gather from a table that settles each (end
+phase, e, msgs) key with :meth:`Automaton.settle` the first time a pass
+meets it (:meth:`Automaton.crossings`).  A pass writes
 no per-run counter: it buffers the arrays it holds, and the buffer is
 folded into the batch's per-run arrays once per flush, of `_LANES`
 lane-rounds, and at the end of the batch.
@@ -44,7 +48,9 @@ run's stream in one array pass, finds where each word a row needs lies
 from the row's position, and turns words into counters with the rule
 ``Generator.integers`` uses (Lemire, "Fast random integer generation in an
 interval", ACM TOMACS 2019).  :func:`_philox` takes each round's two
-128-bit products as one, and :class:`_Streams` sizes fills and refills.
+128-bit products as one, and :class:`_Streams` sizes fills and refills: a
+small batch fills whole rows of blocks at once, so its first fill is its
+only Philox call unless a run outruns its row.
 """
 
 from __future__ import annotations
@@ -226,14 +232,15 @@ class _Streams:
 
     A lane holds consecutive blocks from block ``block`` on, up to word
     ``end``, and its next word is ``pos``.  The first draw, of rows of k
-    columns, fills every lane with ``ceil(4k / 8)`` blocks, about four rows
-    of words.  A lane that runs out is refilled with a row of blocks from
-    the block of its next word on.  A row is the first fill's size, and
-    only the lanes that ran out are refilled, unless the first fill
-    computed fewer than `_FILL_BLOCKS` blocks in all.  Then the batch is
-    small: a row is ``ceil(_FILL_BLOCKS / lanes)`` blocks, and a lane that
-    runs out takes every lane drawing with it, so the batch makes few
-    Philox calls and none computes more than ``2 * _FILL_BLOCKS`` blocks.
+    columns, fills every lane with a row of blocks in one Philox call.  A
+    row is ``ceil(4k / 8)`` blocks, about four rows of words, unless the
+    lanes' rows come to fewer than `_FILL_BLOCKS` blocks in all.  Then the
+    batch is small, and a row is ``ceil(_FILL_BLOCKS / lanes)`` blocks.  A
+    lane that runs out is refilled with a row of blocks from the block of
+    its next word on.  Only the lanes that ran out are refilled, except in
+    a small batch, where a lane that runs out takes every lane drawing
+    with it.  So a small batch fills whole rows at once, makes few Philox
+    calls, and none computes more than ``2 * _FILL_BLOCKS`` blocks.
     A refill is one array pass, and `calls` and `blocks` count the Philox
     calls and the blocks computed.  A draw takes every row's words in one
     gather, as a word's place is known from the lane's next word and the
@@ -262,19 +269,20 @@ class _Streams:
         self.calls += 1
         self.blocks += counters.size
 
-    def _hold(self, lanes: np.ndarray, count: np.ndarray) -> None:
+    def _hold(self, lanes: np.ndarray, count: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
         """Make each lane hold its next `count` words where a row can: a lane
-        that does not is refilled from its next word's block on."""
+        that does not is refilled from its next word's block on.  Returns
+        each lane's next word and whether the lane holds those words."""
         pos = self.pos[lanes]
-        refill = pos + count > self.end[lanes]
-        if refill.any():
-            if self.small:
-                refill[:] = True
+        held = pos + count <= self.end[lanes]
+        if not held.all():
+            refill = np.ones_like(held) if self.small else ~held
             self._fill(lanes[refill], pos[refill] >> 3, self.words.shape[1] // 8)
+            held = pos + count <= self.end[lanes]
+        return pos, held
 
     def _next_words(self, lanes: np.ndarray) -> np.ndarray:
-        self._hold(lanes, np.ones(len(lanes), dtype=np.int64))
-        pos = self.pos[lanes]
+        pos, _ = self._hold(lanes, 1)
         self.pos[lanes] = pos + 1
         return self.words[lanes, pos - self.block[lanes] * 8]
 
@@ -300,16 +308,14 @@ class _Streams:
         rank = np.cumsum(wide, axis=1)  # the wide columns up to each column
         count = rank[:, -1]
         if not self.words.shape[1]:
-            # the first draw: every lane's first fill, and the size of the
-            # rows its refills fill
+            # the first draw: every lane's first fill, of a whole row, the
+            # size of the rows its refills fill
             blocks, n = -(-4 * k // 8), len(self.runs)
             self.small = n * blocks < _FILL_BLOCKS
             rows = -(-_FILL_BLOCKS // n) if self.small else blocks
             self.words = np.zeros((n, 8 * rows), dtype=np.uint64)
-            self._fill(np.arange(n), np.zeros(n, dtype=np.int64), blocks)
-        self._hold(lanes, count)
-        pos = self.pos[lanes]
-        fast = pos + count <= self.end[lanes]
+            self._fill(np.arange(n), np.zeros(n, dtype=np.int64), rows)
+        pos, fast = self._hold(lanes, count)
         # each row's first word in the flat words
         first = pos - self.block[lanes] * 8 + lanes * self.words.shape[1]
         # a width-1 column may read any word: (x * 1) >> 32 is 0, and its
@@ -344,24 +350,68 @@ def _distinct_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray
     """The distinct rows of `rows`, whose entries lie in ``[-1, radix - 2]``,
     and the index of each row among them.
 
-    Rows are grouped on a mixed-radix code.  Before a column would take the
-    code past int64, the code is replaced by its rank among the distinct
-    codes so far, so it never wraps.  Codes whose span fits 16 bits are
-    grouped as uint16, which numpy's stable sort orders by radix sort.
+    Rows are grouped on a mixed-radix code, the first column most
+    significant, which one ``np.ravel_multi_index`` call extends by as many
+    columns as keep it inside int64.  Between those calls the code is
+    replaced by its rank among the distinct codes so far, so it never
+    wraps.  The distinct codes are read off one stable sort of the codes,
+    as ``np.unique`` reads them, but without its per-call overhead; codes
+    whose span fits 16 bits are sorted as uint16, which numpy's stable sort
+    orders by radix sort.
     """
-    code = np.zeros(len(rows), dtype=np.int64)
-    span = 1  # codes lie in [0, span)
-    top = np.iinfo(np.int64).max // radix  # a larger span passes int64 in a column
-    for column in rows.T:
-        if span > top:
+    top = np.iinfo(np.int64).max
+    columns = (rows + 1).T
+    code, span = columns[0], radix  # codes lie in [0, span)
+    j = 1
+    while j < len(columns):
+        if span > top // radix:
             _, code = np.unique(code, return_inverse=True)
             span = int(code.max()) + 1
-        code = code * radix + (column + 1)
-        span *= radix
+        dims = [span]
+        while j + len(dims) <= len(columns) and span * radix <= top:
+            dims.append(radix)
+            span *= radix
+        code = np.ravel_multi_index((code, *columns[j:j + len(dims) - 1]), dims)
+        j += len(dims) - 1
     if span <= 1 << 16:
         code = code.astype(np.uint16)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return rows[first], inverse
+    order = code.argsort(kind="stable")
+    sort = code[order]
+    # where each run of equal codes starts in the sorted codes
+    starts = np.empty(len(sort), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sort[1:], sort[:-1], out=starts[1:])
+    inverse = np.empty(len(sort), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return rows[order[starts]], inverse
+
+
+def _answer_draws(auto: Automaton, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The round that each row of `draws`, one run's counters in sender
+    order with -1 for a done sender, opens on `auto`.
+
+    Returns ``(ends, idle, ticks, deadlocked)``: each sender's end phase
+    and idle ticks, and each row's ticks and deadlock flag.  The round
+    table is keyed on sorted draws: a stable sort keeps tied senders in
+    index order, the distinct sorted rows (:func:`_distinct_rows`) are
+    shifted and folded in one :meth:`Automaton._shift_fold` call, and each
+    sender takes its entry through the inverse of its row's sort.  Only the
+    end phases are gathered from the table's ends: the receiver, and the
+    counters of parked senders, are :meth:`Automaton.round_outcomes`'s.
+    """
+    k, n = draws.shape
+    run = np.arange(k)[:, None]
+    order = np.argsort(draws, axis=1, kind="stable")
+    rows, inverse = _distinct_rows(draws[run, order], auto.cfg.b_max + 2)
+    slots, at, _, idle, ticks, rest = auto._shift_fold(rows)
+    # each sender's place in its sorted row, the inverse of the sort, gives
+    # it its entry in its run's distinct row; on thousands of lanes one
+    # scatter of the places costs half a second argsort
+    place = np.empty_like(order)
+    place[run, order] = np.arange(n)
+    answer = inverse[:, None] * n + place
+    ends = auto._ends[slots[:, None], at, 0]
+    return ends.take(answer), idle.take(answer), ticks[inverse], rest[inverse, 4].astype(bool)
 
 
 class _Tally:
@@ -463,10 +513,14 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
 
     Runs go in lockstep, `_LANES` at a time, one round per pass, and a pass
     draws, groups, answers and crosses: every live run draws its round in
-    one gather, the runs' sorted draw vectors are grouped into distinct ones
-    (by a radix sort when their codes fit 16 bits), those are answered in
-    one :meth:`Automaton.round_outcomes` call, and each sender takes its
-    answer through the inverse of its run's sort.  Every sender then
+    one gather, each sender's window read from per-e tables whose last row
+    serves done senders, and the pass answers through one helper,
+    :func:`_answer_draws`.  It groups the runs' sorted draw vectors into
+    distinct ones (by a radix sort when their codes fit 16 bits), answers
+    those in one call of the automaton's shift and fold, and gives each
+    sender its answer through the inverse of its run's sort.  A small
+    batch's streams fill whole rows of Philox blocks at once
+    (:class:`_Streams`).  Every sender then
     crosses the boundary in one gather from a dense table of
     :meth:`Automaton.settle` over (end phase, e, msgs)
     (:meth:`Automaton.crossings`), which settles each distinct key the
@@ -502,9 +556,11 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
     ticks = np.zeros(n_runs, dtype=np.int64)
     rounds = np.zeros(n_runs, dtype=np.int64)
     deadlocked = np.zeros(n_runs, dtype=bool)
+    # each e's window, and last a done sender's: the value -1 from a width-1
+    # window, which takes no word
     windows = [cfg.table.window_for(e) for e in range(cfg.e_max + 1)]
-    lo = np.array([w.lo for w in windows], dtype=np.int64)
-    width = np.array([w.width for w in windows], dtype=np.int64)
+    lo = np.array([w.lo for w in windows] + [-1], dtype=np.int64)
+    width = np.array([w.width for w in windows] + [1], dtype=np.int64)
     start = np.array(auto.split(auto.initial_state())[0], dtype=np.int64)
     philox_calls = philox_blocks = 0
     tally = _Tally(successes, rejects, idle, ticks, rounds)
@@ -515,28 +571,14 @@ def simulate(cfg: ScenarioConfig, n_runs: int, seed: int) -> Aggregate:
         e, msgs = np.tile(start[:, 0], (lane.size, 1)), np.tile(start[:, 1], (lane.size, 1))
         while lane.size:
             run = runs[lane]
-            # a done sender draws -1 from a width-1 window, which takes no word
-            drawing = msgs > 0
-            draws = streams.integers(lane, np.where(drawing, lo[e], -1),
-                                     np.where(drawing, width[e], 1))
-            # the round table is keyed on sorted draws: a stable sort keeps
-            # tied senders in index order, and each sorted entry goes back
-            # to its sender
-            order = np.argsort(draws, axis=1, kind="stable")
-            rows, inverse = _distinct_rows(np.take_along_axis(draws, order, axis=1),
-                                           cfg.b_max + 2)
-            row_ends, _, row_ticks, row_idle, row_stuck = auto.round_outcomes(rows)
-            # each sender's place in its sorted row, the inverse of the sort,
-            # gives it its entry in its run's distinct row; on thousands of
-            # lanes one scatter of the places costs half a second argsort
-            place = np.empty_like(order)
-            place[np.arange(len(order))[:, None], order] = np.arange(n)
-            answer = inverse[:, None] * n + place
-            ends = row_ends[..., 0].take(answer)
+            # a done sender's e is 0 (Automaton._reset), so it reads the
+            # last window
+            at = e - (msgs == 0)
+            ends, row_idle, row_ticks, stuck = _answer_draws(
+                auto, streams.integers(lane, lo.take(at), width.take(at)))
             # a deadlock stops the round before its boundary, and the
             # deliveries it completed count all the same
-            tally.played(run, row_ticks[inverse], row_idle.take(answer), ends, e)
-            stuck = row_stuck[inverse]
+            tally.played(run, row_ticks, row_idle, ends, e)
             if stuck.any():
                 deadlocked[run[stuck]] = True
                 going = ~stuck

@@ -27,7 +27,7 @@ from ecomac_backoff import (
 )
 from ecomac_backoff import montecarlo
 from ecomac_backoff.errors import ConfigError
-from ecomac_backoff.montecarlo import _distinct_rows, _philox, _Streams, _Tally
+from ecomac_backoff.montecarlo import _answer_draws, _distinct_rows, _philox, _Streams, _Tally
 
 from backoff_tables import REJECT_HEAVY, tables, timings
 from round_rows import outcome_rows
@@ -449,13 +449,13 @@ def test_round_table_matches_plain_ticks_on_generated_tables(n_senders, robust, 
 def test_stream_draws_match_generator_integers(seed):
     # windows of 3 * 2**30 and 2**31 + 1 values redraw a word with
     # probability 1/4 and nearly 1/2, which no full run could finish with;
-    # rows of 11 draws outrun the two blocks a lane holds, and 8 rows take
-    # each lane past its third Philox block
+    # three lanes hold rows of ceil(1024 / 3) = 342 blocks, which their first
+    # fill computes whole, and 400 rows of 11 draws take each lane past them
     runs = np.array([0, 1, 4999])
     streams = _Streams(seed, runs)
     generators = [run_rng(seed, int(r)) for r in runs]
     widths = [7, 1, 8, 3 * 2**30, 2**31 + 1, 2**32]
-    for k in range(8):
+    for k in range(400):
         row = [widths[(k + j) % len(widths)] for j in range(11)]
         got = streams.integers(np.arange(len(runs)), np.full((len(runs), 11), 5),
                                np.tile(row, (len(runs), 1)))
@@ -474,9 +474,9 @@ def test_stream_draws_match_generator_integers(seed):
 
 
 def test_stream_rows_that_redraw_or_outrun_their_words_match_generator_integers(monkeypatch):
-    # a first draw of one column fills one block per lane, and five lanes
-    # hold rows of ceil(1024 / 5) = 205 blocks, which a refill fills.  In the
-    # second draw, lane 0 redraws under Lemire's rule (windows of 2**31 + 1
+    # five lanes hold rows of ceil(1024 / 5) = 205 blocks, which the first
+    # draw's fill computes whole, and so does each refill.  In the second
+    # draw, lane 0 redraws under Lemire's rule (windows of 2**31 + 1
     # values) and lane 1 needs 1700 words, more than a refilled row holds;
     # both are drawn word by word, and the other lanes in one gather
     seed, runs = 7, np.arange(5)
@@ -484,9 +484,9 @@ def test_stream_rows_that_redraw_or_outrun_their_words_match_generator_integers(
     generators = [run_rng(seed, int(r)) for r in runs]
     got = streams.integers(runs, np.zeros((5, 1)), np.full((5, 1), 7))
     assert got.ravel().tolist() == [int(g.integers(0, 7)) for g in generators]
-    assert streams.end.tolist() == [8] * 5
+    assert streams.end.tolist() == [8 * 205] * 5
     assert streams.words.shape[1] == 8 * 205
-    assert (streams.calls, streams.blocks) == (1, 5)
+    assert (streams.calls, streams.blocks) == (1, 5 * 205)
     width = np.ones((5, 1700), dtype=np.int64)
     width[0, :4] = 2**31 + 1
     width[1] = 7
@@ -506,8 +506,10 @@ def test_stream_rows_that_redraw_or_outrun_their_words_match_generator_integers(
     assert set(word_by_word) == {0, 1}
     assert streams.pos[0] > 1 + 4  # lane 0 took a word more than its columns
     assert streams.pos[1] == 1 + 1700
-    # lane 1 running out took every lane into its refill of a whole row
+    # lane 1 running out took every lane into its refill of a whole row,
+    # and drawn word by word it ran out once more, alone
     assert (streams.end - streams.block * 8 == 8 * 205).all()
+    assert (streams.calls, streams.blocks) == (3, 5 * 205 + 5 * 205 + 205)
 
 
 def test_large_batch_streams_refill_only_the_lanes_that_run_out():
@@ -638,10 +640,11 @@ def _rows_of_codes(codes, radix, width):
     return np.stack(digits, axis=1) - 1
 
 
-def _wide_rows(distinct, rng):
-    # 400 rows of 9 columns at radix 256 drawn from `distinct` distinct rows:
+def _wide_rows(distinct, rng, radix=256, width=9):
+    # 400 rows drawn from `distinct` distinct rows; at 9 columns of radix 256
     # the span passes int64 before the last column, so the codes are ranked
-    return rng.integers(-1, 255, size=(distinct, 9))[rng.integers(0, distinct, size=400)]
+    rows = rng.integers(-1, radix - 1, size=(distinct, width))
+    return rows[rng.integers(0, distinct, size=400)]
 
 
 @pytest.mark.parametrize("radix, rows", [
@@ -655,7 +658,16 @@ def _wide_rows(distinct, rng):
     # ranked codes: a final span of 30 * 256 fits 16 bits, one of 400 * 256 does not
     (256, _wide_rows(30, np.random.default_rng(6))),
     (256, _wide_rows(400, np.random.default_rng(7))),
-], ids=["below_2_16", "at_2_16", "above_2_16", "ranked_below_2_16", "ranked_above_2_16"])
+    # a code of 19 columns at radix 9, or of 6 at a wide window's radix
+    # 1026, is one int64 chunk; the next chunk starts from its ranks
+    (9, _wide_rows(60, np.random.default_rng(8), 9, 20)),
+    (9, _wide_rows(60, np.random.default_rng(9), 9, 21)),
+    (9, _wide_rows(300, np.random.default_rng(10), 9, 24)),
+    (1026, _wide_rows(60, np.random.default_rng(11), 1026, 7)),
+    (1026, _wide_rows(300, np.random.default_rng(12), 1026, 13)),
+], ids=["below_2_16", "at_2_16", "above_2_16", "ranked_below_2_16", "ranked_above_2_16",
+        "chunks_of_19_and_1", "chunks_of_19_and_2", "chunks_of_19_and_5",
+        "wide_chunks_of_6_and_1", "wide_chunks_of_6_6_and_1"])
 def test_distinct_rows_match_numpys_unique_rows(radix, rows):
     # codes of a span that fits 16 bits are grouped by a radix sort; the
     # rows, their order and each row's index among them are np.unique's
@@ -663,6 +675,84 @@ def test_distinct_rows_match_numpys_unique_rows(radix, rows):
     expect, expect_inverse = np.unique(rows, axis=0, return_inverse=True)
     assert distinct.shape == expect.shape and (distinct == expect).all()
     assert inverse.tolist() == expect_inverse.ravel().tolist()
+
+
+def _answer_block(auto, draws):
+    """The block that _answer_draws replaced: a stable sort of each row,
+    numpy's unique sorted rows, one round_outcomes call, and each sender's
+    end phase and idle ticks mapped back through its row's sort."""
+    order = np.argsort(draws, axis=1, kind="stable")
+    rows, inverse = np.unique(np.take_along_axis(draws, order, axis=1), axis=0,
+                              return_inverse=True)
+    ends, _, ticks, idle, stuck = auto.round_outcomes(rows)
+    inverse, place = inverse.ravel(), np.argsort(order, axis=1)
+    return (np.take_along_axis(ends[inverse, :, 0], place, axis=1),
+            np.take_along_axis(idle[inverse], place, axis=1), ticks[inverse], stuck[inverse])
+
+
+def _check_answers(cfg, draws):
+    # each path on an automaton of its own, so each fills its own tables;
+    # returns the helper's answers and round counts
+    helper, block = Automaton(cfg), Automaton(cfg)
+    got, expect = _answer_draws(helper, draws), _answer_block(block, draws)
+    for name, a, b in zip(("ends", "idle", "ticks", "deadlocked"), got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape, (cfg, name)
+        assert (a == b).all(), (cfg, name)
+    assert helper.round_counts == block.round_counts, cfg
+    return got, helper.round_counts
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("tcu", [1, 3, 4, None], ids=["unit_1", "unit_3", "unit_4", "default"])
+@pytest.mark.parametrize("n_senders", [2, 3, 4])
+def test_answer_draws_match_the_block_on_every_sorted_vector(n_senders, tcu, robust):
+    # every sorted draw vector, a done sender's -1 included, in one call:
+    # units 1 and 3 deadlock unless robust, and unit 3 plays some keys in
+    # full at 3 and 4 senders unless robust
+    cfg = ScenarioConfig(n_senders=n_senders, tcu_ticks=tcu, robust_mode=robust)
+    (_, _, _, stuck), counts = _check_answers(cfg, np.array(list(
+        itertools.combinations_with_replacement(range(-1, cfg.b_max + 1), n_senders))))
+    assert stuck.any() == (tcu in (1, 3) and not robust)
+    assert (counts["full"] > 0) == (tcu == 3 and n_senders > 2 and not robust)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_senders=st.integers(2, 6), robust=st.booleans(), tcu=st.sampled_from([1, 2, 3, 4, 8]),
+       table=tables(DEFAULT_TABLE, REJECT_HEAVY), timing=timings(), data=st.data())
+@example(n_senders=4, robust=False, tcu=3, table=DEFAULT_TABLE, timing={}, data=None)
+def test_answer_draws_match_the_block_on_generated_draws(n_senders, robust, tcu, table, timing,
+                                                         data):
+    # unsorted rows with ties and done senders; each row comes again with
+    # its senders reversed, which sorts to the same row, so distinct sorted
+    # rows serve several runs
+    cfg = ScenarioConfig(n_senders=n_senders, table=table, tcu_ticks=tcu, robust_mode=robust,
+                         **timing)
+    if data is None:
+        draws = np.array([[2, -1, 2, 0], [-1, -1, 5, 5], [7, 7, 7, -1], [-1] * 4])
+    else:
+        values = st.integers(-1, cfg.b_max)
+        draws = np.array(data.draw(st.lists(st.lists(values, min_size=n_senders,
+                                                      max_size=n_senders),
+                                             min_size=1, max_size=30)))
+    _check_answers(cfg, np.concatenate((draws, draws[:, ::-1])))
+
+
+@pytest.mark.parametrize("n_senders, nmax_msg, n_runs", [(2, 5, 200), (6, 1, 40), (7, 1, 30),
+                                                          (8, 1, 25)])
+def test_small_batches_make_one_philox_call(monkeypatch, n_senders, nmax_msg, n_runs):
+    # the batches of perfbench's sim-contended workload at seed 1: each is
+    # small, so its first fill computes whole rows of ceil(1024 / n_runs)
+    # blocks, and no lane outruns its row
+    calls = []
+    philox = montecarlo._philox
+
+    def counted(seed, runs, counters):
+        calls.append(counters.size)
+        return philox(seed, runs, counters)
+
+    monkeypatch.setattr(montecarlo, "_philox", counted)
+    simulate(ScenarioConfig(n_senders=n_senders, nmax_msg=nmax_msg), n_runs, seed=1)
+    assert calls == [-(-1024 // n_runs) * n_runs]
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(nmax_msg=2), ScenarioConfig(n_senders=3, nmax_msg=2,
@@ -772,18 +862,18 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
     montecarlo._automaton.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="ecomac_backoff.montecarlo"):
         agg = simulate(cfg, 50, seed=1)
-    # the streams' first fill of two blocks a lane is one Philox call, and
-    # no lane outruns it; the table plays 7 keys in 90 plain ticks: the 5
-    # canonical keys the batch meets and the horizon's probes (-1, 0, 4)
-    # and (-1, 0, 2), its third, (-1, 0, 1), being one of the 5; no key is
-    # played in full; summed over the passes, 54 distinct sorted draw
-    # vectors are answered from a parked representative and 7 from a
-    # latched one; the crossing table settles 12 keys: a sleep at e 0..4, a
-    # delivery at e 0..5, and a done sender
+    # the streams' first fill of a whole row, ceil(1024 / 50) = 21 blocks a
+    # lane, is one Philox call, and no lane outruns it; the table plays 7
+    # keys in 90 plain ticks: the 5 canonical keys the batch meets and the
+    # horizon's probes (-1, 0, 4) and (-1, 0, 2), its third, (-1, 0, 1),
+    # being one of the 5; no key is played in full; summed over the passes,
+    # 54 distinct sorted draw vectors are answered from a parked
+    # representative and 7 from a latched one; the crossing table settles
+    # 12 keys: a sleep at e 0..4, a delivery at e 0..5, and a done sender
     [record] = caplog.records
     assert agg.rounds.sum() == 168
     assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 1 Philox calls, "
-                                   "100 Philox blocks, 7 rows played, 90 plain ticks, "
+                                   "1050 Philox blocks, 7 rows played, 90 plain ticks, "
                                    "0 played in full, 54 rows folded, 7 rows latched, "
                                    "12 crossing keys settled")
     # a repeat call reads the tables the first one filled: it plays,
@@ -794,7 +884,7 @@ def test_simulate_reports_its_counts_at_debug_level_only(caplog):
         simulate(cfg, 50, seed=1)
     [record] = caplog.records
     assert record.getMessage() == ("simulate: 50 runs, 168 rounds, 1 Philox calls, "
-                                   "100 Philox blocks, 0 rows played, 0 plain ticks, "
+                                   "1050 Philox blocks, 0 rows played, 0 plain ticks, "
                                    "0 played in full, 54 rows folded, 7 rows latched, "
                                    "0 crossing keys settled")
 
