@@ -191,8 +191,15 @@ _RECEIVER_COMMITTED = frozenset((
     ReceiverPhase.SWITCH_RT, ReceiverPhase.SEND_CTS, ReceiverPhase.W_END,
 ))
 
-# the phase the tick rule tests each sender for, as a plain int
+# the phase the tick rule tests each sender for, and the receiver phases
+# that set its senders' tick context, as plain ints
 SEND_RTS = int(SenderPhase.SEND_RTS)
+_SEND_CTS = int(ReceiverPhase.SEND_CTS)
+_COLLISION = int(ReceiverPhase.COLLISION)
+_TICK = int(StepKind.TICK)
+# the sender phases the boundary rule reads, bound once
+_CHOOSE, _SLEEP, _DONE = SenderPhase.CHOOSE, SenderPhase.SLEEP, SenderPhase.DONE
+_SUCCESS, _REJECT = SenderPhase.SUCCESS, SenderPhase.REJECT
 
 
 def initial_state(cfg: ScenarioConfig) -> GlobalState:
@@ -289,7 +296,8 @@ class Automaton:
             pmf for e_lo, e_hi, _ in cfg.table.rows
             for pmf in (tuple(rbc_pmf(cfg.table, e_lo).items()),) * (e_hi - e_lo + 1)
         )
-        self._sender_step: dict = {}
+        # per tick context (see _sender_rule), each sender's next state
+        self._sender_step: tuple[dict, ...] = ({}, {}, {}, {})
         self._receiver_step: dict = {}
         # step kinds, keyed on (sender phases, receiver phase)
         self._kinds: dict = {}
@@ -391,10 +399,6 @@ class Automaton:
         tx_next: senders transmitting during the next tick; frame_end:
         senders whose RTS completes with the current tick.
         """
-        key = (rc, tx_next, frame_end)
-        cached = self._receiver_step.get(key)
-        if cached is not None:
-            return cached
         cfg = self.cfg
         phase, winner, ticks = rc
         if phase == ReceiverPhase.W_RTS:
@@ -430,7 +434,6 @@ class Automaton:
             nxt = rc
         else:
             raise AssertionError(f"receiver phase {phase} has no tick rule")
-        self._receiver_step[key] = nxt
         return nxt
 
     def _answer(self, winner: int) -> ReceiverState:
@@ -443,15 +446,15 @@ class Automaton:
     def _reset(self, phase: int, e: int, msgs: int) -> tuple[int, int, int]:
         """The boundary rule: a sender's ``(phase, e, msgs)`` after one reset;
         a rejected packet takes a second."""
-        if phase in (SenderPhase.SUCCESS, SenderPhase.REJECT):
+        if phase == _SUCCESS or phase == _REJECT:
             if msgs == 1:
-                return SenderPhase.DONE, 0, 0
-            return SenderPhase.CHOOSE, 0, msgs - 1
-        if phase == SenderPhase.SLEEP:
+                return _DONE, 0, 0
+            return _CHOOSE, 0, msgs - 1
+        if phase == _SLEEP:
             if e == self.cfg.e_max:
-                return SenderPhase.REJECT, e, msgs
-            return SenderPhase.CHOOSE, e + 1, msgs
-        if phase in (SenderPhase.CHOOSE, SenderPhase.DONE):
+                return _REJECT, e, msgs
+            return _CHOOSE, e + 1, msgs
+        if phase == _CHOOSE or phase == _DONE:
             return phase, e, msgs
         raise AssertionError(f"sender phase {phase} cannot cross a round boundary")
 
@@ -571,7 +574,7 @@ class Automaton:
     def next_projection(self, projection: tuple) -> tuple | None:
         """Projection of the tick successor; None when the next step is not
         a tick (terminal, deadlock, boundary or draw)."""
-        if self.step_kind(projection) != StepKind.TICK:
+        if self.step_kind(projection) != _TICK:
             return None
         return self._tick(projection)
 
@@ -875,9 +878,9 @@ class Automaton:
         cts_to)``: every sender hears `context` (see :meth:`_sender_rule`)
         except sender `cts_to`, the one a CTS is sent to, which hears 2;
         -1 when there is none."""
-        if receiver.phase == ReceiverPhase.SEND_CTS:
-            return 1, receiver.winner
-        if self.cfg.robust_mode and receiver.phase == ReceiverPhase.COLLISION:
+        if receiver[0] == _SEND_CTS:
+            return 1, receiver[1]
+        if receiver[0] == _COLLISION and self.cfg.robust_mode:
             return 3, -1
         return 0, -1
 
@@ -885,27 +888,32 @@ class Automaton:
         """The tick rule: the projection one synchronized tick later.
 
         One pass over the senders takes each one's next ``(phase, rbc,
-        ticks)`` from :meth:`_sender_rule`, cached on ``(sender, context)``,
-        and collects what the receiver is fed: the senders transmitting in
-        the next tick and those whose request ends with this one.
+        ticks)`` from :meth:`_sender_rule`, cached per context on the
+        sender, and collects what the receiver is fed: the senders
+        transmitting in the next tick and those whose request ends with
+        this one.  The receiver's next state, from :meth:`_receiver_next`,
+        is cached on the receiver and what it is fed.
         """
         senders, receiver = projection
         base_ctx, cts_to = self._contexts(receiver)
-        step = self._sender_step
+        step, cts_step = self._sender_step[base_ctx], self._sender_step[2]
         next_senders, tx_next, frame_end = [], [], []
         for i, sd in enumerate(senders):
-            key = (sd, 2 if i == cts_to else base_ctx)
-            nxt = step.get(key)
+            table = cts_step if i == cts_to else step
+            nxt = table.get(sd)
             if nxt is None:
-                nxt = step[key] = self._sender_rule(*key)
+                nxt = table[sd] = self._sender_rule(sd, 2 if i == cts_to else base_ctx)
             next_senders.append(nxt)
             if nxt[0] == SEND_RTS:
                 tx_next.append(i)
             elif sd[0] == SEND_RTS:
                 frame_end.append(i)
-        if self.cfg.robust_mode and receiver.phase in _RECEIVER_COMMITTED and any(
+        if self.cfg.robust_mode and receiver[0] in _RECEIVER_COMMITTED and any(
                 sd[0] == SEND_RTS for sd in senders):
             next_receiver = ReceiverState(ReceiverPhase.COLLISION, -1, 0)
         else:
-            next_receiver = self._receiver_next(receiver, tuple(tx_next), tuple(frame_end))
+            key = (receiver, tuple(tx_next), tuple(frame_end))
+            next_receiver = self._receiver_step.get(key)
+            if next_receiver is None:
+                next_receiver = self._receiver_step[key] = self._receiver_next(*key)
         return tuple(next_senders), next_receiver

@@ -356,6 +356,7 @@ class _Plan(NamedTuple):
     start: int               # the initial state's node
     bounds: np.ndarray       # per level, its first node; then the node count
     edge_bounds: np.ndarray  # per level, its first edge; edges follow the nodes
+    single: list[bool]       # per level, whether each of its nodes has one edge
     seg: np.ndarray          # per edge, its source's position in its level
     succ: np.ndarray         # int32, per edge the successor node
     probs: np.ndarray        # per edge, the branch probability (1 for a run)
@@ -389,7 +390,8 @@ def _plan(dtmc: DTMC) -> _Plan:
         firsts = np.append(0, np.cumsum(counts))
         flat = _row_gather(indptr, states)
         seg = np.repeat(np.arange(states.size) - np.repeat(bounds[:-1], sizes), counts)
-        dtmc._plan = _Plan(int(node[0]), bounds, firsts[bounds], seg,
+        single = np.logical_and.reduceat(counts == 1, bounds[:-1]).tolist()
+        dtmc._plan = _Plan(int(node[0]), bounds, firsts[bounds], single, seg,
                            node[_contracted_cols(dtmc, g)[flat]], probs[flat], node, pos)
         # imported here: logging is about a tenth of the package's cold import
         import logging
@@ -492,12 +494,14 @@ class _Builder:
 
     def round_of(self, c: int, q0: int) -> int:
         """The id of the round entered at projection `q0` under context `c`,
-        whose states are counted."""
+        whose states are counted.  A round is registered only once
+        :meth:`explore` returns, so a build stopped inside it leaves no id
+        pointing past the explored rounds."""
         key = (q0, self.context_draws[c])
         r = self.round_ids.get(key)
         if r is None:
-            r = self.round_ids[key] = len(self.rounds)
             self.rounds.append(self.explore(c, q0))
+            r = self.round_ids[key] = len(self.rounds) - 1
         else:
             self.grow(self.rounds[r].lens.size)
         return r
@@ -515,8 +519,12 @@ class _Builder:
         tick_next, projections, step = self.tick_next, self.projections, self.step
         local = {q0: 0}
         find = local.get
-        qs, lens, cols, draws = [q0], [], [], []
-        found, add_len, add_col = qs.append, lens.append, cols.append
+        qs, cols, draws = [q0], [], []
+        found, add_col = qs.append, cols.append
+        # the rows of other than one edge, as (local state, edge count); a state's
+        # index is its edges before it less `extra`, their count beyond one a row
+        other: list[tuple[int, int]] = []
+        extra = 0
         exits: dict[tuple, int] = {}
         exit_qs: list[int] = []
         # qs grows as states are found, so the loop walks them breadth first
@@ -532,7 +540,6 @@ class _Builder:
                         raise StateSpaceLimitError(f"reachable state space exceeds {cap} states")
                     i = local[nxt] = len(qs)
                     found(nxt)
-                add_len(1)
                 add_col(i)
                 continue
             if nxt == _DRAW:
@@ -544,13 +551,15 @@ class _Builder:
                 x = exits.setdefault(tuple([sd[0] for sd in projections[q][0]]), len(exits))
                 if x == len(exit_qs):
                     exit_qs.append(q)
-                add_len(1)
                 add_col(-1 - x)
                 continue
             else:
-                add_len(0)
+                other.append((len(cols) - extra, 0))
+                extra -= 1
                 continue
-            add_len(len(succ))
+            if len(succ) != 1:
+                other.append((len(cols) - extra, len(succ)))
+                extra += len(succ) - 1
             for s in succ:
                 i = find(s)
                 if i is None:
@@ -564,7 +573,11 @@ class _Builder:
         probs = np.ones(len(cols))
         for at, row in draws:
             probs[at:at + len(row)] = row
-        return _Round(np.array(lens, dtype=np.int32), np.array(cols, dtype=np.int32),
+        lens = np.ones(len(qs), dtype=np.int32)
+        if other:
+            at, n_edges = zip(*other)
+            lens[list(at)] = n_edges
+        return _Round(lens, np.array(cols, dtype=np.int32),
                       probs, np.array(qs, dtype=np.int32), exit_qs)
 
     def step(self, q: int) -> int:
@@ -699,19 +712,19 @@ def _stamp_and_number(rounds: list[_Round], users: list[list[int]],
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
-    order, n_layers = _bfs_order(indptr, cols)
+    order, flat, n_layers = _bfs_order(indptr, cols)
     number = np.empty(n, dtype=np.int32)
     number[order] = np.arange(n, dtype=np.int32)
-    flat = _row_gather(indptr, order)
     bfs_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens[order], out=bfs_indptr[1:])
     return (bfs_indptr, number[cols[flat]], probs[flat], context[order], projection[order],
             n_layers)
 
 
-def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
+def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The states of a CSR graph in the order a layered BFS from state 0
-    numbers them, and the number of layers.
+    numbers them, the flat positions of their edges in that order, and the
+    number of layers.
 
     A layer's successors are read row by row, each row's edges in order
     (a layer of one-edge rows without a row gather), and the ones not yet
@@ -727,12 +740,18 @@ def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
     slot = np.empty(n, dtype=np.int32)
     layer = np.zeros(1, dtype=cols.dtype)
     layers = []
+    # the edge positions read, in place: a block kept per layer fragments the heap
+    flat = np.empty(cols.size, dtype=np.int64)
+    read = 0
     while layer.size:
         layers.append(layer)
         if single[layer].all():
-            succ = cols[indptr[layer]]
+            edges = indptr[layer]
         else:
-            succ = cols[_row_gather(indptr, layer)]
+            edges = _row_gather(indptr, layer)
+        flat[read:read + edges.size] = edges
+        read += edges.size
+        succ = cols[edges]
         succ = succ[fresh[succ]]
         at = np.arange(succ.size, dtype=np.int32)
         slot[succ] = at
@@ -744,7 +763,7 @@ def _bfs_order(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
             succ = succ[first]
         fresh[succ] = False
         layer = succ
-    return np.concatenate(layers), len(layers)
+    return np.concatenate(layers), flat[:read], len(layers)
 
 
 def _features(n_senders: int, contexts: list[tuple], projections: list[tuple],
@@ -822,16 +841,24 @@ def _sweep(plan: _Plan, y: np.ndarray, pin: np.ndarray) -> np.ndarray:
     place, a level's slice at a time.  Each node's successors lie on later
     levels, so it is exact.  ``np.bincount`` adds a node's edges in edge
     order, which ``np.add.reduceat`` does not, so every answer keeps its bits.
+    A level whose nodes have one edge each takes its products directly:
+    ``np.bincount`` gives ``0.0 + w`` for one weight, so adding 0.0 keeps
+    its bits, ``-0.0 -> 0.0`` included.
     """
     k = y.shape[1]
     columns = np.arange(k)
     free = ~pin
     b, e = plan.bounds.tolist(), plan.edge_bounds.tolist()
-    for lo, hi, elo, ehi in reversed(list(zip(b, b[1:], e, e[1:]))):
-        # one bin per (node, column)
-        bins = (plan.seg[elo:ehi, None] * k + columns).ravel()
-        acc = np.bincount(bins, weights=(plan.probs[elo:ehi, None] * y[plan.succ[elo:ehi]]).ravel(),
-                          minlength=(hi - lo) * k).reshape(hi - lo, k)
+    for lo, hi, elo, ehi, single in reversed(list(zip(b, b[1:], e, e[1:], plan.single))):
+        acc = y.take(plan.succ[elo:ehi], axis=0)
+        acc *= plan.probs[elo:ehi, None]
+        if single:
+            acc += 0.0
+        else:
+            # one bin per (node, column)
+            bins = (plan.seg[elo:ehi, None] * k + columns).ravel()
+            acc = np.bincount(bins, weights=acc.ravel(),
+                              minlength=(hi - lo) * k).reshape(hi - lo, k)
         # 0.0 + a == a, so a node without reward takes its sum unchanged;
         # a sink's empty sum leaves it at its reward
         here = y[lo:hi]

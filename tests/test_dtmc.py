@@ -346,8 +346,9 @@ def test_bfs_order_numbers_by_first_occurrence(rows, order, n_layers):
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=indptr[1:])
     cols = np.array([j for row in rows for j in row], dtype=np.int32)
-    got, layers = dtmc_module._bfs_order(indptr, cols)
+    got, flat, layers = dtmc_module._bfs_order(indptr, cols)
     assert (got.tolist(), layers) == (order, n_layers)
+    assert flat.tolist() == dtmc_module._row_gather(indptr, got).tolist()
 
 
 # SHA-256 of each DTMC array (its dtype and shape, then its bytes) and of
@@ -426,18 +427,39 @@ _PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
-def test_build_output_matches_its_pinned_digests(name, tmp_path):
-    d = build(_PINNED_CONFIGS[name])
+def model_digests(d, path):
+    """SHA-256 of each DTMC array, its dtype and shape, then its bytes, and
+    of its dump, written to `path`."""
     got = {}
     for array_name in ("features", "indptr", "cols", "probs", "parent",
                        "deadlock_indices", "terminal_mask"):
         a = getattr(d, array_name)
         got[array_name] = hashlib.sha256(
             f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
-    dump_statespace(d, tmp_path / "dump.txt")
-    got["dump"] = hashlib.sha256((tmp_path / "dump.txt").read_bytes()).hexdigest()
-    assert got == _PINNED_DIGESTS[name]
+    dump_statespace(d, path)
+    got["dump"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_build_output_matches_its_pinned_digests(name, tmp_path):
+    d = build(_PINNED_CONFIGS[name])
+    assert model_digests(d, tmp_path / "dump.txt") == _PINNED_DIGESTS[name]
+
+
+def test_a_capped_build_registers_no_round_it_did_not_finish(tmp_path):
+    # the cap stops the first round inside its walk; a round gets its id
+    # only once explored, so no id points past the explored rounds, and an
+    # uncapped build after it keeps its pinned digests
+    cfg = _PINNED_CONFIGS["default"]
+    b = dtmc_module._Builder(cfg, 100)
+    c, q0 = divmod(b.intern(*b.auto.split(b.auto.initial_state())), 1 << 32)
+    with pytest.raises(StateSpaceLimitError):
+        b.round_of(c, q0)
+    assert b.rounds == [] and b.round_ids == {} and b.projections
+    with pytest.raises(StateSpaceLimitError):
+        build(cfg, max_states=100)
+    assert model_digests(build(cfg), tmp_path / "dump.txt") == _PINNED_DIGESTS["default"]
 
 
 def reference_dump(d, path):
@@ -820,6 +842,36 @@ def test_an_unpinned_sink_takes_its_reward():
     d = hand_built([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(3, 1.0)], []])
     x = solve_at_start(d, np.zeros(4, dtype=bool), np.zeros(4), np.arange(1.0, 5.0))
     assert x.tolist() == [1.0 + 0.5 * (2.0 + 4.0) + 0.5 * (3.0 + 4.0)]
+
+
+def binned_sweep(plan, y, pin):
+    """The sweep with every level summed by ``np.bincount``."""
+    return dtmc_module._sweep(plan._replace(single=[False] * len(plan.single)), y, pin)
+
+
+def test_a_one_edge_level_keeps_the_bits_of_the_bincount_path():
+    # 0 heads a run into the sink 1, pinned at -0.0, which leaves -0.0 on
+    # the unpinned 0 too: its one-edge level's product is -0.0, and
+    # bincount's 0.0 + w makes it 0.0, so 0 ends at 0.0 either way
+    d = hand_built([[(1, 1.0)], []])
+    plan = dtmc_module._plan(d)
+    assert plan.single == [True, False]
+    pin = np.zeros((2, 1), dtype=bool)
+    pin[plan.node[1]] = True
+    y = pin * np.array([-0.0])
+    direct = dtmc_module._sweep(plan, y.copy(), pin)
+    assert direct.tobytes() == binned_sweep(plan, y.copy(), pin).tobytes()
+    assert np.copysign(1.0, direct).tolist() == [1.0]
+    # a built model's one-edge and branching levels, over signed zeros,
+    # negative values and unpinned nodes
+    plan = dtmc_module._plan(build(ScenarioConfig(tcu_ticks=3)))
+    assert any(plan.single) and not all(plan.single)
+    rng = np.random.default_rng(3)
+    n = int(plan.bounds[-1])
+    pin = rng.random((n, 4)) < 0.05
+    y = rng.choice([-0.0, 0.0, -1.5, 2.0], size=(n, 4)) * (pin | (rng.random((n, 4)) < 0.3))
+    assert (dtmc_module._sweep(plan, y.copy(), pin).tobytes()
+            == binned_sweep(plan, y.copy(), pin).tobytes())
 
 
 @pytest.mark.parametrize("rows", [
